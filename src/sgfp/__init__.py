@@ -33,14 +33,7 @@ from .graph import (
     is_regular_per_component,
 )
 from .ingest import prop_own, read_attributes, read_edge_list, read_labels, write_graph
-from .lp import (
-    HighCorrelationResult,
-    LpProblem,
-    LpSolution,
-    max_failing_correlation,
-    refine_correlation,
-    solve,
-)
+from .lp import HighCorrelationResult, max_failing_correlation
 from .metrics import (
     GapReport,
     correlation,

@@ -23,7 +23,6 @@ from .errors import (
     UnknownNodeError,
 )
 from .graph import Graph, build_graph, degrees, delta, is_connected, is_regular
-from .lp import max_failing_correlation, refine_correlation
 from .metrics import correlation, r_d_delta, singular_gap
 
 PRO = "ProSGFP"
@@ -153,57 +152,45 @@ class ThresholdEstimate:
 def threshold_estimate(g: Graph, grid: int = 256) -> ThresholdEstimate:
     """Estimate the per-graph correlation threshold above which SGFP holds.
 
-    The analytic candidate is sqrt(1 - r_{d,delta}^2). It is validated by an
-    independent search for the best failing correlation: boundary points of
-    the projected degree direction refined on a geometric grid, plus LP
-    sweeps with decreasing slack, each followed by successive-LP ascent.
+    The supremum of corr(d, a) over mean-zero failing samples is the
+    closed form sqrt(1 - r_{d,delta}^2): the angle between the centred
+    degree direction and the half-space of negative gap. For anti graphs
+    it is validated by an independent search: boundary points of the
+    projected degree direction, walked inward on a geometric grid of
+    `grid` angles. For pro graphs the affine certificate already proves
+    that no positively-correlated sample fails, so the supremum is 0.
     """
     if not is_connected(g) or is_regular(g):
         raise DegenerateGraphError("graph must be connected and non-regular")
     cls = classify(g)
+    if cls.kind == PRO:
+        return ThresholdEstimate(candidate_sup=0.0, validated=True, oracle_max=0.0)
+
+    candidate = math.sqrt(max(0.0, 1.0 - cls.r_ddelta * cls.r_ddelta))
     deg = np.array(degrees(g), dtype=float)
     dl = np.array([float(v) for v in delta(g)])
     n = g.n
-
-    if cls.kind == PRO:
-        candidate = 0.0
-    else:
-        r_dd = r_d_delta(g)
-        candidate = math.sqrt(max(0.0, 1.0 - r_dd * r_dd))
-
     oracle_max = -math.inf
-
-    # LP sweep with decreasing slack; refine each witness by successive LP.
-    for eps in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
-        try:
-            res = refine_correlation(g, eps)
-        except Exception:
-            continue
-        if res.gap <= -1e-9:
-            oracle_max = max(oracle_max, res.r_high)
-
-    if cls.kind == ANTI:
-        # Projected search: project the centered degree direction onto the
-        # non-positive-gap half-space and walk the boundary inward on a
-        # geometric grid of `grid` points.
-        tau = deg - deg.mean()
-        tau /= np.linalg.norm(tau)
-        dc = dl - dl.mean()
-        dc_norm = np.linalg.norm(dc)
-        proj = tau - (float(dc @ tau) / (dc_norm ** 2)) * dc
-        pnorm = np.linalg.norm(proj)
-        if pnorm > 1e-14:
-            a_star = proj / pnorm
-            v = -dc / dc_norm  # orthogonal to a_star, pushes the gap negative
-            thetas = np.geomspace(1e-8, math.pi / 2, num=max(2, grid))
-            for theta in thetas:
-                a = math.cos(theta) * a_star + math.sin(theta) * v
-                gap = float(dl @ a) / n
-                if gap > -1e-9:
-                    continue
-                r = correlation(list(deg), list(a))
-                if r is not None:
-                    oracle_max = max(oracle_max, r)
+    # Project the centred degree direction onto the non-positive-gap
+    # half-space and walk the boundary inward.
+    tau = deg - deg.mean()
+    tau /= np.linalg.norm(tau)
+    dc = dl - dl.mean()
+    dc_norm = np.linalg.norm(dc)
+    proj = tau - (float(dc @ tau) / (dc_norm ** 2)) * dc
+    pnorm = np.linalg.norm(proj)
+    if pnorm > 1e-14:
+        a_star = proj / pnorm
+        v = -dc / dc_norm  # orthogonal to a_star, pushes the gap negative
+        thetas = np.geomspace(1e-8, math.pi / 2, num=max(2, grid))
+        for theta in thetas:
+            a = math.cos(theta) * a_star + math.sin(theta) * v
+            gap = float(dl @ a) / n
+            if gap > -1e-9:
+                continue
+            r = correlation(list(deg), list(a))
+            if r is not None:
+                oracle_max = max(oracle_max, r)
 
     validated = (candidate - 1e-3 - 1e-12) <= oracle_max <= (candidate + 1e-12)
     return ThresholdEstimate(candidate_sup=candidate, validated=validated,

@@ -68,10 +68,6 @@ class DuplicateRowError(SgfpError):
         super().__init__(f"duplicate row for node {label!r}")
 
 
-class DimensionMismatchError(SgfpError):
-    pass
-
-
 class InfeasibleAtEpsilonError(SgfpError):
     def __init__(self, epsilon):
         self.epsilon = epsilon

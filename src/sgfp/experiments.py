@@ -7,12 +7,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO
 
+import numpy as np
+
 from .classify import PRO
 from .classify import classify as classify_graph
 from .construct import initial_growth_state, grow_step
-from .errors import InfeasibleAtEpsilonError
+from .errors import InfeasibleAtEpsilonError, PreconditionViolatedError
 from .graph import Graph, degrees, delta
-from .lp import LpProblem, max_failing_correlation, solve
+from .lp import _check_epsilon, _solve_two_row, max_failing_correlation
 from .metrics import correlation, r_d_delta, singular_gap
 from .randgen import configuration_rewire, mix, sample_connected_nonregular
 
@@ -59,6 +61,9 @@ def census(n: int, samples: int, seed: int, p: float = 0.5,
     Deterministic for a fixed seed regardless of `jobs`: every sample uses
     its own derived seed and results reduce in sample order.
     """
+    if samples < 1:
+        raise PreconditionViolatedError("samples must be >= 1")
+    _check_epsilon(epsilon)
     tasks = [(n, p, mix(mix(seed, n), i), epsilon) for i in range(samples)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -153,18 +158,11 @@ def r_high_loose(g: Graph, epsilon: float) -> Optional[float]:
     deg = degrees(g)
     if len(set(deg)) <= 1 or 0 in deg:
         return None
-    dl = [float(v) for v in delta(g)]
-    n = g.n
-    problem = LpProblem(
-        c=[float(d) for d in deg],
-        constraints=[([1.0] * n, "=", 0.0), (dl, "<=", -epsilon)],
-        lo=[-1.0] * n,
-        hi=[1.0] * n,
-    )
-    sol = solve(problem)
-    if sol.status != "optimal":
+    dl = np.array([float(v) for v in delta(g)])
+    a = _solve_two_row(np.array(deg, dtype=float), dl, epsilon)
+    if a is None:
         return None
-    return correlation(list(deg), list(sol.x))
+    return correlation(list(deg), a.tolist())
 
 
 def rewire_experiment(graphs: Sequence[tuple[str, Graph]], seed: int,
@@ -174,6 +172,7 @@ def rewire_experiment(graphs: Sequence[tuple[str, Graph]], seed: int,
     Each input graph is rewired once with the configuration model; isolates
     produced by dropped collisions are disregarded in the rewired metrics.
     """
+    _check_epsilon(epsilon)
     records = []
     for index, (name, g) in enumerate(graphs):
         g0 = strip_isolates(g)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from fractions import Fraction
 from typing import Optional, TextIO, Union
 
@@ -95,9 +96,12 @@ def read_attributes(source: Source, g: Graph) -> list[float]:
         if idx in values:
             raise DuplicateRowError(node)
         try:
-            values[idx] = float(raw)
+            value = float(raw)
         except ValueError:
             raise ParseError(lineno, f"bad numeric value {raw!r}") from None
+        if not math.isfinite(value):
+            raise ParseError(lineno, f"non-finite value {raw!r}")
+        values[idx] = value
     missing = [g.labels[i] for i in range(g.n) if i not in values]
     if missing:
         raise UnknownNodeError(missing[0])

@@ -1,215 +1,135 @@
-"""Bounded-variable primal simplex and the failing-correlation search.
+"""The failing-correlation LP and its two-row solver.
 
-The solver is a two-phase revised simplex over variables with finite box
-bounds, using Bland's smallest-index rule for both entering and leaving
-choices, which makes it deterministic and cycle-free. It is sized for the
-small dense problems produced by this package (a documented cap of 2,000
-variables).
+The only LP this package poses is
+
+    maximize d . a  subject to  sum(a) = 0,  delta . a <= -epsilon,  a in [-1, 1]^n.
+
+Its dual is min over mu and lambda >= 0 of sum_i |d_i - mu - lambda delta_i|
+- lambda epsilon: a least-absolute-deviation fit of d on (1, delta) (the
+LAD-as-LP duality of Koenker and Bassett, 1978). For a fixed lambda the
+best mu is a median of c = d - lambda delta, so the dual is a convex
+piecewise-linear function g(lambda) whose one-sided slopes are
+-(delta . a) - epsilon over the Lagrangian maximizers a: a_i = sign(c_i - mu)
+off the set T of nodes tied with the median, and a greedy fill of T.
+The solver descends g by pivoting on a median node and moving lambda to
+the weighted median of the slopes through it (the descent step of LAD
+regression), until the slopes bracket zero. Any fill of T between the
+two extreme ones is then optimal; the witness walks from one extreme
+toward the other until delta . a = -epsilon (or as far as the walk goes
+when the optimum has lambda = 0), ending near a vertex of the feasible
+polytope as a simplex would. Each step is O(n log n) and there is no size
+cap.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import (
     DegenerateGraphError,
-    DimensionMismatchError,
     InfeasibleAtEpsilonError,
+    InvariantBrokenError,
+    PreconditionViolatedError,
 )
 from .graph import Graph, degrees, delta, is_connected, is_regular
 from .metrics import correlation
 
-_TOL = 1e-9
-_PIVOT_TOL = 1e-11
-_MAX_VARS = 2000
+
+def _check_epsilon(epsilon: float) -> None:
+    if not epsilon > 0:
+        raise PreconditionViolatedError("epsilon must be positive")
 
 
-@dataclass
-class LpProblem:
-    """Maximize c . x subject to row constraints and finite variable bounds.
+def _fill(k: int, total: float) -> np.ndarray:
+    """k values in [-1, 1] summing to `total`: +1 first, then -1."""
+    return np.clip(total + k - 2 * np.arange(k), 0, 2) - 1.0
 
-    Each constraint is (coefficients, sense, rhs) with sense one of
-    '<=', '>=', '='.
+
+def _vertex_between(a: np.ndarray, up: np.ndarray, dl: np.ndarray, need: float) -> np.ndarray:
+    """Raise delta . a by `need` (or as far as it goes) within the tied set.
+
+    `a` holds the fill of the tied nodes `up` (sorted by delta) that
+    minimizes delta . a. Swapping the values of the i-th lowest- and
+    i-th highest-delta tied nodes, outermost pair first, walks to the fill
+    that maximizes it; the walk stops part-way through one swap, so at
+    most two tied nodes end strictly inside the box.
     """
-
-    c: Sequence[float]
-    constraints: list[tuple[Sequence[float], str, float]]
-    lo: Sequence[float]
-    hi: Sequence[float]
-
-    def validate(self) -> None:
-        n = len(self.c)
-        if len(self.lo) != n or len(self.hi) != n:
-            raise DimensionMismatchError("bound vectors must match objective length")
-        for row, sense, _ in self.constraints:
-            if len(row) != n:
-                raise DimensionMismatchError("constraint row length mismatch")
-            if sense not in ("<=", ">=", "="):
-                raise DimensionMismatchError(f"unknown sense {sense!r}")
-        if not all(math.isfinite(l) and math.isfinite(h) for l, h in zip(self.lo, self.hi)):
-            raise DimensionMismatchError("all variable bounds must be finite")
-        if n > _MAX_VARS:
-            raise DimensionMismatchError(f"problem exceeds {_MAX_VARS}-variable cap")
+    vals = a[up]
+    half = len(up) // 2
+    lo_i, hi_i = np.arange(half), len(up) - 1 - np.arange(half)
+    gain = (vals[lo_i] - vals[hi_i]) * (dl[up[hi_i]] - dl[up[lo_i]])
+    cum = np.cumsum(gain)
+    m = int(np.searchsorted(cum, need))
+    swapped = vals.copy()
+    swapped[lo_i[:m]], swapped[hi_i[:m]] = vals[hi_i[:m]], vals[lo_i[:m]]
+    if m < half and gain[m] > 0:
+        part = (need - (cum[m - 1] if m else 0.0)) / gain[m]
+        shift = part * (vals[hi_i[m]] - vals[lo_i[m]])
+        swapped[lo_i[m]] += shift
+        swapped[hi_i[m]] -= shift
+    out = a.copy()
+    out[up] = swapped
+    return out
 
 
-@dataclass
-class LpSolution:
-    status: str  # 'optimal' | 'infeasible' | 'unbounded'
-    objective: Optional[float]
-    x: Optional[np.ndarray]
-    iterations: int
+def _solve_two_row(d: np.ndarray, dl: np.ndarray, epsilon: float) -> Optional[np.ndarray]:
+    """An optimal a of the failing-correlation LP for degrees d and
+    reciprocal-degree sums dl, or None when it is infeasible.
 
-
-def solve(problem: LpProblem) -> LpSolution:
-    """Solve a bounded-variable LP; deterministic for identical input."""
-    problem.validate()
-    n = len(problem.c)
-    m = len(problem.constraints)
-
-    # Standard form: A x + slack = b. Slacks get finite bounds derived from
-    # the variable box so every column has finite bounds.
-    rows = []
-    rhs = []
-    slack_bounds = []
-    for row, sense, b in problem.constraints:
-        r = np.asarray(row, dtype=float)
-        if sense == ">=":
-            r = -r
-            b = -b
-            sense = "<="
-        rows.append(r)
-        rhs.append(float(b))
-        if sense == "<=":
-            row_min = float(sum(r[i] * (problem.lo[i] if r[i] > 0 else problem.hi[i])
-                                for i in range(n)))
-            slack_bounds.append((0.0, max(0.0, b - row_min)))
+    Deterministic: ties are broken by delta, then by node index.
+    """
+    _check_epsilon(epsilon)
+    n = len(d)
+    # Feasible iff min delta . a over {sum(a) = 0, box} reaches -epsilon.
+    a_min = np.empty(n)
+    a_min[np.argsort(dl, kind="stable")] = _fill(n, 0.0)
+    slack_tol = 1e-13 * np.abs(dl).sum()
+    if dl @ a_min > -epsilon + slack_tol:
+        return None
+    d_max, dl_max = np.abs(d).max(), np.abs(dl).max()
+    lo, hi, lam = 0.0, np.inf, 0.0
+    for _ in range(1000):  # g strictly decreases per step; a few steps in practice
+        c = d - lam * dl
+        mu = np.partition(c, (n - 1) // 2)[(n - 1) // 2]
+        r = c - mu
+        tied = np.abs(r) <= 1e-11 * (d_max + lam * dl_max)
+        a = np.sign(r)
+        a[tied] = 0.0
+        tie = np.flatnonzero(tied)
+        total = -a.sum()
+        up = tie[np.argsort(dl[tie], kind="stable")]     # maximizer at lambda+
+        down = tie[np.argsort(-dl[tie], kind="stable")]  # maximizer at lambda-
+        fill = _fill(len(tie), total)
+        a_up, a_down = a.copy(), a
+        a_up[up] = fill
+        a_down[down] = fill
+        h_up = dl @ a_up + epsilon      # -(right slope of g)
+        h_down = dl @ a_down + epsilon  # -(left slope of g)
+        if h_up <= slack_tol and (lam == 0.0 or h_down >= -slack_tol):
+            return _vertex_between(a_up, up, dl, max(0.0, -h_up))
+        # Pivot on the median node of the side g descends to; the line
+        # through it is best at the weighted median of the slopes to the
+        # other nodes, shifted by epsilon.
+        j = min(int(total + len(tie)) // 2, len(tie) - 1)
+        if h_up > slack_tol:
+            lo, p = lam, up[j]
         else:
-            slack_bounds.append(None)
-
-    total = n + sum(1 for sb in slack_bounds if sb is not None) + m
-    A = np.zeros((m, total))
-    lo = np.zeros(total)
-    hi = np.zeros(total)
-    lo[:n] = problem.lo
-    hi[:n] = problem.hi
-    col = n
-    for i, sb in enumerate(slack_bounds):
-        A[i, :n] = rows[i]
-        if sb is not None:
-            A[i, col] = 1.0
-            lo[col], hi[col] = sb
-            col += 1
-    n_struct = col  # structural + slack columns
-    b = np.asarray(rhs, dtype=float)
-
-    # Nonbasic start: every structural/slack column at its lower bound.
-    status = np.zeros(total, dtype=np.int8)  # 0 at lo, 1 at hi, 2 basic
-    x = lo.copy()
-    resid = b - A[:, :n_struct] @ x[:n_struct]
-    basis = []
-    for i in range(m):
-        j = n_struct + i
-        A[i, j] = 1.0 if resid[i] >= 0 else -1.0
-        lo[j] = 0.0
-        hi[j] = abs(resid[i]) + 1.0
-        x[j] = abs(resid[i])
-        status[j] = 2
-        basis.append(j)
-    basis = list(basis)
-
-    phase1_c = np.zeros(total)
-    phase1_c[n_struct:] = -1.0
-    it1 = _iterate(A, b, phase1_c, lo, hi, basis, status, x)
-    if sum(x[j] for j in range(n_struct, total)) > 1e-7:
-        return LpSolution("infeasible", None, None, it1)
-    # Pin artificials at zero for phase 2.
-    hi[n_struct:] = 0.0
-    for j in range(n_struct, total):
-        if status[j] != 2:
-            status[j] = 0
-            x[j] = 0.0
-        else:
-            x[j] = max(0.0, x[j])
-
-    c_full = np.zeros(total)
-    c_full[:n] = problem.c
-    it2 = _iterate(A, b, c_full, lo, hi, basis, status, x)
-    xs = x[:n].copy()
-    obj = float(np.dot(problem.c, xs))
-    return LpSolution("optimal", obj, xs, it1 + it2)
-
-
-def _iterate(A, b, c, lo, hi, basis, status, x) -> int:
-    """Run bounded-variable simplex iterations in place; returns count."""
-    m, total = A.shape
-    iters = 0
-    while True:
-        iters += 1
-        if iters > 50000:
-            raise RuntimeError("simplex iteration cap exceeded")
-        B = A[:, basis]
-        # Recompute basic values each iteration for numerical robustness.
-        nonbasic_part = b - A @ x + B @ x[basis]
-        xb = np.linalg.solve(B, nonbasic_part)
-        for k, j in enumerate(basis):
-            x[j] = xb[k]
-        y = np.linalg.solve(B.T, c[basis])
-        reduced = c - y @ A
-        entering = -1
-        for j in range(total):
-            if status[j] == 2:
-                continue
-            if status[j] == 0 and reduced[j] > _TOL and hi[j] > lo[j]:
-                entering = j
-                break
-            if status[j] == 1 and reduced[j] < -_TOL and hi[j] > lo[j]:
-                entering = j
-                break
-        if entering < 0:
-            return iters
-        w = np.linalg.solve(B, A[:, entering])
-        sigma = 1.0 if status[entering] == 0 else -1.0
-        # Candidate steps: entering variable's own range plus each basic
-        # variable hitting one of its bounds. Bland: among candidates tied
-        # at the minimum step, block on the smallest variable index.
-        candidates = [(hi[entering] - lo[entering], entering, -1, False)]
-        for k in range(m):
-            wk = sigma * w[k]
-            jb = basis[k]
-            if wk > _PIVOT_TOL:
-                t = (x[jb] - lo[jb]) / wk
-                to_hi = False
-            elif wk < -_PIVOT_TOL:
-                t = (hi[jb] - x[jb]) / (-wk)
-                to_hi = True
-            else:
-                continue
-            candidates.append((max(t, 0.0), jb, k, to_hi))
-        t_min = min(c[0] for c in candidates)
-        _, _, leave_pos, leave_to_hi = min(
-            (c for c in candidates if c[0] <= t_min + 1e-12), key=lambda c: c[1]
-        )
-        t = t_min
-        # Apply the step.
-        for k, jb in enumerate(basis):
-            x[jb] -= sigma * t * w[k]
-        if status[entering] == 0:
-            x[entering] = lo[entering] + t
-        else:
-            x[entering] = hi[entering] - t
-        if leave_pos < 0:
-            status[entering] = 1 - status[entering]
-            continue
-        jl = basis[leave_pos]
-        x[jl] = hi[jl] if leave_to_hi else lo[jl]
-        status[jl] = 1 if leave_to_hi else 0
-        basis[leave_pos] = entering
-        status[entering] = 2
+            hi, p = lam, down[j]
+        w = dl - dl[p]
+        off = w != 0
+        slopes = (d[off] - d[p]) / w[off]
+        order = np.argsort(slopes, kind="stable")
+        cum = np.cumsum(np.abs(w[off])[order])
+        k = min(int(np.searchsorted(2 * cum, cum[-1] + epsilon)), len(cum) - 1)
+        step = float(slopes[order[k]])
+        if not lo < step < hi:
+            break
+        lam = step
+    raise InvariantBrokenError(f"two-row LP descent stalled at lambda={lam}")
 
 
 @dataclass
@@ -237,85 +157,18 @@ def max_failing_correlation(g: Graph, epsilon: float = 0.001) -> HighCorrelation
     correlation of the witness with the degree sequence (scale-invariant,
     so the box normalization does not bias the reported value).
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     if not is_connected(g) or is_regular(g):
         raise DegenerateGraphError("graph must be connected and non-regular")
     deg = degrees(g)
-    dl = [float(v) for v in delta(g)]
-    n = g.n
-    problem = LpProblem(
-        c=[float(d) for d in deg],
-        constraints=[
-            ([1.0] * n, "=", 0.0),
-            (dl, "<=", -epsilon),
-        ],
-        lo=[-1.0] * n,
-        hi=[1.0] * n,
-    )
-    sol = solve(problem)
-    if sol.status == "infeasible":
+    d = np.array(deg, dtype=float)
+    dl = np.array([float(v) for v in delta(g)])
+    a = _solve_two_row(d, dl, epsilon)
+    if a is None:
         raise InfeasibleAtEpsilonError(epsilon)
-    witness = list(sol.x)
-    gap = sum(dv * w for dv, w in zip(dl, witness)) / n
+    witness = a.tolist()
+    gap = float(dl @ a) / g.n
     r = correlation(list(deg), witness)
     return HighCorrelationResult(
         r_high=float(r), witness=witness, gap=gap,
-        epsilon=epsilon, objective=sol.objective,
-    )
-
-
-def refine_correlation(g: Graph, epsilon: float,
-                       start: Sequence[float] | None = None,
-                       max_rounds: int = 200) -> HighCorrelationResult:
-    """Trust-region successive-LP ascent of the witness correlation.
-
-    Starting from the plain LP witness, repeatedly maximizes the local
-    linearization of the correlation over a shrinking box around the
-    current point, keeping the mean-zero and gap constraints. Converges to
-    the constrained correlation maximum at the given slack.
-    """
-    base = max_failing_correlation(g, epsilon)
-    deg = np.array(degrees(g), dtype=float)
-    dl = [float(v) for v in delta(g)]
-    n = g.n
-    tau = deg - deg.mean()
-    tau /= np.linalg.norm(tau)
-    a = np.array(start if start is not None else base.witness, dtype=float)
-    best_r = float(correlation(list(deg), list(a)))
-    rho = 0.5
-    for _ in range(max_rounds):
-        norm = np.linalg.norm(a)
-        if norm == 0:
-            break
-        unit = a / norm
-        r_now = float(tau @ unit)
-        grad = tau - r_now * unit
-        lo = np.maximum(-1.0, a - rho)
-        hi = np.minimum(1.0, a + rho)
-        problem = LpProblem(
-            c=list(grad),
-            constraints=[
-                ([1.0] * n, "=", 0.0),
-                (dl, "<=", -epsilon),
-            ],
-            lo=list(lo),
-            hi=list(hi),
-        )
-        sol = solve(problem)
-        if sol.status != "optimal":
-            break
-        cand = sol.x
-        r_cand = correlation(list(deg), list(cand))
-        if r_cand is not None and r_cand > best_r + 1e-14:
-            best_r = float(r_cand)
-            a = np.array(cand)
-        else:
-            rho *= 0.5
-            if rho < 1e-10:
-                break
-    gap = sum(dv * w for dv, w in zip(dl, a)) / n
-    return HighCorrelationResult(
-        r_high=best_r, witness=list(a), gap=gap, epsilon=epsilon,
-        objective=float(deg @ a),
+        epsilon=epsilon, objective=float(d @ a),
     )

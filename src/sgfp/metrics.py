@@ -14,7 +14,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import AllIsolatesError, EmptyGraphError, LengthMismatchError
+from .errors import (
+    AllIsolatesError,
+    EmptyGraphError,
+    InvariantBrokenError,
+    LengthMismatchError,
+)
 from .graph import Graph, degrees, delta
 
 # Attribute entries may be None only at isolated nodes (undefined marker).
@@ -63,10 +68,16 @@ def singular_gap(g: Graph, a: AttributeSample):
     gap1 = sum(s[i] - a[i] for i in active)
     gap1 = Fraction(gap1, np) if isinstance(gap1, int) else gap1 / np
     gap2 = singular_gap_delta_form(g, a)
-    if _is_exact([a[i] for i in active]):
-        assert gap1 == gap2
+    values = [a[i] for i in active]
+    if _is_exact(values):
+        tol = 0
     else:
-        assert abs(gap1 - gap2) <= 1e-12 * max(1.0, abs(gap1))
+        # Rounding error scales with the summed terms, whose size is bounded
+        # by sum|a| * (1 + max delta) / n and max delta <= max degree.
+        max_deg = max(len(g.adj[i]) for i in active)
+        tol = 1e-9 * sum(abs(v) for v in values) * (1 + max_deg) / np
+    if abs(gap1 - gap2) > tol:
+        raise InvariantBrokenError(f"gap forms disagree: {gap1} != {gap2}")
     return gap1
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ExhaustedTriesError
+from .errors import ExhaustedTriesError, PreconditionViolatedError
 from .graph import Graph, build_graph, is_connected, is_regular
 
 _MASK = (1 << 64) - 1
@@ -65,9 +65,9 @@ class Seed:
 def gnp(n: int, p: float, seed: int) -> Graph:
     """G(n, p): one uniform draw per unordered pair in (i < j) order."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise PreconditionViolatedError("n must be >= 1")
     if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
+        raise PreconditionViolatedError("p must be in [0, 1]")
     rng = SplitMix64(seed)
     edges = []
     for i in range(n):
@@ -81,7 +81,7 @@ def sample_connected_nonregular(n: int, p: float, seed: int,
                                 max_tries: int = 10000) -> Graph:
     """Rejection-sample G(n, p) until connected and non-regular."""
     if n < 3:
-        raise ValueError("n must be >= 3")
+        raise PreconditionViolatedError("n must be >= 3")
     for t in range(max_tries):
         g = gnp(n, p, mix(seed, t))
         if is_connected(g) and not is_regular(g):

@@ -149,3 +149,37 @@ def test_rewire_experiment(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("network_id,r_high_original")
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("mode", [[], ["--rational"]])
+def test_analyze_non_finite_attribute_exits_1(tmp_path, capsys, mode):
+    graph = tmp_path / "g.edges"
+    graph.write_text("1 2\n2 3\n")
+    attrs = tmp_path / "a.csv"
+    attrs.write_text("node,value\n1,5\n2,nan\n3,1\n")
+    assert main(["analyze", str(graph), str(attrs), *mode]) == 1
+    assert capsys.readouterr().err.startswith("error: line 3: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "{graph}", "--epsilon", "0"],
+    ["census", "--nmin", "3", "--nmax", "3", "--samples", "4", "--epsilon", "0"],
+    ["rewire-experiment", "{graph}", "--epsilon", "0"],
+    ["rewire-experiment", "{triangle}", "--epsilon", "0"],
+    ["census", "--nmin", "3", "--nmax", "3", "--samples", "0"],
+    ["census", "--nmin", "2", "--nmax", "3", "--samples", "4"],
+    ["gen", "gnp", "--n", "0"],
+    ["gen", "gnp", "--p", "2"],
+])
+def test_bad_arguments_exit_1(tmp_path, capsys, argv):
+    graph = tmp_path / "g.edges"
+    main(["gen", "path", "--n", "5", "--output", str(graph)])
+    triangle = tmp_path / "t.edges"
+    triangle.write_text("1 2\n2 3\n3 1\n")
+    capsys.readouterr()
+    argv = [a.replace("{graph}", str(graph)).replace("{triangle}", str(triangle))
+            for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

@@ -108,3 +108,11 @@ def test_prop_own_isolate_undefined():
     g = build_graph([(0, 1)], nodes=[0, 1, 2])
     values = prop_own(g, ["a", "a", "a"])
     assert values == [1, 1, None]
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_read_attributes_non_finite(raw):
+    g = edge_list_from_string("1 2\n")
+    with pytest.raises(ParseError) as info:
+        read_attributes(io.StringIO(f"node,value\n1,1\n2,{raw}\n"), g)
+    assert info.value.line_number == 3

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 
 import numpy as np
@@ -8,41 +7,89 @@ import pytest
 from sgfp.construct import path, star
 from sgfp.errors import (
     DegenerateGraphError,
-    DimensionMismatchError,
     InfeasibleAtEpsilonError,
+    PreconditionViolatedError,
 )
 from sgfp.graph import build_graph, degrees, delta
-from sgfp.lp import LpProblem, max_failing_correlation, refine_correlation, solve
+from sgfp.lp import _solve_two_row, max_failing_correlation
 from sgfp.metrics import correlation
 
-
-def test_trivial_single_variable():
-    p = LpProblem(c=[1.0], constraints=[([1.0], "<=", 1.0)], lo=[0.0], hi=[2.0])
-    sol = solve(p)
-    assert sol.status == "optimal"
-    assert abs(sol.objective - 1.0) < 1e-9
-    assert abs(sol.x[0] - 1.0) < 1e-9
+from conftest import random_graphs
 
 
-def test_trivial_two_variables():
-    p = LpProblem(c=[1.0, 1.0], constraints=[([1.0, 1.0], "<=", 1.0)],
-                  lo=[0.0, 0.0], hi=[1.0, 1.0])
-    sol = solve(p)
-    assert sol.status == "optimal"
-    assert abs(sol.objective - 1.0) < 1e-9
+def _arrays(g):
+    return (np.array(degrees(g), dtype=float),
+            np.array([float(v) for v in delta(g)]))
 
 
-def test_infeasible_detected():
-    p = LpProblem(c=[1.0], constraints=[([1.0], ">=", 5.0)], lo=[0.0], hi=[1.0])
-    assert solve(p).status == "infeasible"
+def _objective(d, dl, eps):
+    """The solver's optimum d . a after checking its witness, or None."""
+    a = _solve_two_row(d, dl, eps)
+    if a is None:
+        return None
+    assert np.all(np.abs(a) <= 1 + 1e-12)
+    assert abs(a.sum()) < 1e-9
+    assert dl @ a <= -eps + 1e-12
+    # Tie rule: a near-vertex, with at most two entries strictly inside the
+    # box besides a median node at 0.
+    assert np.sum(np.abs(a) < 1 - 1e-9) <= 3
+    return float(d @ a)
 
 
-def test_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        solve(LpProblem(c=[1.0], constraints=[([1.0, 2.0], "<=", 1.0)],
-                        lo=[0.0], hi=[1.0]))
-    with pytest.raises(DimensionMismatchError):
-        solve(LpProblem(c=[1.0], constraints=[], lo=[0.0], hi=[math.inf]))
+def _highs(d, dl, eps):
+    """Reference optimum from scipy's HiGHS, or None when infeasible."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    n = len(d)
+    res = linprog(-d, A_ub=[dl], b_ub=[-eps], A_eq=[np.ones(n)], b_eq=[0.0],
+                  bounds=[(-1, 1)] * n, method="highs")
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def _assert_matches_highs(d, dl, eps):
+    ours, ref = _objective(d, dl, eps), _highs(d, dl, eps)
+    assert (ours is None) == (ref is None)
+    if ref is not None:
+        assert abs(ours - ref) <= 1e-9 * (1 + abs(ref))
+
+
+def _preferential_attachment(n, seed, m=2):
+    rng = random.Random(seed)
+    edges, ends = [], []
+    for v in range(m, n):
+        chosen = set()
+        while len(chosen) < m:
+            chosen.add(rng.choice(ends) if ends else rng.randrange(v))
+        for u in sorted(chosen):
+            edges.append((v, u))
+            ends += [u, v]
+    return build_graph(edges)
+
+
+def test_solver_matches_highs_on_criterion_5_stream():
+    for g in random_graphs(201, 1000, n_range=(4, 10)):
+        d, dl = _arrays(g)
+        for eps in (1e-3, 1e-6):
+            _assert_matches_highs(d, dl, eps)
+
+
+@pytest.mark.parametrize("n", [1000, 2500, 10_000])
+def test_solver_matches_highs_on_large_graphs(n):
+    d, dl = _arrays(_preferential_attachment(n, seed=n))
+    _assert_matches_highs(d, dl, 1e-3)
+
+
+def test_solver_matches_highs_on_degenerate_instances():
+    # Few distinct values force median ties, repeated (d, delta) pairs and
+    # optima at lambda = 0 or on the feasibility boundary.
+    rng = random.Random(5)
+    for _ in range(3000):
+        n = rng.randint(1, 9)
+        d = np.array([rng.randint(1, 4) for _ in range(n)], dtype=float)
+        dl = np.array([rng.choice([1 / 3, 0.5, 2 / 3, 1.0, 1.5, 2.0]) for _ in range(n)])
+        _assert_matches_highs(d, dl, rng.choice([1e-6, 1e-3, 0.1, 0.5, 1.0]))
 
 
 def _enumerate_vertices(c, constraints, lo, hi):
@@ -89,24 +136,29 @@ def _enumerate_vertices(c, constraints, lo, hi):
 
 def test_solver_against_vertex_enumeration():
     rng = random.Random(11)
-    for _ in range(60):
-        n = rng.randint(2, 4)
-        c = [rng.uniform(-2, 2) for _ in range(n)]
-        lo = [rng.uniform(-1.5, 0) for _ in range(n)]
-        hi = [l + rng.uniform(0.5, 2) for l in lo]
-        constraints = []
-        for _ in range(rng.randint(1, 3)):
-            row = [rng.uniform(-2, 2) for _ in range(n)]
-            sense = rng.choice(["<=", ">=", "="])
-            rhs = rng.uniform(-1.5, 1.5)
-            constraints.append((row, sense, rhs))
-        sol = solve(LpProblem(c, constraints, lo, hi))
-        oracle = _enumerate_vertices(c, constraints, lo, hi)
-        if oracle is None:
-            assert sol.status == "infeasible"
-        else:
-            assert sol.status == "optimal"
-            assert abs(sol.objective - oracle) < 1e-7
+    graphs = [g for g in random_graphs(11, 40, n_range=(4, 6))]
+    for g in graphs + [path(4), path(5), path(6), star(5)]:
+        d, dl = _arrays(g)
+        n = g.n
+        for eps in (1e-3, 10 ** rng.uniform(-6, 0.5)):
+            oracle = _enumerate_vertices(
+                d, [([1.0] * n, "=", 0.0), (dl, "<=", -eps)], [-1.0] * n, [1.0] * n)
+            ours = _objective(d, dl, eps)
+            if oracle is None:
+                assert ours is None
+            else:
+                assert abs(ours - oracle) < 1e-7
+
+
+def test_infeasible_detected():
+    # path(5) has delta = (1/2, 3/2, 1, 3/2, 1/2), so the least delta . a
+    # over mean-zero a in the box is 1/2 + 1/2 - 3/2 - 3/2 = -2.
+    d, dl = _arrays(path(5))
+    assert _solve_two_row(d, dl, 2.0 + 1e-9) is None
+    a = _solve_two_row(d, dl, 2.0 - 1e-9)
+    assert abs(dl @ a + 2.0) < 1e-8
+    with pytest.raises(PreconditionViolatedError):
+        _solve_two_row(d, dl, 0.0)
 
 
 def test_failing_correlation_lp_path5_positive_objective():
@@ -121,7 +173,7 @@ def test_failing_correlation_star_negative():
 
 
 def test_witness_invariants():
-    for g in (path(5), path(7), star(6)):
+    for g in (path(5), path(7), star(6), _preferential_attachment(10_000, seed=3)):
         res = max_failing_correlation(g, 0.001)
         n = g.n
         assert abs(sum(res.witness)) < 1e-9
@@ -160,11 +212,3 @@ def test_determinism():
     b = max_failing_correlation(path(7), 0.001)
     assert a.witness == b.witness
     assert a.r_high == b.r_high
-
-
-def test_refine_improves_toward_threshold():
-    g = path(5)
-    base = max_failing_correlation(g, 1e-8).r_high
-    refined = refine_correlation(g, 1e-8).r_high
-    assert refined >= base - 1e-12
-    assert abs(refined - math.sqrt(1 - 1 / 1.2)) < 1e-6

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from sgfp.construct import example_graph_fig1, example_graph_fig4, path, star
-from sgfp.errors import LengthMismatchError
+from sgfp import metrics
+from sgfp.errors import InvariantBrokenError, LengthMismatchError
 from sgfp.graph import build_graph, degrees
 from sgfp.metrics import (
     correlation,
@@ -146,3 +147,16 @@ def test_gap_report_json():
     with_nodes = json.loads(report.to_json(include_per_node=True))
     assert len(with_nodes["s"]) == 8
     assert len(with_nodes["delta"]) == 8
+
+
+def test_singular_gap_large_float_terms():
+    # The exact gap is -1/10; the float forms round at the scale of 1e16,
+    # far above |gap|, and must not be reported as a broken invariant.
+    gap = singular_gap(path(5), [1e16, 1, 3, 1e16, 2])
+    assert abs(gap + 0.1) <= 4.0
+
+
+def test_singular_gap_cross_check_raises(monkeypatch):
+    monkeypatch.setattr(metrics, "singular_gap_delta_form", lambda g, a: 1.0)
+    with pytest.raises(InvariantBrokenError):
+        singular_gap(path(5), [0.5, 1.0, 3.0, 2.0, 2.0])

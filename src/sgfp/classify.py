@@ -2,9 +2,9 @@
 
 A connected non-regular graph admits no positively-correlated failing
 attribute sample exactly when its reciprocal-degree sums are an affine
-function of its degrees with non-negative slope. The fit is checked in
-exact rational arithmetic, so there is no tolerance anywhere in the
-decision path.
+function of its degrees with non-negative slope. The fit is checked by
+integer cross-multiplication on the graph's kernel (L * delta is an
+integer vector), so there is no tolerance anywhere in the decision path.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from .errors import (
     PreconditionViolatedError,
     UnknownNodeError,
 )
-from .graph import Graph, build_graph, degrees, delta, is_connected, is_regular
-from .metrics import correlation, r_d_delta, singular_gap
+from .graph import Graph, build_graph, degrees, delta, is_connected, is_regular, kernel
+from .metrics import correlation, singular_gap
 
 PRO = "ProSGFP"
 ANTI = "AntiSGFP"
@@ -58,22 +58,20 @@ def classify(g: Graph) -> Classification:
         return Classification(DEGENERATE, None, "graph is disconnected")
     if is_regular(g):
         return Classification(DEGENERATE, None, "graph is regular")
-    deg = degrees(g)
-    dl = delta(g)
-    r_dd = r_d_delta(g)
-    # Fit (x, z) from two nodes of distinct degree, then verify all nodes.
-    i = 0
-    j = next(k for k in range(g.n) if deg[k] != deg[0])
-    x = Fraction(dl[i] - dl[j], deg[i] - deg[j])
-    z = dl[i] - x * deg[i]
-    if x <= 0:
+    k = kernel(g)
+    deg, y, r_dd = k.deg, k.y, k.r_ddelta
+    # Line through node 0 and a node j of another degree; slope dy / (L dd).
+    j = next(i for i in range(g.n) if deg[i] != deg[0])
+    dy, dd = y[j] - y[0], deg[j] - deg[0]
+    if dy * dd <= 0:
         return Classification(ANTI, None, "affine fit has non-positive slope", r_dd)
-    for k in range(g.n):
-        if dl[k] != x * deg[k] + z:
-            return Classification(
-                ANTI, None,
-                "reciprocal-degree sums are not an affine function of degree",
-                r_dd)
+    if any((y[i] - y[0]) * dd != dy * (deg[i] - deg[0]) for i in range(g.n)):
+        return Classification(
+            ANTI, None,
+            "reciprocal-degree sums are not an affine function of degree",
+            r_dd)
+    x = Fraction(dy, k.lcm * dd)
+    z = Fraction(y[0], k.lcm) - x * deg[0]
     return Classification(PRO, (x, z), "delta = x*d + z exactly with x > 0", r_dd)
 
 
@@ -167,8 +165,9 @@ def threshold_estimate(g: Graph, grid: int = 256) -> ThresholdEstimate:
         return ThresholdEstimate(candidate_sup=0.0, validated=True, oracle_max=0.0)
 
     candidate = math.sqrt(max(0.0, 1.0 - cls.r_ddelta * cls.r_ddelta))
-    deg = np.array(degrees(g), dtype=float)
-    dl = np.array([float(v) for v in delta(g)])
+    k = kernel(g)
+    deg = np.array(k.deg, dtype=float)
+    dl = np.array(k.delta)
     n = g.n
     oracle_max = -math.inf
     # Project the centred degree direction onto the non-positive-gap

@@ -1,19 +1,18 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 error, 2 degenerate input (regular graph or
-constant attributes), so scripts can tell "undefined correlation" apart
-from failure.
+Exit codes: 0 success, 1 error (bad arguments included), 2 degenerate
+input (regular graph or constant attributes), so scripts can tell
+"undefined correlation" apart from failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import construct, experiments
 from .classify import DEGENERATE, classify, threshold_estimate
-from .errors import DegenerateGraphError, SgfpError
+from .errors import DegenerateGraphError, SgfpError, UsageError
 from .graph import degrees
 from .ingest import prop_own, read_attributes, read_edge_list, read_labels, write_graph
 from .lp import max_failing_correlation
@@ -38,9 +37,7 @@ def _close(fh):
 
 def cmd_analyze(args) -> int:
     g = read_edge_list(args.graph)
-    attrs = read_attributes(args.attrs, g)
-    if args.rational:
-        attrs = [Fraction(str(v)) for v in attrs]
+    attrs = read_attributes(args.attrs, g, rational=args.rational)
     report = gap_report(g, attrs)
     fh = _out(args)
     fh.write(report.to_json(include_per_node=args.per_node) + "\n")
@@ -160,8 +157,15 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad arguments as :class:`UsageError` (exit 1), not exit 2."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sgfp",
         description="Singular generalized friendship paradox toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -241,9 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SgfpError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvariantBrokenError, TooSmallError
+from .errors import InvariantBrokenError, PreconditionViolatedError, TooSmallError
 from .graph import Graph, build_graph, degrees
 
 Edge = tuple[int, int]
@@ -137,7 +137,7 @@ def growth_correlation(k: int) -> float:
     Evaluated in exact rationals up to the final square root.
     """
     if k < 0:
-        raise ValueError("k must be non-negative")
+        raise PreconditionViolatedError("k must be >= 0")
     _, attrs = example_graph_fig1()
     deg = [2, 2, 3, 3, 3, 3, 1, 1]
     n = 8 + 4 * k

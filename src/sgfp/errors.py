@@ -30,6 +30,10 @@ class LengthMismatchError(SgfpError):
         super().__init__(f"expected length {expected}, got {got}")
 
 
+class UsageError(SgfpError):
+    """Command-line arguments that do not parse."""
+
+
 class EmptyGraphError(SgfpError):
     pass
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO
 
@@ -13,7 +12,7 @@ from .classify import PRO
 from .classify import classify as classify_graph
 from .construct import initial_growth_state, grow_step
 from .errors import InfeasibleAtEpsilonError, PreconditionViolatedError
-from .graph import Graph, degrees, delta
+from .graph import Graph, kernel
 from .lp import _check_epsilon, _solve_two_row, max_failing_correlation
 from .metrics import correlation, r_d_delta, singular_gap
 from .randgen import configuration_rewire, mix, sample_connected_nonregular
@@ -46,12 +45,11 @@ def _census_sample(args: tuple[int, float, int, float]) -> tuple[bool, float, fl
     n, p, sample_seed, epsilon = args
     g = sample_connected_nonregular(n, p, sample_seed)
     cls = classify_graph(g)
-    r_dd = r_d_delta(g)
     try:
         r_high = max_failing_correlation(g, epsilon).r_high
     except InfeasibleAtEpsilonError:
         r_high = float("nan")
-    return cls.kind == PRO, r_high, r_dd
+    return cls.kind == PRO, r_high, cls.r_ddelta
 
 
 def census(n: int, samples: int, seed: int, p: float = 0.5,
@@ -66,6 +64,8 @@ def census(n: int, samples: int, seed: int, p: float = 0.5,
     _check_epsilon(epsilon)
     tasks = [(n, p, mix(mix(seed, n), i), epsilon) for i in range(samples)]
     if jobs > 1:
+        # Imported here: it loads multiprocessing, which one job never uses.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_census_sample, tasks, chunksize=256))
     else:
@@ -105,12 +105,14 @@ GROW_CSV_HEADER = ["k", "n", "gap", "r"]
 
 def grow_table(steps: int) -> list[tuple[int, int, float, float]]:
     """Rows (k, n, gap, r) for the fig1 seed growth, k = 0..steps."""
+    if steps < 0:
+        raise PreconditionViolatedError("steps must be >= 0")
     state = initial_growth_state()
     rows = []
     for _ in range(steps + 1):
         g, attrs = state.graph, list(state.attrs)
         gap = float(singular_gap(g, attrs))
-        r = correlation(list(degrees(g)), attrs)
+        r = correlation(kernel(g).deg, attrs)
         rows.append((state.k, g.n, gap, r))
         if state.k < steps:
             state = grow_step(state)
@@ -155,14 +157,13 @@ def r_high_loose(g: Graph, epsilon: float) -> Optional[float]:
     Isolates must already be stripped. Returns None for regular graphs or
     when the LP is infeasible at the given slack.
     """
-    deg = degrees(g)
-    if len(set(deg)) <= 1 or 0 in deg:
+    k = kernel(g)
+    if len(set(k.deg)) <= 1 or 0 in k.deg:
         return None
-    dl = np.array([float(v) for v in delta(g)])
-    a = _solve_two_row(np.array(deg, dtype=float), dl, epsilon)
+    a = _solve_two_row(np.array(k.deg, dtype=float), np.array(k.delta), epsilon)
     if a is None:
         return None
-    return correlation(list(deg), a.tolist())
+    return correlation(k.deg, a.tolist())
 
 
 def rewire_experiment(graphs: Sequence[tuple[str, Graph]], seed: int,

@@ -3,12 +3,16 @@
 Node labels (strings or ints) are mapped to dense indices 0..n-1 in order
 of first appearance; that index order is the canonical node order used by
 every per-node sequence in this package (degrees, deltas, attributes).
+Exact per-graph quantities come from one integer :class:`Kernel`, cached
+on the graph on first use.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Optional, Sequence
 
 from .errors import IsolatedNodeError, SelfLoopError, UnknownNodeError
 
@@ -23,7 +27,7 @@ class Graph:
     that were dropped as duplicates during construction.
     """
 
-    __slots__ = ("n", "m", "adj", "labels", "duplicates_collapsed", "_index")
+    __slots__ = ("n", "m", "adj", "labels", "duplicates_collapsed", "_index", "_kernel")
 
     def __init__(self, adj: Sequence[Iterable[int]], labels: Sequence[NodeId] | None = None,
                  duplicates_collapsed: int = 0):
@@ -34,6 +38,7 @@ class Graph:
             labels = tuple(range(self.n))
         self.labels: tuple[NodeId, ...] = tuple(labels)
         self.duplicates_collapsed = duplicates_collapsed
+        self._kernel: Optional[Kernel] = None
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self._index) != self.n:
             raise ValueError("node labels are not unique")
@@ -118,11 +123,58 @@ def delta(g: Graph) -> tuple[Fraction, ...]:
 
     Raises :class:`IsolatedNodeError` if any node has degree 0.
     """
-    deg = degrees(g)
-    for i, d in enumerate(deg):
-        if d == 0:
-            raise IsolatedNodeError(g.labels[i])
-    return tuple(sum(Fraction(1, deg[k]) for k in g.adj[j]) for j in range(g.n))
+    k = kernel(g)
+    if 0 in k.deg:
+        raise IsolatedNodeError(g.labels[k.deg.index(0)])
+    return tuple(Fraction(y, k.lcm) for y in k.y)
+
+
+def exact_correlation(x: Sequence[int], y: Sequence[int], sx: int = 1, sy: int = 1) -> Optional[float]:
+    """Pearson correlation of x/sx and y/sy for integer x, y; None at zero variance.
+
+    0.0 and +-1.0 are decided exactly; otherwise each moment is one
+    correctly rounded int/int division, as float(Fraction) would give.
+    """
+    n = len(x)
+    sum_x, sum_y = sum(x), sum(y)
+    b = n * sum(v * v for v in x) - sum_x * sum_x
+    c = n * sum(v * v for v in y) - sum_y * sum_y
+    if b == 0 or c == 0:
+        return None
+    a = n * sum(u * v for u, v in zip(x, y)) - sum_x * sum_y
+    if a == 0:
+        return 0.0
+    if a * a == b * c:
+        return 1.0 if a > 0 else -1.0
+    return (a / (n * sx * sy)) / math.sqrt((b / (n * sx * sx)) * (c / (n * sy * sy)))
+
+
+@dataclass(frozen=True)
+class Kernel:
+    """Exact per-graph quantities, computed once by :func:`kernel`.
+
+    ``lcm`` is L, the lcm of the nonzero degrees; ``y`` = L * delta as
+    integers (0 at isolates); ``delta`` = y / L correctly rounded;
+    ``r_ddelta`` is taken over the non-isolated nodes.
+    """
+
+    deg: tuple[int, ...]
+    lcm: int
+    y: tuple[int, ...]
+    delta: tuple[float, ...]
+    r_ddelta: Optional[float]
+
+
+def kernel(g: Graph) -> Kernel:
+    """The graph's :class:`Kernel`, computed once and cached on the graph."""
+    if g._kernel is None:
+        deg = degrees(g)
+        big_l = math.lcm(*{d for d in deg if d})
+        w = [big_l // d if d else 0 for d in deg]
+        y = tuple(sum(w[k] for k in a) for a in g.adj)
+        r = exact_correlation([d for d in deg if d], [v for v, d in zip(y, deg) if d], 1, big_l)
+        g._kernel = Kernel(deg, big_l, y, tuple(v / big_l for v in y), r)
+    return g._kernel
 
 
 def components(g: Graph) -> list[set[int]]:

@@ -88,15 +88,20 @@ def _read_csv_rows(source: Source, expected_header: list[str]):
             fh.close()
 
 
-def read_attributes(source: Source, g: Graph) -> list[float]:
-    """Read per-node numeric attributes matched to g's canonical order."""
-    values: dict[int, float] = {}
+def read_attributes(source: Source, g: Graph, rational: bool = False) -> list:
+    """Read per-node attributes in g's canonical order: floats, or exact Fractions."""
+    values: dict[int, float | Fraction] = {}
     for lineno, node, raw in _read_csv_rows(source, ["node", "value"]):
         idx = g.index_of(node)  # raises UnknownNodeError
         if idx in values:
             raise DuplicateRowError(node)
         try:
             value = float(raw)
+            if rational and math.isfinite(value):
+                # Fraction(raw) builds 10**|exponent| exactly: refuse huge ones.
+                if abs(int(raw.lower().partition("e")[2] or 0)) > 400:
+                    raise ValueError(raw)
+                value = Fraction(raw)
         except ValueError:
             raise ParseError(lineno, f"bad numeric value {raw!r}") from None
         if not math.isfinite(value):

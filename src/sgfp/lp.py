@@ -35,7 +35,7 @@ from .errors import (
     InvariantBrokenError,
     PreconditionViolatedError,
 )
-from .graph import Graph, degrees, delta, is_connected, is_regular
+from .graph import Graph, is_connected, is_regular, kernel
 from .metrics import correlation
 
 
@@ -159,15 +159,15 @@ def max_failing_correlation(g: Graph, epsilon: float = 0.001) -> HighCorrelation
     """
     if not is_connected(g) or is_regular(g):
         raise DegenerateGraphError("graph must be connected and non-regular")
-    deg = degrees(g)
-    d = np.array(deg, dtype=float)
-    dl = np.array([float(v) for v in delta(g)])
+    k = kernel(g)
+    d = np.array(k.deg, dtype=float)
+    dl = np.array(k.delta)
     a = _solve_two_row(d, dl, epsilon)
     if a is None:
         raise InfeasibleAtEpsilonError(epsilon)
     witness = a.tolist()
     gap = float(dl @ a) / g.n
-    r = correlation(list(deg), witness)
+    r = correlation(k.deg, witness)
     return HighCorrelationResult(
         r_high=float(r), witness=witness, gap=gap,
         epsilon=epsilon, objective=float(d @ a),

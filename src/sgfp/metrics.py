@@ -1,9 +1,9 @@
 """Gap and correlation statistics for node attributes.
 
 All functions use population moments (divide by n). Arithmetic is
-polymorphic: integer or Fraction attributes propagate exactly, floats fall
-back to 64-bit arithmetic. Isolated nodes are excluded from both means and
-counted in the report.
+polymorphic: integer or Fraction attributes are scaled to integers over a
+common denominator and stay exact, floats fall back to 64-bit arithmetic.
+Isolated nodes are excluded from both means and counted in the report.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ from .errors import (
     AllIsolatesError,
     EmptyGraphError,
     InvariantBrokenError,
+    IsolatedNodeError,
     LengthMismatchError,
 )
-from .graph import Graph, degrees, delta
+from .graph import Graph, exact_correlation, kernel
 
 # Attribute entries may be None only at isolated nodes (undefined marker).
 AttributeSample = Sequence
@@ -37,6 +38,12 @@ def _active_nodes(g: Graph) -> list[int]:
 
 def _is_exact(values) -> bool:
     return all(isinstance(v, (int, Fraction)) for v in values)
+
+
+def _as_ints(values) -> tuple[list[int], int]:
+    """Exact values as integers over their common denominator s: (v * s, s)."""
+    s = math.lcm(*{v.denominator for v in values})
+    return [v.numerator * (s // v.denominator) for v in values], s
 
 
 def second_order(g: Graph, a: AttributeSample) -> list:
@@ -57,25 +64,29 @@ def singular_gap(g: Graph, a: AttributeSample):
     """Mean second-order attribute minus mean attribute, isolates excluded.
 
     Computed from the per-node friend means and cross-checked against the
-    reciprocal-degree-weighted form; exact when attributes are exact.
+    reciprocal-degree-weighted form; exact (in integers) when attributes are.
     """
     _check_length(g, a)
     active = _active_nodes(g)
     if not active:
         raise AllIsolatesError("every node is isolated")
-    s = second_order(g, a)
     np = len(active)
-    gap1 = sum(s[i] - a[i] for i in active)
-    gap1 = Fraction(gap1, np) if isinstance(gap1, int) else gap1 / np
-    gap2 = singular_gap_delta_form(g, a)
     values = [a[i] for i in active]
     if _is_exact(values):
+        ints, s = _as_ints(values)
+        ai = dict(zip(active, ints))  # every friend is active
+        k = kernel(g)
+        friends = sum(k.lcm // k.deg[i] * sum(ai[j] for j in g.adj[i]) for i in active)
+        gap1 = Fraction(friends - k.lcm * sum(ints), k.lcm * np * s)
         tol = 0
     else:
+        second = second_order(g, a)
+        gap1 = sum(second[i] - a[i] for i in active) / np
         # Rounding error scales with the summed terms, whose size is bounded
         # by sum|a| * (1 + max delta) / n and max delta <= max degree.
         max_deg = max(len(g.adj[i]) for i in active)
         tol = 1e-9 * sum(abs(v) for v in values) * (1 + max_deg) / np
+    gap2 = singular_gap_delta_form(g, a)
     if abs(gap1 - gap2) > tol:
         raise InvariantBrokenError(f"gap forms disagree: {gap1} != {gap2}")
     return gap1
@@ -87,15 +98,14 @@ def singular_gap_delta_form(g: Graph, a: AttributeSample):
     active = _active_nodes(g)
     if not active:
         raise AllIsolatesError("every node is isolated")
-    dl = _delta_ignoring_isolates(g)
-    np = len(active)
-    total = sum((dl[j] - 1) * a[j] for j in active)
-    return Fraction(total, np) if isinstance(total, int) else total / np
-
-
-def _delta_ignoring_isolates(g: Graph) -> list[Fraction]:
-    deg = degrees(g)
-    return [sum(Fraction(1, deg[k]) for k in g.adj[j]) for j in range(g.n)]
+    k = kernel(g)
+    big_l, np = k.lcm, len(active)
+    values = [a[j] for j in active]
+    if _is_exact(values):
+        ints, s = _as_ints(values)
+        total = sum((k.y[j] - big_l) * v for j, v in zip(active, ints))
+        return Fraction(total, big_l * np * s)
+    return sum((k.y[j] - big_l) / big_l * a[j] for j in active) / np
 
 
 def list_gap(g: Graph, a: AttributeSample):
@@ -108,7 +118,7 @@ def list_gap(g: Graph, a: AttributeSample):
     active = _active_nodes(g)
     if not active:
         raise EmptyGraphError("graph has no edges")
-    deg = degrees(g)
+    deg = kernel(g).deg
     dsum = sum(deg[i] for i in active)
     wsum = sum(deg[i] * a[i] for i in active)
     asum = sum(a[i] for i in active)
@@ -130,18 +140,9 @@ def correlation(x: Sequence, y: Sequence) -> Optional[float]:
     if n < 2:
         return None
     if _is_exact(x) and _is_exact(y):
-        xm = Fraction(sum(x), n)
-        ym = Fraction(sum(y), n)
-        sxy = sum((xi - xm) * (yi - ym) for xi, yi in zip(x, y))
-        sxx = sum((xi - xm) ** 2 for xi in x)
-        syy = sum((yi - ym) ** 2 for yi in y)
-        if sxx == 0 or syy == 0:
-            return None
-        if sxy == 0:
-            return 0.0
-        if sxy * sxy == sxx * syy:
-            return 1.0 if sxy > 0 else -1.0
-        return float(sxy) / math.sqrt(float(sxx) * float(syy))
+        xi, sx = _as_ints(x)
+        yi, sy = _as_ints(y)
+        return exact_correlation(xi, yi, sx, sy)
     xm = sum(float(v) for v in x) / n
     ym = sum(float(v) for v in y) / n
     sxy = sum((float(a) - xm) * (float(b) - ym) for a, b in zip(x, y))
@@ -155,9 +156,13 @@ def correlation(x: Sequence, y: Sequence) -> Optional[float]:
 def r_d_delta(g: Graph) -> Optional[float]:
     """Correlation between degrees and reciprocal-degree sums.
 
-    None for regular graphs (zero degree variance).
+    None for regular graphs (zero degree variance). Raises
+    :class:`IsolatedNodeError` if any node has degree 0.
     """
-    return correlation(degrees(g), delta(g))
+    k = kernel(g)
+    if 0 in k.deg:
+        raise IsolatedNodeError(g.labels[k.deg.index(0)])
+    return k.r_ddelta
 
 
 @dataclass
@@ -194,21 +199,16 @@ def gap_report(g: Graph, a: AttributeSample) -> GapReport:
     """Compute the full first/second-order report for a graph and sample."""
     _check_length(g, a)
     active = _active_nodes(g)
-    deg = degrees(g)
-    dl = _delta_ignoring_isolates(g)
-    da = [deg[i] for i in active]
-    aa = [a[i] for i in active]
-    dd = [dl[i] for i in active]
-    r_da = correlation(da, aa) if len(active) >= 2 else None
-    r_dd = correlation(da, dd) if len(active) >= 2 else None
+    k = kernel(g)
+    r_da = correlation([k.deg[i] for i in active], [a[i] for i in active])
     return GapReport(
         n=g.n,
         m=g.m,
         singular_gap=float(singular_gap(g, a)),
         list_gap=float(list_gap(g, a)),
         r_da=r_da,
-        r_ddelta=r_dd,
+        r_ddelta=k.r_ddelta,
         excluded_isolates=g.n - len(active),
         s=second_order(g, a),
-        delta=dl,
+        delta=list(k.delta),
     )

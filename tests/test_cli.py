@@ -170,6 +170,10 @@ def test_analyze_non_finite_attribute_exits_1(tmp_path, capsys, mode):
     ["census", "--nmin", "2", "--nmax", "3", "--samples", "4"],
     ["gen", "gnp", "--n", "0"],
     ["gen", "gnp", "--p", "2"],
+    ["census", "--samples", "abc"],
+    ["grow", "-1"],
+    ["grow"],
+    ["no-such-command"],
 ])
 def test_bad_arguments_exit_1(tmp_path, capsys, argv):
     graph = tmp_path / "g.edges"
@@ -183,3 +187,17 @@ def test_bad_arguments_exit_1(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_analyze_rational_is_exact(tmp_path, capsys):
+    # The two values round to the same float; only exact parsing sees them
+    # differ, giving gap -1/3 and r_da = -1 instead of 0 and "undefined".
+    graph = tmp_path / "g.edges"
+    graph.write_text("1 2\n2 3\n")
+    attrs = tmp_path / "a.csv"
+    attrs.write_text("node,value\n1,12345678901234567891\n"
+                     "2,12345678901234567890\n3,12345678901234567891\n")
+    assert main(["analyze", str(graph), str(attrs), "--rational"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["singular_gap"] == -1 / 3
+    assert report["r_da"] == -1.0

@@ -14,7 +14,8 @@ from sgfp.construct import (
     path,
     star,
 )
-from sgfp.errors import InvariantBrokenError, TooSmallError
+from sgfp.errors import InvariantBrokenError, PreconditionViolatedError, TooSmallError
+from sgfp.experiments import grow_table
 from sgfp.graph import degrees
 from sgfp.metrics import correlation, second_order, singular_gap
 
@@ -113,6 +114,13 @@ def test_growth_correlation_limits():
     assert growth_correlation(10**6) > 0.999
     values = [growth_correlation(k) for k in range(0, 200, 10)]
     assert values == sorted(values)
+
+
+def test_negative_growth_steps_rejected():
+    with pytest.raises(PreconditionViolatedError):
+        growth_correlation(-1)
+    with pytest.raises(PreconditionViolatedError):
+        grow_table(-1)
 
 
 def test_growth_crosses_099():

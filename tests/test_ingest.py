@@ -6,6 +6,7 @@ import pytest
 from sgfp.construct import example_graph_fig1, path, star
 from sgfp.errors import DuplicateRowError, ParseError, UnknownNodeError
 from sgfp.graph import build_graph, degrees
+from sgfp.metrics import singular_gap
 from sgfp.ingest import (
     edge_list_from_string,
     prop_own,
@@ -115,4 +116,25 @@ def test_read_attributes_non_finite(raw):
     g = edge_list_from_string("1 2\n")
     with pytest.raises(ParseError) as info:
         read_attributes(io.StringIO(f"node,value\n1,1\n2,{raw}\n"), g)
+    assert info.value.line_number == 3
+
+
+def test_read_attributes_rational_is_exact():
+    # big and big - 1 round to the same float; the exact gap is -1/3.
+    g = edge_list_from_string("1 2\n2 3\n")
+    big = 12345678901234567891
+    csv = f"node,value\n1,{big}\n2,{big - 1}\n3,{big}\n"
+    values = read_attributes(io.StringIO(csv), g, rational=True)
+    assert values == [big, big - 1, big]
+    assert singular_gap(g, values) == Fraction(-1, 3)
+    csv = "node,value\n1,1e-5\n2,-0.25\n3,7\n"
+    values = read_attributes(io.StringIO(csv), g, rational=True)
+    assert values == [Fraction(1, 100000), Fraction(-1, 4), 7]
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "1e400", "1e-999999", "abc", "1/3"])
+def test_read_attributes_rational_rejects(raw):
+    g = edge_list_from_string("1 2\n")
+    with pytest.raises(ParseError) as info:
+        read_attributes(io.StringIO(f"node,value\n1,1\n2,{raw}\n"), g, rational=True)
     assert info.value.line_number == 3

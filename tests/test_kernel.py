@@ -1,0 +1,153 @@
+"""Differential tests: the integer kernel against the exact Fraction reference.
+
+The reference functions below are the rational-arithmetic implementations
+the kernel replaced. They are kept here only, as the oracle: every exact
+quantity must be equal, and every float bit-equal.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sgfp.classify import ANTI, DEGENERATE, PRO, classify
+from sgfp.errors import IsolatedNodeError
+from sgfp.graph import build_graph, delta, is_connected, is_regular, kernel
+from sgfp.metrics import correlation, r_d_delta, singular_gap, singular_gap_delta_form
+from sgfp.randgen import SplitMix64, mix
+
+from conftest import random_graphs
+
+
+def ref_delta(g):
+    deg = [len(a) for a in g.adj]
+    return tuple(sum((Fraction(1, deg[k]) for k in g.adj[j]), Fraction(0)) for j in range(g.n))
+
+
+def ref_correlation(x, y):
+    n = len(x)
+    if n < 2:
+        return None
+    xm = Fraction(sum(x), n)
+    ym = Fraction(sum(y), n)
+    sxy = sum((xi - xm) * (yi - ym) for xi, yi in zip(x, y))
+    sxx = sum((xi - xm) ** 2 for xi in x)
+    syy = sum((yi - ym) ** 2 for yi in y)
+    if sxx == 0 or syy == 0:
+        return None
+    if sxy == 0:
+        return 0.0
+    if sxy * sxy == sxx * syy:
+        return 1.0 if sxy > 0 else -1.0
+    return float(sxy) / math.sqrt(float(sxx) * float(syy))
+
+
+def ref_classify(g):
+    """(kind, witness) from the rational affine fit delta = x*d + z."""
+    if g.n == 0 or not is_connected(g) or is_regular(g):
+        return DEGENERATE, None
+    deg = [len(a) for a in g.adj]
+    dl = ref_delta(g)
+    j = next(k for k in range(g.n) if deg[k] != deg[0])
+    x = Fraction(dl[0] - dl[j], deg[0] - deg[j])
+    z = dl[0] - x * deg[0]
+    if x <= 0 or any(dl[k] != x * deg[k] + z for k in range(g.n)):
+        return ANTI, None
+    return PRO, (x, z)
+
+
+def ref_singular_gap(g, a):
+    """Mean friend attribute minus mean attribute over non-isolated nodes."""
+    active = [i for i in range(g.n) if g.adj[i]]
+    total = sum(Fraction(sum(a[j] for j in g.adj[i]), len(g.adj[i])) - a[i] for i in active)
+    return total / len(active)
+
+
+def _attrs(g, seed, fractions):
+    rng = SplitMix64(seed)
+    if fractions:
+        return [Fraction(rng.randrange(101) - 50, 1 + rng.randrange(7)) for _ in range(g.n)]
+    return [rng.randrange(41) - 20 for _ in range(g.n)]
+
+
+def check_against_reference(g, seed):
+    k = kernel(g)
+    dl = ref_delta(g)
+    deg = [len(a) for a in g.adj]
+    active = [i for i in range(g.n) if deg[i]]
+    assert k.delta == tuple(float(v) for v in dl)
+    assert k.r_ddelta == ref_correlation([deg[i] for i in active], [dl[i] for i in active])
+    if active and len(active) == g.n:
+        assert delta(g) == dl
+        assert r_d_delta(g) == ref_correlation(deg, list(dl))
+    elif active:
+        with pytest.raises(IsolatedNodeError):
+            delta(g)
+        with pytest.raises(IsolatedNodeError):
+            r_d_delta(g)
+    cls = classify(g)
+    assert (cls.kind, cls.witness) == ref_classify(g)
+    if cls.kind != DEGENERATE:
+        assert cls.r_ddelta == ref_correlation(deg, list(dl))
+    if active:
+        for fractions in (False, True):
+            a = _attrs(g, seed, fractions)
+            want = ref_singular_gap(g, a)
+            assert singular_gap(g, a) == want
+            assert singular_gap_delta_form(g, a) == want
+
+
+@st.composite
+def graphs(draw, max_n=24):
+    n = draw(st.integers(2, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    return build_graph(edges, nodes=range(n))
+
+
+@given(graphs(), st.integers(0, 2**32))
+@settings(max_examples=300, deadline=None)
+def test_kernel_matches_reference_hypothesis(g, seed):
+    check_against_reference(g, seed)
+
+
+def test_kernel_matches_reference_on_criterion_5_graphs():
+    for i, g in enumerate(random_graphs(201, 1000, n_range=(4, 10))):
+        check_against_reference(g, mix(201, 30_000 + i))
+
+
+exact_values = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=97),
+)
+
+
+@given(st.lists(st.tuples(exact_values, exact_values), min_size=0, max_size=12))
+@settings(max_examples=400, deadline=None)
+def test_exact_correlation_bit_equal(pairs):
+    x = [p[0] for p in pairs]
+    y = [p[1] for p in pairs]
+    assert correlation(x, y) == ref_correlation(x, y)
+
+
+@given(st.lists(exact_values, min_size=2, max_size=12, unique=True),
+       exact_values, exact_values)
+@settings(max_examples=200, deadline=None)
+def test_exact_correlation_affine_is_exactly_one(x, slope, shift):
+    y = [slope * v + shift for v in x]
+    want = None if slope == 0 else (1.0 if slope > 0 else -1.0)
+    assert correlation(x, y) == ref_correlation(x, y) == want
+
+
+def test_isolated_node_attribute_is_ignored():
+    g = build_graph([(0, 1), (1, 2)], nodes=[0, 1, 2, 3])
+    a = [Fraction(1, 3), 2, Fraction(-5, 7), None]
+    assert singular_gap(g, a) == ref_singular_gap(g, a)
+    assert kernel(g).delta[3] == 0.0
+
+
+def test_kernel_is_computed_once():
+    g = build_graph([(0, 1), (1, 2)])
+    assert kernel(g) is kernel(g)

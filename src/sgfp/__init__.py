@@ -30,7 +30,6 @@ from .graph import (
     delta,
     is_connected,
     is_regular,
-    is_regular_per_component,
 )
 from .ingest import prop_own, read_attributes, read_edge_list, read_labels, write_graph
 from .lp import HighCorrelationResult, max_failing_correlation
@@ -45,7 +44,6 @@ from .metrics import (
     singular_gap_delta_form,
 )
 from .randgen import (
-    Seed,
     SplitMix64,
     configuration_rewire,
     configuration_rewire_with_stats,

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple, fields
 
 from . import construct, experiments
 from .classify import DEGENERATE, classify, threshold_estimate
 from .errors import DegenerateGraphError, SgfpError, UsageError
-from .graph import degrees
-from .ingest import prop_own, read_attributes, read_edge_list, read_labels, write_graph
+from .ingest import (opened, prop_own, read_attributes, read_edge_list, read_labels,
+                     write_graph, write_node_values)
 from .lp import max_failing_correlation
 from .metrics import gap_report
 from .randgen import gnp
@@ -25,23 +26,16 @@ EXIT_DEGENERATE = 2
 
 
 def _out(args):
-    if args.output:
-        return open(args.output, "w", encoding="utf-8")
-    return sys.stdout
-
-
-def _close(fh):
-    if fh is not sys.stdout:
-        fh.close()
+    """The command's output: the --output file, or stdout."""
+    return opened(args.output or sys.stdout, "w")
 
 
 def cmd_analyze(args) -> int:
     g = read_edge_list(args.graph)
     attrs = read_attributes(args.attrs, g, rational=args.rational)
-    report = gap_report(g, attrs)
-    fh = _out(args)
-    fh.write(report.to_json(include_per_node=args.per_node) + "\n")
-    _close(fh)
+    report = gap_report(g, attrs, per_node=args.per_node)
+    with _out(args) as fh:
+        fh.write(report.to_json(include_per_node=args.per_node) + "\n")
     if report.r_da is None or report.r_ddelta is None:
         print("degenerate input: correlation undefined", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -51,36 +45,29 @@ def cmd_analyze(args) -> int:
 def cmd_classify(args) -> int:
     g = read_edge_list(args.graph)
     result = classify(g)
-    fh = _out(args)
-    fh.write(result.to_json() + "\n")
-    _close(fh)
+    with _out(args) as fh:
+        fh.write(result.to_json() + "\n")
     return EXIT_DEGENERATE if result.kind == DEGENERATE else EXIT_OK
 
 
 def cmd_optimize(args) -> int:
     g = read_edge_list(args.graph)
-    try:
-        result = max_failing_correlation(g, args.epsilon)
-    except DegenerateGraphError as exc:
-        print(f"degenerate input: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    fh = _out(args)
-    fh.write(result.to_json(include_witness=args.witness) + "\n")
-    _close(fh)
+    result = max_failing_correlation(g, args.epsilon)
+    with _out(args) as fh:
+        fh.write(result.to_json(include_witness=args.witness) + "\n")
     return EXIT_OK
 
 
 def cmd_threshold(args) -> int:
     g = read_edge_list(args.graph)
-    try:
-        est = threshold_estimate(g, grid=args.grid)
-    except DegenerateGraphError as exc:
-        print(f"degenerate input: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    fh = _out(args)
-    fh.write(est.to_json() + "\n")
-    _close(fh)
+    est = threshold_estimate(g, grid=args.grid)
+    with _out(args) as fh:
+        fh.write(est.to_json() + "\n")
     return EXIT_OK
+
+
+def _columns(record_type) -> list[str]:
+    return [f.name for f in fields(record_type)]
 
 
 def cmd_census(args) -> int:
@@ -91,17 +78,15 @@ def cmd_census(args) -> int:
                            epsilon=args.epsilon, jobs=args.jobs)
         for n in range(args.nmin, args.nmax + 1)
     ]
-    fh = _out(args)
-    experiments.write_census_csv(records, fh)
-    _close(fh)
+    with _out(args) as fh:
+        experiments.write_csv(_columns(experiments.CensusRecord), map(astuple, records), fh)
     return EXIT_OK
 
 
 def cmd_grow(args) -> int:
     rows = experiments.grow_table(args.steps)
-    fh = _out(args)
-    experiments.write_grow_csv(rows, fh)
-    _close(fh)
+    with _out(args) as fh:
+        experiments.write_csv(experiments.GROW_COLUMNS, rows, fh)
     return EXIT_OK
 
 
@@ -109,9 +94,8 @@ def cmd_rewire_experiment(args) -> int:
     graphs = [(path, read_edge_list(path)) for path in args.graphs]
     records = experiments.rewire_experiment(graphs, args.seed,
                                             epsilon=args.epsilon)
-    fh = _out(args)
-    experiments.write_rewire_csv(records, fh)
-    _close(fh)
+    with _out(args) as fh:
+        experiments.write_csv(_columns(experiments.RewireRecord), map(astuple, records), fh)
     return EXIT_OK
 
 
@@ -119,41 +103,27 @@ def cmd_propown(args) -> int:
     g = read_edge_list(args.graph)
     labels = read_labels(args.labels, g)
     values = prop_own(g, labels)
-    fh = _out(args)
-    fh.write("node,value\n")
-    for i in range(g.n):
-        v = values[i]
-        fh.write(f"{g.labels[i]},{'' if v is None else float(v)}\n")
-    _close(fh)
+    with _out(args) as fh:
+        write_node_values(g, [None if v is None else float(v) for v in values], fh)
     return EXIT_OK
 
 
 def cmd_gen(args) -> int:
-    kind = args.kind
-    if kind == "gnp":
+    attrs = None
+    if args.kind == "gnp":
         g = gnp(args.n, args.p, args.seed)
-        attrs = None
-    elif kind == "star":
-        g, attrs = construct.star(args.n), None
-    elif kind == "knee":
-        g, attrs = construct.knee(args.n), None
-    elif kind == "path":
-        g, attrs = construct.path(args.n), None
-    elif kind == "fig1":
+    elif args.kind == "fig1":
         g, attrs = construct.example_graph_fig1()
-    elif kind == "fig4":
+    elif args.kind == "fig4":
         g, samples = construct.example_graph_fig4()
         attrs = samples[args.sample]
     else:
-        raise ValueError(kind)
-    fh = _out(args)
-    write_graph(g, fh)
-    _close(fh)
+        g = {"star": construct.star, "knee": construct.knee,
+             "path": construct.path}[args.kind](args.n)
+    with _out(args) as fh:
+        write_graph(g, fh)
     if attrs is not None and args.attrs_output:
-        with open(args.attrs_output, "w", encoding="utf-8") as ah:
-            ah.write("node,value\n")
-            for lab, val in zip(g.labels, attrs):
-                ah.write(f"{lab},{val}\n")
+        write_node_values(g, attrs, args.attrs_output)
     return EXIT_OK
 
 
@@ -176,11 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="gap/correlation report for a graph + attributes")
     p.add_argument("graph")
     p.add_argument("attrs")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--rational", action="store_true",
-                      help="exact rational arithmetic")
-    mode.add_argument("--float", action="store_false", dest="rational",
-                      help="64-bit float arithmetic (default)")
+    p.add_argument("--rational", action="store_true",
+                   help="exact rational arithmetic (default: 64-bit floats)")
     p.add_argument("--per-node", action="store_true")
     common(p)
     p.set_defaults(func=cmd_analyze)
@@ -236,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sample", type=int, default=0, help="fig4 attribute sample index")
+    p.add_argument("--sample", type=int, default=0, choices=range(3),
+                   help="fig4 attribute sample index")
     p.add_argument("--attrs-output", help="also write the attribute CSV here")
     common(p)
     p.set_defaults(func=cmd_gen)
@@ -248,6 +216,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
+    except DegenerateGraphError as exc:
+        print(f"degenerate input: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE
     except SgfpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

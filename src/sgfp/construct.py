@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantBrokenError, PreconditionViolatedError, TooSmallError
-from .graph import Graph, build_graph, degrees
+from .graph import Graph, build_graph
 
 Edge = tuple[int, int]
 
@@ -86,11 +86,10 @@ def initial_growth_state() -> GrowthState:
 
 def _check_marker(g: Graph, attrs, edge: Edge, want: int) -> None:
     u, v = edge
-    deg = degrees(g)
     if not g.has_edge(u, v):
         raise InvariantBrokenError(f"marker edge {edge} missing")
     for node in edge:
-        if deg[node] != want or attrs[node] != want:
+        if len(g.adj[node]) != want or attrs[node] != want:
             raise InvariantBrokenError(
                 f"marker node {node} is not a degree-{want}/attribute-{want} node")
 
@@ -112,19 +111,16 @@ def grow_step(state: GrowthState) -> GrowthState:
     u, v = state.two_chain_edge
     (u1, v1), (u2, v2) = e1, e2
 
-    removed = {tuple(sorted(state.two_chain_edge)),
-               tuple(sorted(e1)), tuple(sorted(e2))}
-    edges = [e for e in g.edges() if e not in removed]
-    # Subdivide u-v twice: u - w2 - w1 - v.
-    edges += [(u, w2), (w2, w1), (w1, v)]
-    # Replace the two marked edges with the connected pair p, q.
-    edges += [(u1, p), (v1, p), (p, q), (q, u2), (q, v2)]
-
-    new_graph = build_graph(edges, nodes=list(range(n + 4)))
-    new_attrs = attrs + [2, 2, 3, 3]
+    # Only the six marker endpoints change: subdivide u-v twice
+    # (u - w2 - w1 - v) and replace u1-v1, u2-v2 by u1, v1 - p - q - u2, v2.
+    adj = [list(a) for a in g.adj]
+    for node, old, new in ((u, v, w2), (v, u, w1), (u1, v1, p), (v1, u1, p),
+                           (u2, v2, q), (v2, u2, q)):
+        adj[node][adj[node].index(old)] = new
+    adj += [[w2, v], [u, w1], [u1, v1, q], [p, u2, v2]]
     return GrowthState(
-        graph=Graph(new_graph.adj, tuple(g.labels) + (w1, w2, p, q)),
-        attrs=tuple(new_attrs),
+        graph=Graph(adj, g.labels + (w1, w2, p, q)),
+        attrs=tuple(attrs + [2, 2, 3, 3]),
         two_chain_edge=(w2, w1),
         three_edges=((u1, p), (u2, q)),
         k=state.k + 1,

@@ -66,6 +66,14 @@ class ParseError(SgfpError):
         super().__init__(f"line {line_number}: {message}")
 
 
+class FileAccessError(SgfpError):
+    """A file that cannot be opened, read or written, or is not UTF-8 text."""
+
+    def __init__(self, path, reason):
+        self.path = path
+        super().__init__(f"{path}: {reason}")
+
+
 class DuplicateRowError(SgfpError):
     def __init__(self, label):
         self.label = label

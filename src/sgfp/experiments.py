@@ -1,10 +1,13 @@
-"""Experiment harness: random-graph census, growth curve, rewiring study."""
+"""Experiment harness: random-graph census, growth curve, rewiring study.
+
+Each record's CSV columns are its dataclass fields, in order.
+"""
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Optional, Sequence, TextIO
+from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -29,15 +32,6 @@ class CensusRecord:
     mean_r_ddelta_pro: Optional[float]
     mean_r_ddelta_anti: Optional[float]
     base_seed: int
-
-    CSV_HEADER = ["n", "samples", "pro_count", "pro_proportion",
-                  "mean_r_high_pro", "mean_r_high_anti",
-                  "mean_r_ddelta_pro", "mean_r_ddelta_anti", "base_seed"]
-
-    def csv_row(self) -> list:
-        return [self.n, self.samples, self.pro_count, self.pro_proportion,
-                self.mean_r_high_pro, self.mean_r_high_anti,
-                self.mean_r_ddelta_pro, self.mean_r_ddelta_anti, self.base_seed]
 
 
 def _census_sample(args: tuple[int, float, int, float]) -> tuple[bool, float, float]:
@@ -93,14 +87,14 @@ def census(n: int, samples: int, seed: int, p: float = 0.5,
     )
 
 
-def write_census_csv(records: Sequence[CensusRecord], fh: TextIO) -> None:
+def write_csv(header: Sequence[str], rows: Iterable[Sequence], fh: TextIO) -> None:
+    """Write a header and rows with the csv module, which ends lines in CRLF."""
     writer = csv.writer(fh)
-    writer.writerow(CensusRecord.CSV_HEADER)
-    for rec in records:
-        writer.writerow(rec.csv_row())
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
-GROW_CSV_HEADER = ["k", "n", "gap", "r"]
+GROW_COLUMNS = ["k", "n", "gap", "r"]
 
 
 def grow_table(steps: int) -> list[tuple[int, int, float, float]]:
@@ -119,13 +113,6 @@ def grow_table(steps: int) -> list[tuple[int, int, float, float]]:
     return rows
 
 
-def write_grow_csv(rows, fh: TextIO) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(GROW_CSV_HEADER)
-    for row in rows:
-        writer.writerow(row)
-
-
 @dataclass
 class RewireRecord:
     network_id: str
@@ -134,13 +121,6 @@ class RewireRecord:
     r_high_rewired: Optional[float]
     r_ddelta_rewired: Optional[float]
     seed: int
-
-    CSV_HEADER = ["network_id", "r_high_original", "r_ddelta_original",
-                  "r_high_rewired", "r_ddelta_rewired", "seed"]
-
-    def csv_row(self) -> list:
-        return [self.network_id, self.r_high_original, self.r_ddelta_original,
-                self.r_high_rewired, self.r_ddelta_rewired, self.seed]
 
 
 def strip_isolates(g: Graph) -> Graph:
@@ -190,10 +170,3 @@ def rewire_experiment(graphs: Sequence[tuple[str, Graph]], seed: int,
             seed=rw_seed,
         ))
     return records
-
-
-def write_rewire_csv(records: Sequence[RewireRecord], fh: TextIO) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(RewireRecord.CSV_HEADER)
-    for rec in records:
-        writer.writerow(rec.csv_row())

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Optional, Sequence
 
-from .errors import IsolatedNodeError, SelfLoopError, UnknownNodeError
+from .errors import IsolatedNodeError, PreconditionViolatedError, SelfLoopError, UnknownNodeError
 
 NodeId = Hashable
 
@@ -41,16 +41,13 @@ class Graph:
         self._kernel: Optional[Kernel] = None
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self._index) != self.n:
-            raise ValueError("node labels are not unique")
+            raise PreconditionViolatedError("node labels must be unique")
 
     def index_of(self, label: NodeId) -> int:
         try:
             return self._index[label]
         except KeyError:
             raise UnknownNodeError(label) from None
-
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return self.adj[i]
 
     def has_edge(self, i: int, j: int) -> bool:
         return j in self.adj[i]
@@ -76,13 +73,9 @@ def build_graph(edges: Iterable[tuple[NodeId, NodeId]],
     and counted. ``nodes`` optionally pins the canonical node order (and may
     include isolated nodes); otherwise order of first appearance is used.
     """
-    labels: list[NodeId] = []
-    index: dict[NodeId, int] = {}
-    if nodes is not None:
-        for lab in nodes:
-            if lab not in index:
-                index[lab] = len(labels)
-                labels.append(lab)
+    labels: list[NodeId] = [] if nodes is None else list(dict.fromkeys(nodes))
+    index = {lab: i for i, lab in enumerate(labels)}
+    adj: list[set[int]] = [set() for _ in labels]
 
     def idx(lab: NodeId) -> int:
         if lab not in index:
@@ -90,26 +83,19 @@ def build_graph(edges: Iterable[tuple[NodeId, NodeId]],
                 raise UnknownNodeError(lab)
             index[lab] = len(labels)
             labels.append(lab)
+            adj.append(set())
         return index[lab]
 
-    seen: set[tuple[int, int]] = set()
     duplicates = 0
-    pairs: list[tuple[int, int]] = []
     for u, v in edges:
         if u == v:
             raise SelfLoopError(u)
         i, j = idx(u), idx(v)
-        key = (i, j) if i < j else (j, i)
-        if key in seen:
+        if j in adj[i]:
             duplicates += 1
-            continue
-        seen.add(key)
-        pairs.append(key)
-
-    adj: list[list[int]] = [[] for _ in labels]
-    for i, j in pairs:
-        adj[i].append(j)
-        adj[j].append(i)
+        else:
+            adj[i].add(j)
+            adj[j].add(i)
     return Graph(adj, labels, duplicates_collapsed=duplicates)
 
 
@@ -206,9 +192,3 @@ def is_regular(g: Graph) -> bool:
     """True iff all degrees in the whole graph are equal."""
     deg = degrees(g)
     return len(set(deg)) <= 1
-
-
-def is_regular_per_component(g: Graph) -> bool:
-    """True iff degrees are constant within each connected component."""
-    deg = degrees(g)
-    return all(len({deg[i] for i in comp}) == 1 for comp in components(g))

@@ -1,4 +1,4 @@
-"""File ingestion: edge lists, numeric attributes, categorical labels.
+"""File ingestion and output: edge lists, numeric attributes, categorical labels.
 
 Formats:
   * edge list: one edge per line, two whitespace-separated labels;
@@ -6,6 +6,9 @@ Formats:
   * attributes: CSV with header "node,value", value decimal
   * labels: CSV with header "node,label"; literal "NA" means missing
     (and forms its own category)
+
+Every file is opened through :func:`opened`, which turns OS and decoding
+errors into :class:`FileAccessError`.
 """
 
 from __future__ import annotations
@@ -13,10 +16,17 @@ from __future__ import annotations
 import csv
 import io
 import math
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Optional, TextIO, Union
+from typing import Callable, Iterator, Optional, Sequence, TextIO, Union
 
-from .errors import DuplicateRowError, ParseError, UnknownNodeError
+from .errors import (
+    DuplicateRowError,
+    FileAccessError,
+    LengthMismatchError,
+    ParseError,
+    UnknownNodeError,
+)
 from .graph import Graph, build_graph
 
 Source = Union[str, TextIO]
@@ -24,18 +34,28 @@ Source = Union[str, TextIO]
 NA = "NA"
 
 
-def _open(source: Source) -> TextIO:
-    if isinstance(source, str):
-        return open(source, "r", encoding="utf-8")
-    return source
+@contextmanager
+def opened(target: Source, mode: str = "r") -> Iterator[TextIO]:
+    """Yield a stream unchanged, or the named file as UTF-8 text, closed on exit.
+
+    OS and decoding errors on a named file raise :class:`FileAccessError`.
+    """
+    if not isinstance(target, str):
+        yield target
+        return
+    try:
+        with open(target, mode, encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise FileAccessError(target, exc.strerror or exc) from None
+    except UnicodeDecodeError:
+        raise FileAccessError(target, "not UTF-8 text") from None
 
 
 def read_edge_list(source: Source) -> Graph:
     """Parse an edge-list file into a graph; labels stay strings."""
-    fh = _open(source)
-    close = isinstance(source, str)
-    try:
-        edges = []
+    edges = []
+    with opened(source) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -44,57 +64,59 @@ def read_edge_list(source: Source) -> Graph:
             if len(parts) != 2:
                 raise ParseError(lineno, f"expected two labels, got {len(parts)}")
             edges.append((parts[0], parts[1]))
-        return build_graph(edges)
-    finally:
-        if close:
-            fh.close()
+    return build_graph(edges)
 
 
 def write_graph(g: Graph, target: Source) -> None:
     """Write the canonical normal form: sorted edges, one per line."""
-    fh = open(target, "w", encoding="utf-8") if isinstance(target, str) else target
-    close = isinstance(target, str)
-    try:
-        lines = sorted(
-            tuple(sorted((str(g.labels[i]), str(g.labels[j]))))
-            for i, j in g.edges()
-        )
+    lines = sorted(
+        tuple(sorted((str(g.labels[i]), str(g.labels[j]))))
+        for i, j in g.edges()
+    )
+    with opened(target, "w") as fh:
         for u, v in lines:
             fh.write(f"{u} {v}\n")
-    finally:
-        if close:
-            fh.close()
 
 
-def _read_csv_rows(source: Source, expected_header: list[str]):
-    fh = _open(source)
-    close = isinstance(source, str)
-    try:
+def write_node_values(g: Graph, values: Sequence, target: Source) -> None:
+    """Write a "node,value" table in g's canonical order; None writes an empty value."""
+    with opened(target, "w") as fh:
+        fh.write("node,value\n")
+        for label, v in zip(g.labels, values):
+            fh.write(f"{label},{'' if v is None else v}\n")
+
+
+def _read_node_table(source: Source, g: Graph, column: str,
+                     parse: Callable[[int, str], object]) -> list:
+    """Read a "node,<column>" CSV: one parse(lineno, text) value per node, in g's order."""
+    values: dict[int, object] = {}
+    with opened(source) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ParseError(1, "missing header") from None
-        if [h.strip() for h in header] != expected_header:
-            raise ParseError(1, f"expected header {','.join(expected_header)}")
+        if [h.strip() for h in header] != ["node", column]:
+            raise ParseError(1, f"expected header node,{column}")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != 2:
                 raise ParseError(lineno, "expected two columns")
-            yield lineno, row[0].strip(), row[1].strip()
-    finally:
-        if close:
-            fh.close()
+            node = row[0].strip()
+            idx = g.index_of(node)  # raises UnknownNodeError
+            if idx in values:
+                raise DuplicateRowError(node)
+            values[idx] = parse(lineno, row[1].strip())
+    missing = [g.labels[i] for i in range(g.n) if i not in values]
+    if missing:
+        raise UnknownNodeError(missing[0])
+    return [values[i] for i in range(g.n)]
 
 
 def read_attributes(source: Source, g: Graph, rational: bool = False) -> list:
     """Read per-node attributes in g's canonical order: floats, or exact Fractions."""
-    values: dict[int, float | Fraction] = {}
-    for lineno, node, raw in _read_csv_rows(source, ["node", "value"]):
-        idx = g.index_of(node)  # raises UnknownNodeError
-        if idx in values:
-            raise DuplicateRowError(node)
+    def parse(lineno: int, raw: str):
         try:
             value = float(raw)
             if rational and math.isfinite(value):
@@ -106,25 +128,14 @@ def read_attributes(source: Source, g: Graph, rational: bool = False) -> list:
             raise ParseError(lineno, f"bad numeric value {raw!r}") from None
         if not math.isfinite(value):
             raise ParseError(lineno, f"non-finite value {raw!r}")
-        values[idx] = value
-    missing = [g.labels[i] for i in range(g.n) if i not in values]
-    if missing:
-        raise UnknownNodeError(missing[0])
-    return [values[i] for i in range(g.n)]
+        return value
+
+    return _read_node_table(source, g, "value", parse)
 
 
 def read_labels(source: Source, g: Graph) -> list[str]:
     """Read per-node categorical labels; "NA" is an ordinary category."""
-    values: dict[int, str] = {}
-    for _, node, label in _read_csv_rows(source, ["node", "label"]):
-        idx = g.index_of(node)
-        if idx in values:
-            raise DuplicateRowError(node)
-        values[idx] = label
-    missing = [g.labels[i] for i in range(g.n) if i not in values]
-    if missing:
-        raise UnknownNodeError(missing[0])
-    return [values[i] for i in range(g.n)]
+    return _read_node_table(source, g, "label", lambda _, label: label)
 
 
 def prop_own(g: Graph, labels: list[str]) -> list[Optional[Fraction]]:
@@ -133,7 +144,7 @@ def prop_own(g: Graph, labels: list[str]) -> list[Optional[Fraction]]:
     Missing labels ("NA") participate as their own category.
     """
     if len(labels) != g.n:
-        raise UnknownNodeError("label table length mismatch")
+        raise LengthMismatchError(g.n, len(labels))
     out: list[Optional[Fraction]] = []
     for i in range(g.n):
         d = len(g.adj[i])

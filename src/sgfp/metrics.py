@@ -120,12 +120,13 @@ def list_gap(g: Graph, a: AttributeSample):
         raise EmptyGraphError("graph has no edges")
     deg = kernel(g).deg
     dsum = sum(deg[i] for i in active)
-    wsum = sum(deg[i] * a[i] for i in active)
-    asum = sum(a[i] for i in active)
     np = len(active)
-    first = Fraction(wsum, dsum) if isinstance(wsum, int) else wsum / dsum
-    second = Fraction(asum, np) if isinstance(asum, int) else asum / np
-    return first - second
+    values = [a[i] for i in active]
+    if _is_exact(values):
+        ints, s = _as_ints(values)
+        wsum = sum(deg[i] * v for i, v in zip(active, ints))
+        return Fraction(wsum * np - sum(ints) * dsum, dsum * np * s)
+    return sum(deg[i] * a[i] for i in active) / dsum - sum(values) / np
 
 
 def correlation(x: Sequence, y: Sequence) -> Optional[float]:
@@ -195,8 +196,11 @@ class GapReport:
         return json.dumps(payload)
 
 
-def gap_report(g: Graph, a: AttributeSample) -> GapReport:
-    """Compute the full first/second-order report for a graph and sample."""
+def gap_report(g: Graph, a: AttributeSample, per_node: bool = True) -> GapReport:
+    """Compute the first/second-order report for a graph and sample.
+
+    ``per_node=False`` leaves the per-node lists ``s`` and ``delta`` empty.
+    """
     _check_length(g, a)
     active = _active_nodes(g)
     k = kernel(g)
@@ -209,6 +213,6 @@ def gap_report(g: Graph, a: AttributeSample) -> GapReport:
         r_da=r_da,
         r_ddelta=k.r_ddelta,
         excluded_isolates=g.n - len(active),
-        s=second_order(g, a),
-        delta=list(k.delta),
+        s=second_order(g, a) if per_node else [],
+        delta=list(k.delta) if per_node else [],
     )

@@ -8,8 +8,6 @@ batch generation order-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ExhaustedTriesError, PreconditionViolatedError
 from .graph import Graph, build_graph, is_connected, is_regular
 
@@ -50,16 +48,6 @@ class SplitMix64:
         for i in range(len(items) - 1, 0, -1):
             j = self.randrange(i + 1)
             items[i], items[j] = items[j], items[i]
-
-
-@dataclass(frozen=True)
-class Seed:
-    """Base seed with per-sample stream derivation."""
-
-    base: int
-
-    def derive(self, index: int) -> int:
-        return mix(self.base, index)
 
 
 def gnp(n: int, p: float, seed: int) -> Graph:

@@ -174,15 +174,25 @@ def test_analyze_non_finite_attribute_exits_1(tmp_path, capsys, mode):
     ["grow", "-1"],
     ["grow"],
     ["no-such-command"],
+    ["analyze", "{missing}", "{graph}"],
+    ["gen", "fig1", "--output", "{nodir}/g.edges"],
+    ["gen", "fig1", "--attrs-output", "{nodir}/a.csv"],
+    ["classify", "{binary}"],
+    ["gen", "fig4", "--sample", "7"],
+    ["gen", "fig4", "--sample", "-1"],
+    ["analyze", "{graph}", "{graph}", "--float"],
 ])
 def test_bad_arguments_exit_1(tmp_path, capsys, argv):
     graph = tmp_path / "g.edges"
     main(["gen", "path", "--n", "5", "--output", str(graph)])
     triangle = tmp_path / "t.edges"
     triangle.write_text("1 2\n2 3\n3 1\n")
+    binary = tmp_path / "b.edges"
+    binary.write_bytes(b"1 2\n\xff 3\n")
     capsys.readouterr()
-    argv = [a.replace("{graph}", str(graph)).replace("{triangle}", str(triangle))
-            for a in argv]
+    paths = {"graph": graph, "triangle": triangle, "binary": binary,
+             "missing": tmp_path / "missing.edges", "nodir": tmp_path / "no-such-dir"}
+    argv = [a.format(**paths) for a in argv]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
@@ -201,3 +211,29 @@ def test_analyze_rational_is_exact(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["singular_gap"] == -1 / 3
     assert report["r_da"] == -1.0
+
+
+FIG1_LABELS = "node,label\nA,x\nB,x\nC,y\nD,y\nE,y\nF,NA\nG,z\nH,z\n"
+
+
+def test_output_bytes_golden(fig1_files, tmp_path):
+    # CSV tables from the csv module end lines in \r\n; edge lists, node
+    # tables and JSON lines end them in \n.
+    graph, attrs = fig1_files
+    labels = tmp_path / "l.csv"
+    labels.write_text(FIG1_LABELS)
+    out = {name: tmp_path / name for name in ("grow.csv", "p.csv", "c.json")}
+    assert main(["grow", "2", "--output", str(out["grow.csv"])]) == 0
+    assert main(["propown", str(graph), str(labels), "--output", str(out["p.csv"])]) == 0
+    assert main(["classify", str(graph), "--output", str(out["c.json"])]) == 0
+    assert graph.read_bytes() == b"A B\nA C\nB D\nC D\nC E\nD F\nE F\nE G\nF H\n"
+    assert attrs.read_bytes() == b"node,value\nA,2\nB,2\nC,3\nD,3\nE,3\nF,3\nG,10\nH,10\n"
+    assert out["grow.csv"].read_bytes() == (
+        b"k,n,gap,r\r\n0,8,-1.125,-0.8004987358916189\r\n"
+        b"1,12,-0.75,-0.6936416870658706\r\n2,16,-0.5625,-0.6106580268910347\r\n")
+    assert out["p.csv"].read_bytes() == (
+        b"node,value\nA,0.5\nB,0.5\nC,0.6666666666666666\nD,0.3333333333333333\n"
+        b"E,0.3333333333333333\nF,0.0\nG,0.0\nH,0.0\n")
+    assert out["c.json"].read_bytes() == (
+        b'{"kind": "AntiSGFP", "x": null, "z": null, "r_ddelta": 0.9307578419910344, '
+        b'"reason": "reciprocal-degree sums are not an affine function of degree"}\n')

@@ -16,7 +16,7 @@ from sgfp.construct import (
 )
 from sgfp.errors import InvariantBrokenError, PreconditionViolatedError, TooSmallError
 from sgfp.experiments import grow_table
-from sgfp.graph import degrees
+from sgfp.graph import build_graph, degrees
 from sgfp.metrics import correlation, second_order, singular_gap
 
 
@@ -82,6 +82,27 @@ def test_grow_step_preserves_existing_nodes():
         assert degrees(g1)[:g0.n] == d0
         assert a1[:g0.n] == a0
         assert second_order(g1, a1)[:g0.n] == s0
+        state = nxt
+
+
+def _grow_by_rebuilding(state):
+    """Reference step: rebuild the grown graph from its edge list."""
+    g, n = state.graph, state.graph.n
+    w1, w2, p, q = n, n + 1, n + 2, n + 3
+    (u, v), ((u1, v1), (u2, v2)) = state.two_chain_edge, state.three_edges
+    removed = {tuple(sorted(e)) for e in (state.two_chain_edge, *state.three_edges)}
+    edges = [e for e in g.edges() if e not in removed]
+    edges += [(u, w2), (w2, w1), (w1, v), (u1, p), (v1, p), (p, q), (q, u2), (q, v2)]
+    return build_graph(edges, nodes=range(n + 4)).adj
+
+
+def test_grow_step_matches_rebuilt_graph():
+    state = initial_growth_state()
+    for _ in range(12):
+        nxt = grow_step(state)
+        assert nxt.graph.adj == _grow_by_rebuilding(state)
+        n = state.graph.n
+        assert nxt.graph.labels == state.graph.labels + (n, n + 1, n + 2, n + 3)
         state = nxt
 
 

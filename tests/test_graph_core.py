@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from sgfp.errors import IsolatedNodeError, SelfLoopError, UnknownNodeError
+from sgfp.errors import IsolatedNodeError, SgfpError, SelfLoopError, UnknownNodeError
 from sgfp.graph import (
     Graph,
     build_graph,
@@ -11,7 +11,6 @@ from sgfp.graph import (
     delta,
     is_connected,
     is_regular,
-    is_regular_per_component,
 )
 from sgfp.construct import example_graph_fig1, path, star
 
@@ -31,6 +30,20 @@ def test_duplicate_edges_collapse_with_count():
 def test_self_loop_rejected():
     with pytest.raises(SelfLoopError):
         build_graph([(1, 1)])
+
+
+def test_duplicate_labels_rejected():
+    with pytest.raises(SgfpError):
+        Graph([[1], [0]], labels=["a", "a"])
+
+
+def test_pinned_nodes_dedupe_and_keep_isolates():
+    g = build_graph([(2, 1), (1, 2), (2, 3)], nodes=[3, 2, 3, 1, 4])
+    assert g.labels == (3, 2, 1, 4)
+    assert g.adj == ((1,), (0, 2), (1,), ())
+    assert g.duplicates_collapsed == 1
+    with pytest.raises(UnknownNodeError):
+        build_graph([(1, 5)], nodes=[1, 2])
 
 
 def test_canonical_order_is_first_appearance():
@@ -89,10 +102,8 @@ def test_components_and_regularity():
     assert not is_connected(g)
     assert components(g) == [{0, 1}, {2, 3}]
     assert is_regular(g)
-    assert is_regular_per_component(g)
     h = build_graph([(0, 1), (1, 2), (3, 4)])
     assert not is_regular(h)
-    assert not is_regular_per_component(h)
 
 
 def test_adjacency_symmetry_fig1():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sgfp.construct import example_graph_fig1, path, star
-from sgfp.errors import DuplicateRowError, ParseError, UnknownNodeError
+from sgfp.errors import DuplicateRowError, LengthMismatchError, ParseError, UnknownNodeError
 from sgfp.graph import build_graph, degrees
 from sgfp.metrics import singular_gap
 from sgfp.ingest import (
@@ -109,6 +109,11 @@ def test_prop_own_isolate_undefined():
     g = build_graph([(0, 1)], nodes=[0, 1, 2])
     values = prop_own(g, ["a", "a", "a"])
     assert values == [1, 1, None]
+
+
+def test_prop_own_length_mismatch():
+    with pytest.raises(LengthMismatchError):
+        prop_own(star(4), ["M", "F"])
 
 
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "Infinity"])

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from sgfp.classify import ANTI, DEGENERATE, PRO, classify
 from sgfp.errors import IsolatedNodeError
 from sgfp.graph import build_graph, delta, is_connected, is_regular, kernel
-from sgfp.metrics import correlation, r_d_delta, singular_gap, singular_gap_delta_form
+from sgfp.metrics import correlation, list_gap, r_d_delta, singular_gap, singular_gap_delta_form
 from sgfp.randgen import SplitMix64, mix
 
 from conftest import random_graphs
@@ -65,6 +65,14 @@ def ref_singular_gap(g, a):
     return total / len(active)
 
 
+def ref_list_gap(g, a):
+    """Degree-weighted mean attribute minus mean attribute over non-isolated nodes."""
+    active = [i for i in range(g.n) if g.adj[i]]
+    dsum = sum(len(g.adj[i]) for i in active)
+    return (Fraction(sum(len(g.adj[i]) * a[i] for i in active), dsum)
+            - Fraction(sum(a[i] for i in active), len(active)))
+
+
 def _attrs(g, seed, fractions):
     rng = SplitMix64(seed)
     if fractions:
@@ -97,6 +105,7 @@ def check_against_reference(g, seed):
             want = ref_singular_gap(g, a)
             assert singular_gap(g, a) == want
             assert singular_gap_delta_form(g, a) == want
+            assert list_gap(g, a) == ref_list_gap(g, a)
 
 
 @st.composite

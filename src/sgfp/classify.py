@@ -155,9 +155,13 @@ def threshold_estimate(g: Graph, grid: int = 256) -> ThresholdEstimate:
     degree direction and the half-space of negative gap. For anti graphs
     it is validated by an independent search: boundary points of the
     projected degree direction, walked inward on a geometric grid of
-    `grid` angles. For pro graphs the affine certificate already proves
-    that no positively-correlated sample fails, so the supremum is 0.
+    `grid` angles (at least 2). Every walk point is a linear combination
+    of two fixed vectors, so the walk costs O(n + grid). For pro graphs
+    the affine certificate already proves that no positively-correlated
+    sample fails, so the supremum is 0.
     """
+    if grid < 2:
+        raise PreconditionViolatedError("grid must be >= 2")
     if not is_connected(g) or is_regular(g):
         raise DegenerateGraphError("graph must be connected and non-regular")
     cls = classify(g)
@@ -181,15 +185,17 @@ def threshold_estimate(g: Graph, grid: int = 256) -> ThresholdEstimate:
     if pnorm > 1e-14:
         a_star = proj / pnorm
         v = -dc / dc_norm  # orthogonal to a_star, pushes the gap negative
-        thetas = np.geomspace(1e-8, math.pi / 2, num=max(2, grid))
-        for theta in thetas:
-            a = math.cos(theta) * a_star + math.sin(theta) * v
-            gap = float(dl @ a) / n
-            if gap > -1e-9:
-                continue
-            r = correlation(list(deg), list(a))
-            if r is not None:
-                oracle_max = max(oracle_max, r)
+        thetas = np.geomspace(1e-8, math.pi / 2, num=grid)
+        c, s = np.cos(thetas), np.sin(thetas)
+        # Walk point a = c*a_star + s*v: its gap and its Pearson correlation
+        # with the degrees follow from a few dot products of the two vectors.
+        gap = (c * float(dl @ a_star) + s * float(dl @ v)) / n
+        a_c, v_c = a_star - a_star.mean(), v - v.mean()
+        sxy = c * float(a_c @ tau) + s * float(v_c @ tau)  # tau is centred, |tau| = 1
+        syy = c * c * float(a_c @ a_c) + 2 * c * s * float(a_c @ v_c) + s * s * float(v_c @ v_c)
+        keep = (gap <= -1e-9) & (syy > 0)  # skip non-failing and constant samples
+        if keep.any():
+            oracle_max = float(np.max(sxy[keep] / np.sqrt(syy[keep])))
 
     validated = (candidate - 1e-3 - 1e-12) <= oracle_max <= (candidate + 1e-12)
     return ThresholdEstimate(candidate_sup=candidate, validated=validated,

@@ -46,22 +46,29 @@ def _census_sample(args: tuple[int, float, int, float]) -> tuple[bool, float, fl
     return cls.kind == PRO, r_high, cls.r_ddelta
 
 
+_CHUNK = 256  # samples per task sent to a worker process
+
+
 def census(n: int, samples: int, seed: int, p: float = 0.5,
            epsilon: float = 0.001, jobs: int = 1) -> CensusRecord:
     """Classify and optimize `samples` connected non-regular G(n, p) draws.
 
     Deterministic for a fixed seed regardless of `jobs`: every sample uses
-    its own derived seed and results reduce in sample order.
+    its own derived seed and results reduce in sample order. At most one
+    worker process runs per chunk of samples.
     """
     if samples < 1:
         raise PreconditionViolatedError("samples must be >= 1")
+    if jobs < 1:
+        raise PreconditionViolatedError("jobs must be >= 1")
     _check_epsilon(epsilon)
     tasks = [(n, p, mix(mix(seed, n), i), epsilon) for i in range(samples)]
-    if jobs > 1:
+    workers = min(jobs, -(-samples // _CHUNK))
+    if workers > 1:
         # Imported here: it loads multiprocessing, which one job never uses.
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_census_sample, tasks, chunksize=256))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_census_sample, tasks, chunksize=_CHUNK))
     else:
         results = [_census_sample(t) for t in tasks]
 

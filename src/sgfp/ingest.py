@@ -38,13 +38,15 @@ NA = "NA"
 def opened(target: Source, mode: str = "r") -> Iterator[TextIO]:
     """Yield a stream unchanged, or the named file as UTF-8 text, closed on exit.
 
-    OS and decoding errors on a named file raise :class:`FileAccessError`.
+    A named file read drops a leading byte-order mark; files are written
+    without one. OS and decoding errors on a named file raise
+    :class:`FileAccessError`.
     """
     if not isinstance(target, str):
         yield target
         return
     try:
-        with open(target, mode, encoding="utf-8") as fh:
+        with open(target, mode, encoding="utf-8-sig" if mode == "r" else "utf-8") as fh:
             yield fh
     except OSError as exc:
         raise FileAccessError(target, exc.strerror or exc) from None

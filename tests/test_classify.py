@@ -1,12 +1,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sgfp.classify import (
     ANTI,
     DEGENERATE,
     PRO,
+    ThresholdEstimate,
     attach_pendant_path,
     classify,
     perturb_to_positive_correlation,
@@ -18,8 +20,11 @@ from sgfp.errors import (
     PreconditionViolatedError,
     UnknownNodeError,
 )
-from sgfp.graph import build_graph, degrees, delta
+from sgfp.graph import build_graph, degrees, delta, kernel
 from sgfp.metrics import correlation, r_d_delta, singular_gap
+from sgfp.randgen import mix, sample_connected_nonregular
+
+from conftest import preferential_attachment
 
 
 def test_star_pro_with_witness():
@@ -148,3 +153,67 @@ def test_threshold_rejects_regular():
     triangle = build_graph([(0, 1), (1, 2), (2, 0)])
     with pytest.raises(DegenerateGraphError):
         threshold_estimate(triangle)
+
+
+def _threshold_reference(g, grid):
+    """The boundary walk one angle at a time, with the generic correlation."""
+    cls = classify(g)
+    if cls.kind == PRO:
+        return ThresholdEstimate(candidate_sup=0.0, validated=True, oracle_max=0.0)
+    candidate = math.sqrt(max(0.0, 1.0 - cls.r_ddelta * cls.r_ddelta))
+    k = kernel(g)
+    deg = np.array(k.deg, dtype=float)
+    dl = np.array(k.delta)
+    oracle_max = -math.inf
+    tau = deg - deg.mean()
+    tau /= np.linalg.norm(tau)
+    dc = dl - dl.mean()
+    dc_norm = np.linalg.norm(dc)
+    proj = tau - (float(dc @ tau) / (dc_norm ** 2)) * dc
+    pnorm = np.linalg.norm(proj)
+    if pnorm > 1e-14:
+        a_star = proj / pnorm
+        v = -dc / dc_norm
+        for theta in np.geomspace(1e-8, math.pi / 2, num=grid):
+            a = math.cos(theta) * a_star + math.sin(theta) * v
+            if float(dl @ a) / g.n > -1e-9:
+                continue
+            r = correlation(list(deg), list(a))
+            if r is not None:
+                oracle_max = max(oracle_max, r)
+    validated = (candidate - 1e-3 - 1e-12) <= oracle_max <= (candidate + 1e-12)
+    return ThresholdEstimate(candidate_sup=candidate, validated=validated,
+                             oracle_max=oracle_max)
+
+
+def _criterion_6_anti_graphs(count):
+    i = 0
+    while count:
+        n = 4 + mix(202, 10_000 + i) % 7
+        g = sample_connected_nonregular(n, 0.5, mix(202, i))
+        i += 1
+        if classify(g).kind == ANTI:
+            count -= 1
+            yield g
+
+
+def _assert_matches_reference(g, grid):
+    est, ref = threshold_estimate(g, grid=grid), _threshold_reference(g, grid)
+    assert est.candidate_sup == ref.candidate_sup
+    assert est.validated == ref.validated
+    if ref.oracle_max == -math.inf:
+        assert est.oracle_max == -math.inf
+    else:
+        assert abs(est.oracle_max - ref.oracle_max) <= 1e-12 * (1 + abs(ref.oracle_max))
+
+
+def test_threshold_walk_matches_per_angle_reference():
+    for g in _criterion_6_anti_graphs(200):
+        _assert_matches_reference(g, 64)
+    for g in (star(6), knee(5), path(4), path(5), path(7), path(12)):
+        for grid in (2, 64, 256):
+            _assert_matches_reference(g, grid)
+
+
+def test_threshold_walk_matches_reference_at_scale():
+    _assert_matches_reference(preferential_attachment(10_000, seed=7), 256)

@@ -91,6 +91,19 @@ def test_threshold_path5(tmp_path, capsys):
     assert abs(result["candidate_sup"] - 0.40824829) < 1e-6
 
 
+def test_repeated_calls_share_no_state(tmp_path, capsys):
+    graph = tmp_path / "g.edges"
+    out = tmp_path / "t.json"
+    main(["gen", "path", "--n", "5", "--output", str(graph)])
+    assert main(["threshold", str(graph), "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["threshold", str(graph)]) == 0
+    assert capsys.readouterr().out == out.read_text()
+    assert main(["threshold", str(graph), "--grid", "abc"]) == 1
+    assert main(["threshold", str(graph)]) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
 def test_census_small(tmp_path):
     out = tmp_path / "census.csv"
     rc = main(["census", "--nmin", "3", "--nmax", "4", "--samples", "20",
@@ -181,6 +194,11 @@ def test_analyze_non_finite_attribute_exits_1(tmp_path, capsys, mode):
     ["gen", "fig4", "--sample", "7"],
     ["gen", "fig4", "--sample", "-1"],
     ["analyze", "{graph}", "{graph}", "--float"],
+    ["census", "--nmin", "3", "--nmax", "3", "--samples", "4", "--jobs", "0"],
+    ["census", "--nmin", "3", "--nmax", "3", "--samples", "4", "--jobs", "-1"],
+    ["threshold", "{graph}", "--grid", "1"],
+    ["threshold", "{graph}", "--grid", "0"],
+    ["threshold", "{graph}", "--grid", "-5"],
 ])
 def test_bad_arguments_exit_1(tmp_path, capsys, argv):
     graph = tmp_path / "g.edges"

@@ -44,6 +44,18 @@ def test_round_trip_canonical_form():
     assert first == "a b\na c\nb c\n"
 
 
+def test_byte_order_mark_is_dropped(tmp_path):
+    bom = "\ufeff".encode()
+    edges, attrs = b"a b\nb c\nc d\nd a\na c\n", b"node,value\na,1\nb,2\nc,3\nd,4\n"
+    (tmp_path / "g.edges").write_bytes(edges)
+    (tmp_path / "bom.edges").write_bytes(bom + edges)
+    (tmp_path / "bom.csv").write_bytes(bom + attrs)
+    plain = read_edge_list(str(tmp_path / "g.edges"))
+    g = read_edge_list(str(tmp_path / "bom.edges"))
+    assert (g.labels, g.adj) == (plain.labels, plain.adj)
+    assert read_attributes(str(tmp_path / "bom.csv"), g) == [1.0, 2.0, 3.0, 4.0]
+
+
 def test_read_attributes_fig1():
     g, attrs = example_graph_fig1()
     csv = "node,value\n" + "".join(

@@ -14,7 +14,7 @@ from sgfp.graph import build_graph, degrees, delta
 from sgfp.lp import _solve_two_row, max_failing_correlation
 from sgfp.metrics import correlation
 
-from conftest import random_graphs
+from conftest import preferential_attachment, random_graphs
 
 
 def _arrays(g):
@@ -55,19 +55,6 @@ def _assert_matches_highs(d, dl, eps):
         assert abs(ours - ref) <= 1e-9 * (1 + abs(ref))
 
 
-def _preferential_attachment(n, seed, m=2):
-    rng = random.Random(seed)
-    edges, ends = [], []
-    for v in range(m, n):
-        chosen = set()
-        while len(chosen) < m:
-            chosen.add(rng.choice(ends) if ends else rng.randrange(v))
-        for u in sorted(chosen):
-            edges.append((v, u))
-            ends += [u, v]
-    return build_graph(edges)
-
-
 def test_solver_matches_highs_on_criterion_5_stream():
     for g in random_graphs(201, 1000, n_range=(4, 10)):
         d, dl = _arrays(g)
@@ -77,7 +64,7 @@ def test_solver_matches_highs_on_criterion_5_stream():
 
 @pytest.mark.parametrize("n", [1000, 2500, 10_000])
 def test_solver_matches_highs_on_large_graphs(n):
-    d, dl = _arrays(_preferential_attachment(n, seed=n))
+    d, dl = _arrays(preferential_attachment(n, seed=n))
     _assert_matches_highs(d, dl, 1e-3)
 
 
@@ -173,7 +160,7 @@ def test_failing_correlation_star_negative():
 
 
 def test_witness_invariants():
-    for g in (path(5), path(7), star(6), _preferential_attachment(10_000, seed=3)):
+    for g in (path(5), path(7), star(6), preferential_attachment(10_000, seed=3)):
         res = max_failing_correlation(g, 0.001)
         n = g.n
         assert abs(sum(res.witness)) < 1e-9

@@ -8,7 +8,6 @@ input (regular graph or constant attributes), so scripts can tell
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from dataclasses import astuple, fields
 
@@ -135,9 +134,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(
         prog="sgfp",
         description="Singular generalized friendship paradox toolkit")

@@ -13,7 +13,7 @@ from dataclasses import astuple, fields
 
 from . import construct, experiments
 from .classify import DEGENERATE, classify, threshold_estimate
-from .errors import DegenerateGraphError, SgfpError, UsageError
+from .errors import DegenerateGraphError, PreconditionViolatedError, SgfpError, UsageError
 from .ingest import (opened, prop_own, read_attributes, read_edge_list, read_labels,
                      write_graph, write_node_values)
 from .lp import max_failing_correlation
@@ -71,13 +71,18 @@ def _columns(record_type) -> list[str]:
 
 
 def cmd_census(args) -> int:
+    if args.nmin > args.nmax:
+        raise PreconditionViolatedError("nmin must be <= nmax")
     if args.nmax > 10:
         print("warning: census beyond n=10 may take a long time", file=sys.stderr)
-    records = [
-        experiments.census(n, args.samples, args.seed,
-                           epsilon=args.epsilon, jobs=args.jobs)
-        for n in range(args.nmin, args.nmax + 1)
-    ]
+    records = []
+    for n in range(args.nmin, args.nmax + 1):
+        record, infeasible = experiments._census(n, args.samples, args.seed,
+                                                 epsilon=args.epsilon, jobs=args.jobs)
+        if infeasible:
+            print(f"warning: n={n}: {infeasible} of {args.samples} samples infeasible "
+                  f"at epsilon={args.epsilon}", file=sys.stderr)
+        records.append(record)
     with _out(args) as fh:
         experiments.write_csv(_columns(experiments.CensusRecord), map(astuple, records), fh)
     return EXIT_OK
@@ -120,8 +125,7 @@ def cmd_gen(args) -> int:
     else:
         g = {"star": construct.star, "knee": construct.knee,
              "path": construct.path}[args.kind](args.n)
-    with _out(args) as fh:
-        write_graph(g, fh)
+    write_graph(g, args.output or sys.stdout)
     if attrs is not None and args.attrs_output:
         write_node_values(g, attrs, args.attrs_output)
     return EXIT_OK

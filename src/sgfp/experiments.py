@@ -9,14 +9,12 @@ import csv
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, TextIO
 
-import numpy as np
-
 from .classify import PRO
 from .classify import classify as classify_graph
 from .construct import initial_growth_state, grow_step
-from .errors import InfeasibleAtEpsilonError, PreconditionViolatedError
+from .errors import PreconditionViolatedError
 from .graph import Graph, kernel
-from .lp import _check_epsilon, _solve_two_row, max_failing_correlation
+from .lp import _EXACT_MAX_N, _check_epsilon, _failing_witness
 from .metrics import correlation, r_d_delta, singular_gap
 from .randgen import configuration_rewire, mix, sample_connected_nonregular
 
@@ -34,16 +32,29 @@ class CensusRecord:
     base_seed: int
 
 
-def _census_sample(args: tuple[int, float, int, float]) -> tuple[bool, float, float]:
-    """One census draw: (is_pro, r_high, r_ddelta)."""
-    n, p, sample_seed, epsilon = args
-    g = sample_connected_nonregular(n, p, sample_seed)
-    cls = classify_graph(g)
-    try:
-        r_high = max_failing_correlation(g, epsilon).r_high
-    except InfeasibleAtEpsilonError:
-        r_high = float("nan")
-    return cls.kind == PRO, r_high, cls.r_ddelta
+def _census_chunk(args: tuple[int, float, float, Sequence[int]]) -> list[tuple[bool, float, float]]:
+    """(is_pro, r_high, r_ddelta) for the census draws with these sample seeds.
+
+    Up to the LP's exact size all three are functions of the graph's
+    sorted (degree, L * delta) pairs, so draws with the same pairs share one
+    memo entry, kept for this call only.
+    """
+    n, p, epsilon, seeds = args
+    memo: dict = {}
+    out = []
+    for sample_seed in seeds:
+        g = sample_connected_nonregular(n, p, sample_seed)
+        k = kernel(g)
+        key = tuple(sorted(zip(k.deg, k.y))) if n <= _EXACT_MAX_N else None
+        row = memo.get(key)
+        if row is None:
+            res = _failing_witness(k, epsilon)
+            row = (classify_graph(g).kind == PRO,
+                   float("nan") if res is None else res.r_high, k.r_ddelta)
+            if key is not None:
+                memo[key] = row
+        out.append(row)
+    return out
 
 
 _CHUNK = 256  # samples per task sent to a worker process
@@ -57,20 +68,28 @@ def census(n: int, samples: int, seed: int, p: float = 0.5,
     its own derived seed and results reduce in sample order. At most one
     worker process runs per chunk of samples.
     """
+    return _census(n, samples, seed, p, epsilon, jobs)[0]
+
+
+def _census(n: int, samples: int, seed: int, p: float = 0.5,
+            epsilon: float = 0.001, jobs: int = 1) -> tuple[CensusRecord, int]:
+    """:func:`census` and the number of draws whose LP is infeasible at
+    `epsilon` (their r_high is left out of the means)."""
     if samples < 1:
         raise PreconditionViolatedError("samples must be >= 1")
     if jobs < 1:
         raise PreconditionViolatedError("jobs must be >= 1")
     _check_epsilon(epsilon)
-    tasks = [(n, p, mix(mix(seed, n), i), epsilon) for i in range(samples)]
-    workers = min(jobs, -(-samples // _CHUNK))
+    seeds = [mix(mix(seed, n), i) for i in range(samples)]
+    chunks = [(n, p, epsilon, seeds[i:i + _CHUNK]) for i in range(0, samples, _CHUNK)]
+    workers = min(jobs, len(chunks))
     if workers > 1:
         # Imported here: it loads multiprocessing, which one job never uses.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_census_sample, tasks, chunksize=_CHUNK))
+            results = [row for rows in pool.map(_census_chunk, chunks) for row in rows]
     else:
-        results = [_census_sample(t) for t in tasks]
+        results = _census_chunk((n, p, epsilon, seeds))
 
     pro_rh, anti_rh, pro_rdd, anti_rdd = [], [], [], []
     for is_pro, r_high, r_dd in results:
@@ -85,13 +104,14 @@ def census(n: int, samples: int, seed: int, p: float = 0.5,
         xs = [x for x in xs if x == x]  # drop NaN
         return sum(xs) / len(xs) if xs else None
 
-    return CensusRecord(
+    record = CensusRecord(
         n=n, samples=samples, pro_count=len(pro_rdd),
         pro_proportion=len(pro_rdd) / samples,
         mean_r_high_pro=_mean(pro_rh), mean_r_high_anti=_mean(anti_rh),
         mean_r_ddelta_pro=_mean(pro_rdd), mean_r_ddelta_anti=_mean(anti_rdd),
         base_seed=seed,
     )
+    return record, sum(r_high != r_high for _, r_high, _ in results)
 
 
 def write_csv(header: Sequence[str], rows: Iterable[Sequence], fh: TextIO) -> None:
@@ -147,10 +167,8 @@ def r_high_loose(g: Graph, epsilon: float) -> Optional[float]:
     k = kernel(g)
     if len(set(k.deg)) <= 1 or 0 in k.deg:
         return None
-    a = _solve_two_row(np.array(k.deg, dtype=float), np.array(k.delta), epsilon)
-    if a is None:
-        return None
-    return correlation(k.deg, a.tolist())
+    res = _failing_witness(k, epsilon)
+    return None if res is None else res.r_high
 
 
 def rewire_experiment(graphs: Sequence[tuple[str, Graph]], seed: int,

@@ -25,6 +25,7 @@ from .errors import (
     FileAccessError,
     LengthMismatchError,
     ParseError,
+    PreconditionViolatedError,
     UnknownNodeError,
 )
 from .graph import Graph, build_graph
@@ -70,7 +71,15 @@ def read_edge_list(source: Source) -> Graph:
 
 
 def write_graph(g: Graph, target: Source) -> None:
-    """Write the canonical normal form: sorted edges, one per line."""
+    """Write the canonical normal form: sorted edges, one per line.
+
+    An edge list has no line for a node without edges, so a graph with
+    isolated nodes raises before anything is written.
+    """
+    isolated = sum(not a for a in g.adj)
+    if isolated:
+        raise PreconditionViolatedError(
+            f"an edge list cannot hold the graph's {isolated} isolated node(s)")
     lines = sorted(
         tuple(sorted((str(g.labels[i]), str(g.labels[j]))))
         for i, j in g.edges()

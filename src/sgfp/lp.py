@@ -19,13 +19,21 @@ toward the other until delta . a = -epsilon (or as far as the walk goes
 when the optimum has lambda = 0), ending near a vertex of the feasible
 polytope as a simplex would. Each step is O(n log n) and there is no size
 cap.
+
+Up to `_EXACT_MAX_N` nodes the same descent runs exactly, in integers from
+the graph's kernel (:func:`_solve_exact`): there the witness, and so
+r_high, depend only on the multiset of (d_i, L delta_i) pairs, not on the
+node labels. Larger graphs use the float solver (:func:`_solve_two_row`).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Optional
+from fractions import Fraction
+from operator import mul
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -35,13 +43,13 @@ from .errors import (
     InvariantBrokenError,
     PreconditionViolatedError,
 )
-from .graph import Graph, is_connected, is_regular, kernel
+from .graph import Graph, Kernel, exact_correlation, is_connected, kernel
 from .metrics import correlation
 
 
 def _check_epsilon(epsilon: float) -> None:
-    if not epsilon > 0:
-        raise PreconditionViolatedError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise PreconditionViolatedError("epsilon must be positive and finite")
 
 
 def _fill(k: int, total: float) -> np.ndarray:
@@ -132,6 +140,95 @@ def _solve_two_row(d: np.ndarray, dl: np.ndarray, epsilon: float) -> Optional[np
     raise InvariantBrokenError(f"two-row LP descent stalled at lambda={lam}")
 
 
+def _int_fill(k: int, total: int) -> list[int]:
+    """:func:`_fill` for an integer total: k values in {-1, 0, 1}."""
+    return [min(max(total + k - 2 * i, 0), 2) - 1 for i in range(k)]
+
+
+def _vertex_between_exact(a: list[int], up: list[int], y: Sequence[int], scale: int,
+                          need: int) -> tuple[list[int], int]:
+    """:func:`_vertex_between` in integers, on y = L * delta; `need` and the
+    gains are y-sums times `scale`. Returns (a * m, m): only the two nodes
+    of the partial swap can end off a multiple of m."""
+    done = 0
+    for i in range(len(up) // 2):
+        lo, hi = up[i], up[-1 - i]
+        gain = scale * (a[lo] - a[hi]) * (y[hi] - y[lo])
+        if done + gain >= need:
+            if need > done:
+                shift = (need - done) * (a[hi] - a[lo])
+                g = math.gcd(shift, gain)
+                m = gain // g
+                a = [v * m for v in a]
+                a[lo] += shift // g
+                a[hi] -= shift // g
+                return a, m
+            break
+        a[lo], a[hi] = a[hi], a[lo]
+        done += gain
+    return a, 1
+
+
+def _solve_exact(deg: Sequence[int], y: Sequence[int], big_l: int,
+                 epsilon: float) -> Optional[tuple[list[int], int]]:
+    """:func:`_solve_two_row` in exact arithmetic, on the kernel's integers.
+
+    With y = L * delta the LP's row is y . a <= -epsilon * L, and
+    epsilon * L = e / s exactly (s > 0). The descent runs in
+    kappa = lambda / L = p / q, so c = q * d - p * y is an integer vector
+    whose median and tie set are exact, and the one-sided slopes of g are
+    decided by the sign of the integer s * (y . a) + e. Returns an optimal
+    a as (a * m, m), with every entry in {-1, 0, 1} but at most two, or
+    None when the LP is infeasible.
+    """
+    _check_epsilon(epsilon)
+    e, s = epsilon.as_integer_ratio()
+    e *= big_l
+    n = len(deg)
+    by_y = sorted(range(n), key=y.__getitem__)
+    if s * sum(y[i] * v for i, v in zip(by_y, _int_fill(n, 0))) + e > 0:
+        return None
+    lo, hi = Fraction(0), math.inf
+    p, q = 0, 1
+    for _ in range(1000):
+        c = [q * di - p * yi for di, yi in zip(deg, y)]
+        mu = sorted(c)[(n - 1) // 2]
+        a = [(v > mu) - (v < mu) for v in c]
+        tie = [i for i, v in enumerate(c) if v == mu]
+        total = -sum(a)
+        up = sorted(tie, key=y.__getitem__)
+        down = sorted(tie, key=lambda i: -y[i])
+        fill = _int_fill(len(tie), total)
+        ya = sum(map(mul, y, a))
+        h_up = s * (ya + sum(y[i] * v for i, v in zip(up, fill))) + e
+        h_down = s * (ya + sum(y[i] * v for i, v in zip(down, fill))) + e
+        if h_up <= 0 and (p == 0 or h_down >= 0):
+            for i, v in zip(up, fill):
+                a[i] = v
+            return _vertex_between_exact(a, up, y, s, -h_up)
+        j = min((total + len(tie)) // 2, len(tie) - 1)
+        if h_up > 0:
+            lo, piv = Fraction(p, q), up[j]
+        else:
+            hi, piv = Fraction(p, q), down[j]
+        # Slopes (d_k - d_p) / (y_k - y_p) as integers over their lcm D.
+        dp, yp = deg[piv], y[piv]
+        lines = [(dk - dp, yk - yp) for dk, yk in zip(deg, y) if yk != yp]
+        big_d = math.lcm(*(w for _, w in lines))
+        lines = sorted((num * (big_d // w), abs(w)) for num, w in lines)
+        target = s * sum(w for _, w in lines) + e
+        cum = 0
+        for slope, w in lines:
+            cum += w
+            if 2 * s * cum >= target:
+                break
+        step = Fraction(slope, big_d)
+        if not lo < step < hi:
+            break
+        p, q = step.numerator, step.denominator
+    raise InvariantBrokenError(f"exact two-row LP descent stalled at kappa={p}/{q}")
+
+
 @dataclass
 class HighCorrelationResult:
     """Best failing-correlation witness found by the LP at a given slack."""
@@ -149,6 +246,36 @@ class HighCorrelationResult:
         return json.dumps(payload)
 
 
+# Up to this many nodes the LP runs in exact integers. There the exact path
+# is at least a fifth faster than the float one; they break even near
+# n = 28 (G(n, p) graphs, measured in CHANGES.md).
+_EXACT_MAX_N = 20
+
+
+def _failing_witness(k: Kernel, epsilon: float) -> Optional[HighCorrelationResult]:
+    """The failing-correlation LP for a kernel with no isolates and at least
+    two distinct degrees, or None when it is infeasible at `epsilon`."""
+    n = len(k.deg)
+    if n <= _EXACT_MAX_N:
+        found = _solve_exact(k.deg, k.y, k.lcm, epsilon)
+        if found is None:
+            return None
+        a, m = found  # int / int division is correctly rounded
+        return HighCorrelationResult(
+            r_high=exact_correlation(k.deg, a, 1, m), witness=[v / m for v in a],
+            gap=sum(map(mul, k.y, a)) / (k.lcm * m * n),
+            epsilon=epsilon, objective=sum(map(mul, k.deg, a)) / m)
+    d = np.array(k.deg, dtype=float)
+    dl = np.array(k.delta)
+    a = _solve_two_row(d, dl, epsilon)
+    if a is None:
+        return None
+    witness = a.tolist()
+    return HighCorrelationResult(
+        r_high=float(correlation(k.deg, witness)), witness=witness,
+        gap=float(dl @ a) / n, epsilon=epsilon, objective=float(d @ a))
+
+
 def max_failing_correlation(g: Graph, epsilon: float = 0.001) -> HighCorrelationResult:
     """LP search for a mean-zero attribute sample with a negative gap.
 
@@ -157,18 +284,9 @@ def max_failing_correlation(g: Graph, epsilon: float = 0.001) -> HighCorrelation
     correlation of the witness with the degree sequence (scale-invariant,
     so the box normalization does not bias the reported value).
     """
-    if not is_connected(g) or is_regular(g):
+    if not is_connected(g) or len(set(kernel(g).deg)) <= 1:
         raise DegenerateGraphError("graph must be connected and non-regular")
-    k = kernel(g)
-    d = np.array(k.deg, dtype=float)
-    dl = np.array(k.delta)
-    a = _solve_two_row(d, dl, epsilon)
-    if a is None:
+    result = _failing_witness(kernel(g), epsilon)
+    if result is None:
         raise InfeasibleAtEpsilonError(epsilon)
-    witness = a.tolist()
-    gap = float(dl @ a) / g.n
-    r = correlation(k.deg, witness)
-    return HighCorrelationResult(
-        r_high=float(r), witness=witness, gap=gap,
-        epsilon=epsilon, objective=float(d @ a),
-    )
+    return result

@@ -199,6 +199,10 @@ def test_analyze_non_finite_attribute_exits_1(tmp_path, capsys, mode):
     ["threshold", "{graph}", "--grid", "1"],
     ["threshold", "{graph}", "--grid", "0"],
     ["threshold", "{graph}", "--grid", "-5"],
+    ["census", "--nmin", "5", "--nmax", "3"],
+    ["optimize", "{graph}", "--epsilon", "inf"],
+    ["census", "--nmin", "3", "--nmax", "3", "--samples", "4", "--epsilon", "inf"],
+    ["rewire-experiment", "{graph}", "--epsilon", "inf"],
 ])
 def test_bad_arguments_exit_1(tmp_path, capsys, argv):
     graph = tmp_path / "g.edges"
@@ -215,6 +219,30 @@ def test_bad_arguments_exit_1(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "gnp", "--n", "20", "--p", "0.1", "--seed", "1"],  # 3 isolated nodes
+    ["gen", "gnp", "--n", "3", "--p", "0"],
+])
+def test_gen_refuses_isolated_nodes(tmp_path, capsys, argv):
+    out = tmp_path / "g.edges"
+    assert main([*argv, "--output", str(out)]) == 1
+    assert "3 isolated node(s)" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_census_reports_infeasible_samples(tmp_path, capsys):
+    argv = ["census", "--nmin", "4", "--nmax", "5", "--samples", "50", "--epsilon", "0.9"]
+    out = tmp_path / "c.csv"
+    assert main([*argv, "--output", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: n=5: 5 of 50 samples infeasible at epsilon=0.9\n")
+    assert main(argv) == 0
+    # The warning goes to stderr only: stdout holds the same CSV bytes as the file.
+    assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 def test_analyze_rational_is_exact(tmp_path, capsys):

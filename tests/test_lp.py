@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from sgfp.errors import (
     InfeasibleAtEpsilonError,
     PreconditionViolatedError,
 )
-from sgfp.graph import build_graph, degrees, delta
-from sgfp.lp import _solve_two_row, max_failing_correlation
+from sgfp.graph import Graph, build_graph, degrees, delta, kernel
+from sgfp.lp import _solve_exact, _solve_two_row, max_failing_correlation
 from sgfp.metrics import correlation
 
 from conftest import preferential_attachment, random_graphs
@@ -199,3 +200,105 @@ def test_determinism():
     b = max_failing_correlation(path(7), 0.001)
     assert a.witness == b.witness
     assert a.r_high == b.r_high
+
+
+# --- the exact solver: the float solver, HiGHS and vertex enumeration are
+# its references ---------------------------------------------------------
+
+def _exact_witness(d, y, big_l, eps):
+    """The exact solver's witness as Fractions, checked exactly, or None."""
+    found = _solve_exact(d, y, big_l, eps)
+    if found is None:
+        return None
+    am, m = found
+    a = [Fraction(v, m) for v in am]
+    assert sum(a) == 0
+    assert sum(yi * ai for yi, ai in zip(y, a)) <= -Fraction(eps) * big_l
+    assert all(-1 <= v <= 1 for v in a)
+    # Entries in {-1, 0, 1} but for the two of one partial swap.
+    assert sum(v.denominator != 1 for v in a) <= 2
+    return a
+
+
+def _exact_objective(d, y, big_l, eps):
+    """The exact solver's optimum d . a, or None when infeasible."""
+    a = _exact_witness(d, y, big_l, eps)
+    return None if a is None else float(sum(di * ai for di, ai in zip(d, a)))
+
+
+def test_exact_solver_matches_float_and_highs_on_criterion_5_stream():
+    for g in random_graphs(201, 1000, n_range=(4, 10)):
+        k = kernel(g)
+        d, dl = _arrays(g)
+        for eps in (1e-3, 1e-6):
+            ours, ref = _exact_objective(k.deg, k.y, k.lcm, eps), _highs(d, dl, eps)
+            a_float = _solve_two_row(d, dl, eps)
+            assert (ours is None) == (ref is None) == (a_float is None)
+            if ref is None:
+                continue
+            assert abs(ours - ref) <= 1e-9 * (1 + abs(ref))
+            r_exact = correlation(list(k.deg), _exact_witness(k.deg, k.y, k.lcm, eps))
+            assert abs(r_exact - correlation(list(k.deg), a_float.tolist())) <= 1e-15
+
+
+def test_exact_solver_matches_highs_on_degenerate_instances():
+    # The float test's instances in integers: delta in {1/3, ..., 2} is y / 6.
+    rng = random.Random(5)
+    for _ in range(3000):
+        n = rng.randint(1, 9)
+        d = [rng.randint(1, 4) for _ in range(n)]
+        y = [rng.choice([2, 3, 4, 6, 9, 12]) for _ in range(n)]
+        eps = rng.choice([1e-6, 1e-3, 0.1, 0.5, 1.0])
+        ours = _exact_objective(d, y, 6, eps)
+        ref = _highs(np.array(d, dtype=float), np.array(y) / 6, eps)
+        assert (ours is None) == (ref is None)
+        if ref is not None:
+            assert abs(ours - ref) <= 1e-9 * (1 + abs(ref))
+
+
+def test_exact_solver_against_vertex_enumeration():
+    rng = random.Random(11)
+    graphs = [g for g in random_graphs(11, 40, n_range=(4, 6))]
+    for g in graphs + [path(4), path(5), path(6), star(5)]:
+        k = kernel(g)
+        d, dl = _arrays(g)
+        n = g.n
+        for eps in (1e-3, 10 ** rng.uniform(-6, 0.5)):
+            oracle = _enumerate_vertices(
+                d, [([1.0] * n, "=", 0.0), (dl, "<=", -eps)], [-1.0] * n, [1.0] * n)
+            ours = _exact_objective(k.deg, k.y, k.lcm, eps)
+            if oracle is None:
+                assert ours is None
+            else:
+                assert abs(ours - oracle) < 1e-7
+
+
+def test_exact_infeasibility_boundary():
+    # path(5): the least delta . a is exactly -2, so epsilon = 2 is feasible.
+    k = kernel(path(5))
+    assert _exact_objective(k.deg, k.y, k.lcm, 2.0) is not None
+    assert _solve_exact(k.deg, k.y, k.lcm, 2.0 + 1e-15) is None
+    for eps in (0.0, float("nan"), float("inf")):
+        with pytest.raises(PreconditionViolatedError):
+            _solve_exact(k.deg, k.y, k.lcm, eps)
+
+
+def _relabel(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    adj = [None] * g.n
+    for i, neigh in enumerate(g.adj):
+        adj[perm[i]] = [perm[j] for j in neigh]
+    return Graph(adj)
+
+
+def test_relabeling_leaves_r_high_and_witness_pairs_unchanged():
+    rng = random.Random(13)
+    for g in random_graphs(201, 1000, n_range=(4, 10)):
+        res = max_failing_correlation(g, 0.001)
+        pairs = sorted(zip(degrees(g), res.witness))
+        for _ in range(5):
+            h = _relabel(g, rng)
+            other = max_failing_correlation(h, 0.001)
+            assert other.r_high == res.r_high
+            assert sorted(zip(degrees(h), other.witness)) == pairs

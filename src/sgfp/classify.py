@@ -59,20 +59,27 @@ def classify(g: Graph) -> Classification:
     if is_regular(g):
         return Classification(DEGENERATE, None, "graph is regular")
     k = kernel(g)
-    deg, y, r_dd = k.deg, k.y, k.r_ddelta
-    # Line through node 0 and a node j of another degree; slope dy / (L dd).
-    j = next(i for i in range(g.n) if deg[i] != deg[0])
+    slope, reason = _affine_fit(k.deg, k.y)
+    if slope is None:
+        return Classification(ANTI, None, reason, k.r_ddelta)
+    dy, dd = slope
+    x = Fraction(dy, k.lcm * dd)
+    z = Fraction(k.y[0], k.lcm) - x * k.deg[0]
+    return Classification(PRO, (x, z), reason, k.r_ddelta)
+
+
+def _affine_fit(deg: Sequence[int], y: Sequence[int]) -> tuple[Optional[tuple[int, int]], str]:
+    """The pro test on integer degrees and y = L * delta (two distinct
+    degrees at least): ((dy, dd), reason) when y is exactly an affine
+    function of the degrees with slope dy / dd > 0, else (None, reason)."""
+    # Line through node 0 and a node j of another degree.
+    j = next(i for i, d in enumerate(deg) if d != deg[0])
     dy, dd = y[j] - y[0], deg[j] - deg[0]
     if dy * dd <= 0:
-        return Classification(ANTI, None, "affine fit has non-positive slope", r_dd)
-    if any((y[i] - y[0]) * dd != dy * (deg[i] - deg[0]) for i in range(g.n)):
-        return Classification(
-            ANTI, None,
-            "reciprocal-degree sums are not an affine function of degree",
-            r_dd)
-    x = Fraction(dy, k.lcm * dd)
-    z = Fraction(y[0], k.lcm) - x * deg[0]
-    return Classification(PRO, (x, z), "delta = x*d + z exactly with x > 0", r_dd)
+        return None, "affine fit has non-positive slope"
+    if any((yi - y[0]) * dd != dy * (di - deg[0]) for di, yi in zip(deg, y)):
+        return None, "reciprocal-degree sums are not an affine function of degree"
+    return (dy, dd), "delta = x*d + z exactly with x > 0"
 
 
 def attach_pendant_path(g: Graph, at) -> Graph:

@@ -9,14 +9,15 @@ import csv
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, TextIO
 
-from .classify import PRO
-from .classify import classify as classify_graph
+import numpy as np
+
+from .classify import _affine_fit
 from .construct import initial_growth_state, grow_step
 from .errors import PreconditionViolatedError
-from .graph import Graph, kernel
+from .graph import Graph, Kernel, _kernel_of, kernel
 from .lp import _EXACT_MAX_N, _check_epsilon, _failing_witness
 from .metrics import correlation, r_d_delta, singular_gap
-from .randgen import configuration_rewire, mix, sample_connected_nonregular
+from .randgen import _graph_of, _sample_blocks, configuration_rewire, mix
 
 
 @dataclass
@@ -35,26 +36,40 @@ class CensusRecord:
 def _census_chunk(args: tuple[int, float, float, Sequence[int]]) -> list[tuple[bool, float, float]]:
     """(is_pro, r_high, r_ddelta) for the census draws with these sample seeds.
 
-    Up to the LP's exact size all three are functions of the graph's
-    sorted (degree, L * delta) pairs, so draws with the same pairs share one
-    memo entry, kept for this call only.
+    Up to the LP's exact size the draws' degrees and y = L * delta are
+    computed as arrays, and all three results are functions of a draw's
+    sorted (degree, y) pairs: draws with the same pairs share one memo
+    entry, kept for this call only, and only a miss builds a kernel.
+    Larger draws each build a graph. At most `_CHUNK` seeds are sampled
+    at once.
     """
     n, p, epsilon, seeds = args
     memo: dict = {}
     out = []
-    for sample_seed in seeds:
-        g = sample_connected_nonregular(n, p, sample_seed)
-        k = kernel(g)
-        key = tuple(sorted(zip(k.deg, k.y))) if n <= _EXACT_MAX_N else None
-        row = memo.get(key)
-        if row is None:
-            res = _failing_witness(k, epsilon)
-            row = (classify_graph(g).kind == PRO,
-                   float("nan") if res is None else res.r_high, k.r_ddelta)
-            if key is not None:
-                memo[key] = row
-        out.append(row)
+    blocks = (adj for i in range(0, len(seeds), _CHUNK)
+              for adj in _sample_blocks(n, p, seeds[i:i + _CHUNK]))
+    for adj in blocks:
+        if n > _EXACT_MAX_N:
+            out += [_census_row(kernel(_graph_of(a)), epsilon) for a in adj]
+            continue
+        deg = adj.sum(2)
+        big_l = np.lcm.reduce(deg, axis=1)  # y <= n * lcm(1..n-1) fits in int64
+        y = (adj * (big_l[:, None] // deg)[:, None, :]).sum(2)
+        for d, lcm, ys in zip(deg.tolist(), big_l.tolist(), y.tolist()):
+            key = tuple(sorted(zip(d, ys)))
+            row = memo.get(key)
+            if row is None:
+                row = memo[key] = _census_row(_kernel_of(d, lcm, ys), epsilon)
+            out.append(row)
     return out
+
+
+def _census_row(k: Kernel, epsilon: float) -> tuple[bool, float, float]:
+    """(is_pro, r_high, r_ddelta) of one draw's kernel; r_high is NaN when
+    the LP is infeasible at `epsilon`."""
+    res = _failing_witness(k, epsilon)
+    return (_affine_fit(k.deg, k.y)[0] is not None,
+            float("nan") if res is None else res.r_high, k.r_ddelta)
 
 
 _CHUNK = 256  # samples per task sent to a worker process

@@ -120,6 +120,8 @@ def exact_correlation(x: Sequence[int], y: Sequence[int], sx: int = 1, sy: int =
 
     0.0 and +-1.0 are decided exactly; otherwise each moment is one
     correctly rounded int/int division, as float(Fraction) would give.
+    When a scaled moment leaves the float range (a large sy, say), the
+    scale-free a / sqrt(b c) is evaluated in integers instead.
     """
     n = len(x)
     sum_x, sum_y = sum(x), sum(y)
@@ -132,7 +134,15 @@ def exact_correlation(x: Sequence[int], y: Sequence[int], sx: int = 1, sy: int =
         return 0.0
     if a * a == b * c:
         return 1.0 if a > 0 else -1.0
-    return (a / (n * sx * sy)) / math.sqrt((b / (n * sx * sx)) * (c / (n * sy * sy)))
+    try:
+        r = (a / (n * sx * sy)) / math.sqrt((b / (n * sx * sx)) * (c / (n * sy * sy)))
+    except (OverflowError, ZeroDivisionError):
+        r = 0.0
+    if 0.0 < abs(r) < math.inf:
+        return r
+    # The root is taken on b c * 4**k with at least 256 bits.
+    k = max(0, 257 - (b * c).bit_length()) // 2
+    return (a << k) / math.isqrt((b * c) << (2 * k))
 
 
 @dataclass(frozen=True)
@@ -157,10 +167,14 @@ def kernel(g: Graph) -> Kernel:
         deg = degrees(g)
         big_l = math.lcm(*{d for d in deg if d})
         w = [big_l // d if d else 0 for d in deg]
-        y = tuple(sum(w[k] for k in a) for a in g.adj)
-        r = exact_correlation([d for d in deg if d], [v for v, d in zip(y, deg) if d], 1, big_l)
-        g._kernel = Kernel(deg, big_l, y, tuple(v / big_l for v in y), r)
+        g._kernel = _kernel_of(deg, big_l, [sum(w[k] for k in a) for a in g.adj])
     return g._kernel
+
+
+def _kernel_of(deg: Sequence[int], big_l: int, y: Sequence[int]) -> Kernel:
+    """The :class:`Kernel` of degrees `deg`, their lcm L and y = L * delta."""
+    r = exact_correlation([d for d in deg if d], [v for v, d in zip(y, deg) if d], 1, big_l)
+    return Kernel(tuple(deg), big_l, tuple(y), tuple(v / big_l for v in y), r)
 
 
 def components(g: Graph) -> list[set[int]]:

@@ -2,8 +2,25 @@ import random
 
 import pytest
 
-from sgfp.graph import build_graph
-from sgfp.randgen import mix, sample_connected_nonregular
+from sgfp.errors import ExhaustedTriesError
+from sgfp.graph import build_graph, is_connected, is_regular
+from sgfp.randgen import SplitMix64, mix, sample_connected_nonregular
+
+
+def reference_gnp(n, p, seed):
+    """G(n, p) with one SplitMix64.random() draw per pair (i < j), in order."""
+    rng = SplitMix64(seed)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    return build_graph(edges, nodes=list(range(n)))
+
+
+def reference_sample(n, p, seed, max_tries=10000):
+    """The first connected non-regular reference_gnp(n, p, mix(seed, t))."""
+    for t in range(max_tries):
+        g = reference_gnp(n, p, mix(seed, t))
+        if is_connected(g) and not is_regular(g):
+            return g
+    raise ExhaustedTriesError(max_tries)
 
 
 def random_graphs(base_seed, count, n_range=(4, 10), p=0.5):

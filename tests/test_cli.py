@@ -76,6 +76,16 @@ def test_optimize_path5(tmp_path, capsys):
     assert len(result["witness"]) == 5
 
 
+@pytest.mark.parametrize("epsilon", ["1e-200", "5e-324"])
+def test_tiny_epsilon_exits_0(tmp_path, capsys, epsilon):
+    graph = tmp_path / "g.edges"
+    main(["gen", "path", "--n", "3", "--output", str(graph)])
+    assert main(["optimize", str(graph), "--epsilon", epsilon]) == 0
+    assert -1.0 <= json.loads(capsys.readouterr().out)["r_high"] <= 1.0
+    assert main(["census", "--nmin", "3", "--nmax", "4", "--samples", "20",
+                 "--epsilon", epsilon]) == 0
+
+
 def test_optimize_regular_exits_2(tmp_path):
     graph = tmp_path / "g.edges"
     graph.write_text("1 2\n2 3\n3 1\n")

@@ -6,7 +6,9 @@ from sgfp.classify import PRO, classify
 from sgfp.errors import InfeasibleAtEpsilonError
 from sgfp.experiments import CensusRecord, census
 from sgfp.lp import max_failing_correlation
-from sgfp.randgen import mix, sample_connected_nonregular
+from sgfp.randgen import mix
+
+from conftest import reference_sample
 
 
 class _SerialPool:
@@ -47,7 +49,7 @@ def _census_without_memo(n, samples, seed, epsilon):
     """Census reference: classify and solve every draw, with no memo."""
     rows = {True: ([], []), False: ([], [])}
     for i in range(samples):
-        g = sample_connected_nonregular(n, 0.5, mix(mix(seed, n), i))
+        g = reference_sample(n, 0.5, mix(mix(seed, n), i))
         cls = classify(g)
         try:
             r_high = max_failing_correlation(g, epsilon).r_high
@@ -73,3 +75,8 @@ def test_census_memo_matches_reference_without_memo(jobs, epsilon):
     for n in range(3, 8):
         assert census(n, 300, seed=8, epsilon=epsilon, jobs=jobs) == \
             _census_without_memo(n, 300, 8, epsilon)
+
+
+@pytest.mark.parametrize("n", [20, 21])  # the last batch-kernel size, the first per-graph size
+def test_census_matches_reference_around_the_exact_size(n):
+    assert census(n, 30, seed=9) == _census_without_memo(n, 30, 9, 1e-3)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from sgfp.errors import (
     InfeasibleAtEpsilonError,
     PreconditionViolatedError,
 )
-from sgfp.graph import Graph, build_graph, degrees, delta, kernel
+from sgfp.graph import Graph, build_graph, degrees, delta, exact_correlation, kernel
 from sgfp.lp import _solve_exact, _solve_two_row, max_failing_correlation
 from sgfp.metrics import correlation
 
@@ -302,3 +303,34 @@ def test_relabeling_leaves_r_high_and_witness_pairs_unchanged():
             other = max_failing_correlation(h, 0.001)
             assert other.r_high == res.r_high
             assert sorted(zip(degrees(h), other.witness)) == pairs
+
+
+def _fraction_correlation(x, y):
+    """Pearson correlation of exact rationals, with no float moment."""
+    n = len(x)
+    xm, ym = Fraction(sum(x), n), Fraction(sum(y), n)
+    sxy = sum((u - xm) * (v - ym) for u, v in zip(x, y))
+    sxx = sum((u - xm) ** 2 for u in x)
+    syy = sum((v - ym) ** 2 for v in y)
+    return math.copysign(math.sqrt(sxy * sxy / (sxx * syy)), sxy)
+
+
+@pytest.mark.parametrize("epsilon", [1e-200, 1e-300, 5e-324])
+def test_r_high_at_tiny_epsilon_matches_fractions(epsilon):
+    # The witness is (a * m, m) with m near 2**700 and beyond, so a moment
+    # scaled by m * m leaves the float range.
+    g = path(3)
+    k = kernel(g)
+    a, m = _solve_exact(k.deg, k.y, k.lcm, epsilon)
+    r_high = max_failing_correlation(g, epsilon).r_high
+    assert -1.0 <= r_high <= 1.0
+    assert abs(r_high - _fraction_correlation(k.deg, [Fraction(v, m) for v in a])) <= 1e-15
+
+
+@pytest.mark.parametrize("bits", [0, 600, 1100, 3000])
+def test_exact_correlation_is_scale_free(bits):
+    # From 600 bits on, a moment divided by the scale squared underflows.
+    x, y = [1, 2, 2, 5, 3], [4, -1, 7, 2, 2]
+    want = _fraction_correlation(x, y)
+    assert abs(exact_correlation(x, y, 1, 1 << bits) - want) <= 1e-15
+    assert abs(exact_correlation(x, y, 1 << bits, 1) - want) <= 1e-15

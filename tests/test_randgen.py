@@ -1,18 +1,25 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
+from sgfp import randgen
 from sgfp.classify import PRO, classify
 from sgfp.errors import ExhaustedTriesError
 from sgfp.graph import build_graph, degrees, is_connected, is_regular
 from sgfp.randgen import (
     SplitMix64,
+    _sample_blocks,
+    _shuffle,
     configuration_rewire,
     configuration_rewire_with_stats,
     gnp,
     mix,
     sample_connected_nonregular,
 )
+
+from conftest import reference_gnp, reference_sample
 
 
 def test_gnp_extremes():
@@ -116,3 +123,84 @@ def test_splitmix_reference_values():
     assert all(0.0 <= v < 1.0 for v in vals)
     rng2 = SplitMix64(42)
     assert vals[:10] == [rng2.random() for _ in range(10)]
+
+
+def _matrix(g):
+    a = np.zeros((g.n, g.n), dtype=bool)
+    for i, j in g.edges():
+        a[i, j] = a[j, i] = True
+    return a
+
+
+def _batch_matches_reference(n, p, seeds):
+    got = np.concatenate(list(_sample_blocks(n, p, seeds)))
+    assert got.shape == (len(seeds), n, n)
+    for a, seed in zip(got, seeds):
+        assert (a == _matrix(reference_sample(n, p, seed))).all(), (n, p, seed)
+
+
+def test_batch_sampler_matches_reference_on_criterion_4_draws():
+    for n in range(3, 8):
+        _batch_matches_reference(n, 0.5, [mix(mix(0, n), i) for i in range(10000)])
+
+
+@pytest.mark.parametrize("n", [8, 12, 20, 24])  # n = 24: seeds span two blocks
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.8])
+def test_batch_sampler_matches_reference(n, p):
+    _batch_matches_reference(n, p, [mix(n, i) for i in range(300)])
+
+
+def test_batch_sampler_matches_reference_in_small_blocks(monkeypatch):
+    # 10 pairs at n = 5: five seeds per block, and fewer tries when many pend.
+    monkeypatch.setattr(randgen, "_BLOCK", 50)
+    sizes, original = [], randgen._draws
+
+    def draws(seeds, start, count):
+        sizes.append(len(seeds) * count)
+        return original(seeds, start, count)
+
+    monkeypatch.setattr(randgen, "_draws", draws)
+    _batch_matches_reference(5, 0.3, [mix(31, i) for i in range(40)])
+    assert max(sizes) <= 50
+
+
+def _first_accepted_try(n, p, seed):
+    for t in range(10000):
+        g = reference_gnp(n, p, mix(seed, t))
+        if is_connected(g) and not is_regular(g):
+            return t
+
+
+def test_batch_sampler_exhausts_at_the_reference_try_count():
+    p = 0.3
+    seed = next(mix(41, i) for i in range(1000)
+                if _first_accepted_try(5, p, mix(41, i)) >= 3)
+    t = _first_accepted_try(5, p, seed)
+    with pytest.raises(ExhaustedTriesError):
+        next(_sample_blocks(5, p, [mix(42, 0), seed], max_tries=t))
+    assert sample_connected_nonregular(5, p, seed, max_tries=t + 1) == \
+        reference_sample(5, p, seed)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_gnp_matches_reference(p):
+    for n in range(1, 61):
+        for seed in (-3, 2**64 + 5, 99999999999999999999999):
+            assert gnp(n, p, seed) == reference_gnp(n, p, seed), (n, seed)
+
+
+def test_gnp_matches_reference_across_blocks(monkeypatch):
+    monkeypatch.setattr(randgen, "_BLOCK", 7)
+    for n in range(1, 31):
+        assert gnp(n, 0.5, mix(43, n)) == reference_gnp(n, 0.5, mix(43, n))
+
+
+def test_shuffle_matches_splitmix_shuffle():
+    rng = random.Random(44)
+    cases = [(0, 1), (1, 2), (0, -5), (1, 2**64 + 3)]
+    cases += [(rng.randrange(200), rng.randrange(-2**65, 2**65)) for _ in range(1996)]
+    for length, seed in cases:
+        want, got = list(range(length)), list(range(length))
+        SplitMix64(seed).shuffle(want)
+        _shuffle(got, seed)
+        assert got == want, (length, seed)

@@ -12,21 +12,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvariantBrokenError, PreconditionViolatedError, TooSmallError
-from .graph import Graph, build_graph
+from .graph import Graph, build_graph, extend_kernel
 
 Edge = tuple[int, int]
+
+# (attribute, degree) of the fig1 nodes A..H.
+_FIG1_NODES = ((2, 2), (2, 2), (3, 3), (3, 3), (3, 3), (3, 3), (10, 1), (10, 1))
 
 
 def example_graph_fig1() -> tuple[Graph, list[int]]:
     """8-node seed graph failing SGFP with gap -9/8 and correlation ~ -0.80."""
     edges = [("A", "B"), ("A", "C"), ("B", "D"), ("C", "D"), ("C", "E"),
              ("D", "F"), ("E", "F"), ("E", "G"), ("F", "H")]
-    g = build_graph(edges)
-    attrs = [2, 2, 3, 3, 3, 3, 10, 10]
-    return g, attrs
+    return build_graph(edges), [a for a, _ in _FIG1_NODES]
+
 
 
 def example_graph_fig4() -> tuple[Graph, list[list[int]]]:
@@ -118,8 +119,10 @@ def grow_step(state: GrowthState) -> GrowthState:
                            (u2, v2, q), (v2, u2, q)):
         adj[node][adj[node].index(old)] = new
     adj += [[w2, v], [u, w1], [u1, v1, q], [p, u2, v2]]
+    child = Graph(adj, g.labels + (w1, w2, p, q))
+    extend_kernel(g, child, (u, v, u1, v1, u2, v2))
     return GrowthState(
-        graph=Graph(adj, g.labels + (w1, w2, p, q)),
+        graph=child,
         attrs=tuple(attrs + [2, 2, 3, 3]),
         two_chain_edge=(w2, w1),
         three_edges=((u1, p), (u2, q)),
@@ -130,19 +133,20 @@ def grow_step(state: GrowthState) -> GrowthState:
 def growth_correlation(k: int) -> float:
     """Closed-form degree-attribute correlation after k growth steps.
 
-    Evaluated in exact rationals up to the final square root.
+    Evaluated in exact integers up to the final square root: each moment is
+    n**2 times its population value, summed from n * v - sum(v) over the
+    seed's nodes and the 2k triple-2 and 2k triple-3 nodes, then divided by
+    n**2 as one correctly rounded int/int division.
     """
     if k < 0:
         raise PreconditionViolatedError("k must be >= 0")
-    _, attrs = example_graph_fig1()
-    deg = [2, 2, 3, 3, 3, 3, 1, 1]
+    nodes = [(a, d, 1) for a, d in _FIG1_NODES] + [(2, 2, 2 * k), (3, 3, 2 * k)]
     n = 8 + 4 * k
-    a_mean = Fraction(sum(attrs) + 2 * k * 2 + 2 * k * 3, n)
-    d_mean = Fraction(sum(deg) + 2 * k * 2 + 2 * k * 3, n)
-    num = sum((a - a_mean) * (d - d_mean) for a, d in zip(attrs, deg))
-    num += 2 * k * (2 - a_mean) * (2 - d_mean) + 2 * k * (3 - a_mean) * (3 - d_mean)
-    var_a = sum((a - a_mean) ** 2 for a in attrs)
-    var_a += 2 * k * (2 - a_mean) ** 2 + 2 * k * (3 - a_mean) ** 2
-    var_d = sum((d - d_mean) ** 2 for d in deg)
-    var_d += 2 * k * (2 - d_mean) ** 2 + 2 * k * (3 - d_mean) ** 2
-    return float(num) / math.sqrt(float(var_a) * float(var_d))
+    a_sum = sum(w * a for a, _, w in nodes)
+    d_sum = sum(w * d for _, d, w in nodes)
+    dev = [(n * a - a_sum, n * d - d_sum, w) for a, d, w in nodes]
+    num = sum(w * x * z for x, z, w in dev)
+    var_a = sum(w * x * x for x, _, w in dev)
+    var_d = sum(w * z * z for _, z, w in dev)
+    nn = n * n
+    return (num / nn) / math.sqrt((var_a / nn) * (var_d / nn))

@@ -166,7 +166,10 @@ class RewireRecord:
 
 
 def strip_isolates(g: Graph) -> Graph:
-    """Drop degree-0 nodes, keeping canonical order of the remainder."""
+    """Drop degree-0 nodes, keeping canonical order of the remainder; `g`
+    itself when it has none."""
+    if all(g.adj):
+        return g
     keep = [i for i in range(g.n) if len(g.adj[i]) > 0]
     remap = {old: new for new, old in enumerate(keep)}
     adj = [[remap[v] for v in g.adj[i]] for i in keep]

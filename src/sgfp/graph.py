@@ -12,9 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Hashable, Iterable, Optional, Sequence
 
-from .errors import IsolatedNodeError, PreconditionViolatedError, SelfLoopError, UnknownNodeError
+from .errors import (InvariantBrokenError, IsolatedNodeError, PreconditionViolatedError,
+                     SelfLoopError, UnknownNodeError)
 
 NodeId = Hashable
 
@@ -125,11 +127,11 @@ def exact_correlation(x: Sequence[int], y: Sequence[int], sx: int = 1, sy: int =
     """
     n = len(x)
     sum_x, sum_y = sum(x), sum(y)
-    b = n * sum(v * v for v in x) - sum_x * sum_x
-    c = n * sum(v * v for v in y) - sum_y * sum_y
+    b = n * sum(map(mul, x, x)) - sum_x * sum_x
+    c = n * sum(map(mul, y, y)) - sum_y * sum_y
     if b == 0 or c == 0:
         return None
-    a = n * sum(u * v for u, v in zip(x, y)) - sum_x * sum_y
+    a = n * sum(map(mul, x, y)) - sum_x * sum_y
     if a == 0:
         return 0.0
     if a * a == b * c:
@@ -167,8 +169,34 @@ def kernel(g: Graph) -> Kernel:
         deg = degrees(g)
         big_l = math.lcm(*{d for d in deg if d})
         w = [big_l // d if d else 0 for d in deg]
-        g._kernel = _kernel_of(deg, big_l, [sum(w[k] for k in a) for a in g.adj])
+        g._kernel = _kernel_of(deg, big_l, [sum(map(w.__getitem__, a)) for a in g.adj])
     return g._kernel
+
+
+def extend_kernel(parent: Graph, child: Graph, rewired: Sequence[int]) -> Kernel:
+    """Derive `child`'s kernel from `parent`'s, cache it on `child` and return it.
+
+    `child` keeps the parent's nodes in order and appends new ones; of the
+    parent's nodes only those in `rewired` may change neighbours, and they
+    must keep their degrees. Every other parent node then keeps its delta:
+    its y is only rescaled to the new L, and y is recomputed from `child`'s
+    adjacency at the rewired and new nodes. Raises
+    :class:`InvariantBrokenError` when a rewired node's degree changed.
+    """
+    k, n0 = kernel(parent), parent.n
+    for i in rewired:
+        if len(child.adj[i]) != k.deg[i]:
+            raise InvariantBrokenError(
+                f"rewired node {i} changed degree from {k.deg[i]} to {len(child.adj[i])}")
+    deg = k.deg + tuple(map(len, child.adj[n0:]))
+    big_l = math.lcm(k.lcm, *{d for d in deg[n0:] if d})
+    scale = big_l // k.lcm
+    y = [v * scale for v in k.y] if scale > 1 else list(k.y)
+    y += [0] * (child.n - n0)
+    for i in (*rewired, *range(n0, child.n)):
+        y[i] = sum(big_l // deg[j] for j in child.adj[i])
+    child._kernel = _kernel_of(deg, big_l, y)
+    return child._kernel
 
 
 def _kernel_of(deg: Sequence[int], big_l: int, y: Sequence[int]) -> Kernel:

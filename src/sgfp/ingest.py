@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence, TextIO, Union
@@ -125,16 +126,23 @@ def _read_node_table(source: Source, g: Graph, column: str,
     return [values[i] for i in range(g.n)]
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")  # ASCII only: int() also takes "1_0" and "١"
+
+
 def read_attributes(source: Source, g: Graph, rational: bool = False) -> list:
-    """Read per-node attributes in g's canonical order: floats, or exact Fractions."""
+    """Read per-node attributes in g's canonical order: floats, or exact values
+    (ints for plain integer literals, Fractions otherwise)."""
     def parse(lineno: int, raw: str):
         try:
             value = float(raw)
             if rational and math.isfinite(value):
+                if _INTEGER.fullmatch(raw):
+                    value = int(raw)
                 # Fraction(raw) builds 10**|exponent| exactly: refuse huge ones.
-                if abs(int(raw.lower().partition("e")[2] or 0)) > 400:
+                elif abs(int(raw.lower().partition("e")[2] or 0)) > 400:
                     raise ValueError(raw)
-                value = Fraction(raw)
+                else:
+                    value = Fraction(raw)
         except ValueError:
             raise ParseError(lineno, f"bad numeric value {raw!r}") from None
         if not math.isfinite(value):

@@ -261,9 +261,12 @@ def _failing_witness(k: Kernel, epsilon: float) -> Optional[HighCorrelationResul
         if found is None:
             return None
         a, m = found  # int / int division is correctly rounded
+        ya = sum(map(mul, k.y, a))
+        # ya < 0: a gap that rounds to -0.0 is reported as -5e-324 instead.
+        gap = ya / (k.lcm * m * n) or math.nextafter(0.0, -math.inf)
         return HighCorrelationResult(
             r_high=exact_correlation(k.deg, a, 1, m), witness=[v / m for v in a],
-            gap=sum(map(mul, k.y, a)) / (k.lcm * m * n),
+            gap=gap,
             epsilon=epsilon, objective=sum(map(mul, k.deg, a)) / m)
     d = np.array(k.deg, dtype=float)
     dl = np.array(k.delta)

@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import (
@@ -36,14 +37,29 @@ def _active_nodes(g: Graph) -> list[int]:
     return [i for i in range(g.n) if len(g.adj[i]) > 0]
 
 
-def _is_exact(values) -> bool:
-    return all(isinstance(v, (int, Fraction)) for v in values)
+_INT = {int}
+_EXACT = {int, Fraction}
 
 
-def _as_ints(values) -> tuple[list[int], int]:
-    """Exact values as integers over their common denominator s: (v * s, s)."""
+def _exact_ints(values) -> Optional[tuple[Sequence[int], int]]:
+    """Exact values as integers over their common denominator s: (v * s, s).
+
+    None when some value is neither an int nor a Fraction (subclasses such
+    as bool count as exact). Int-only input is returned as it is, with s = 1.
+    """
+    types = set(map(type, values))
+    if types <= _INT:
+        return values, 1
+    if not types <= _EXACT and not all(isinstance(v, (int, Fraction)) for v in values):
+        return None
     s = math.lcm(*{v.denominator for v in values})
     return [v.numerator * (s // v.denominator) for v in values], s
+
+
+def _exact_sample(g: Graph, a: AttributeSample) -> Optional[tuple[Sequence[int], int]]:
+    """:func:`_exact_ints` of the sample with 0 at isolated nodes, whose
+    entries are ignored (None marks them undefined)."""
+    return _exact_ints(a if all(g.adj) else [v if nb else 0 for v, nb in zip(a, g.adj)])
 
 
 def second_order(g: Graph, a: AttributeSample) -> list:
@@ -67,45 +83,46 @@ def singular_gap(g: Graph, a: AttributeSample):
     reciprocal-degree-weighted form; exact (in integers) when attributes are.
     """
     _check_length(g, a)
-    active = _active_nodes(g)
-    if not active:
+    k = kernel(g)
+    np = g.n - k.deg.count(0)
+    if not np:
         raise AllIsolatesError("every node is isolated")
-    np = len(active)
-    values = [a[i] for i in active]
-    if _is_exact(values):
-        ints, s = _as_ints(values)
-        ai = dict(zip(active, ints))  # every friend is active
-        k = kernel(g)
-        friends = sum(k.lcm // k.deg[i] * sum(ai[j] for j in g.adj[i]) for i in active)
-        gap1 = Fraction(friends - k.lcm * sum(ints), k.lcm * np * s)
-        tol = 0
-    else:
+    exact = _exact_sample(g, a)
+    if exact is None:
+        active = _active_nodes(g)
         second = second_order(g, a)
         gap1 = sum(second[i] - a[i] for i in active) / np
+        gap2 = singular_gap_delta_form(g, a)
         # Rounding error scales with the summed terms, whose size is bounded
         # by sum|a| * (1 + max delta) / n and max delta <= max degree.
-        max_deg = max(len(g.adj[i]) for i in active)
-        tol = 1e-9 * sum(abs(v) for v in values) * (1 + max_deg) / np
-    gap2 = singular_gap_delta_form(g, a)
-    if abs(gap1 - gap2) > tol:
-        raise InvariantBrokenError(f"gap forms disagree: {gap1} != {gap2}")
-    return gap1
+        tol = 1e-9 * sum(abs(a[i]) for i in active) * (1 + max(k.deg)) / np
+        if abs(gap1 - gap2) > tol:
+            raise InvariantBrokenError(f"gap forms disagree: {gap1} != {gap2}")
+        return gap1
+    # Both forms share the denominator L * np * s: compare their numerators.
+    ints, s = exact
+    friend = ints.__getitem__  # every friend is active
+    friends = sum(k.lcm // d * sum(map(friend, nb)) for d, nb in zip(k.deg, g.adj) if d)
+    weighted = sum(map(mul, k.y, ints))
+    base, den = k.lcm * sum(ints), k.lcm * np * s
+    if friends != weighted:
+        raise InvariantBrokenError(f"gap forms disagree: {Fraction(friends - base, den)} "
+                                   f"!= {Fraction(weighted - base, den)}")
+    return Fraction(weighted - base, den)
 
 
 def singular_gap_delta_form(g: Graph, a: AttributeSample):
     """The gap written as a reciprocal-degree-weighted sum over contributors."""
     _check_length(g, a)
-    active = _active_nodes(g)
-    if not active:
-        raise AllIsolatesError("every node is isolated")
     k = kernel(g)
-    big_l, np = k.lcm, len(active)
-    values = [a[j] for j in active]
-    if _is_exact(values):
-        ints, s = _as_ints(values)
-        total = sum((k.y[j] - big_l) * v for j, v in zip(active, ints))
-        return Fraction(total, big_l * np * s)
-    return sum((k.y[j] - big_l) / big_l * a[j] for j in active) / np
+    np = g.n - k.deg.count(0)
+    if not np:
+        raise AllIsolatesError("every node is isolated")
+    exact = _exact_sample(g, a)
+    if exact is None:
+        return sum((k.y[j] - k.lcm) / k.lcm * a[j] for j in _active_nodes(g)) / np
+    ints, s = exact
+    return Fraction(sum(map(mul, k.y, ints)) - k.lcm * sum(ints), k.lcm * np * s)
 
 
 def list_gap(g: Graph, a: AttributeSample):
@@ -115,18 +132,17 @@ def list_gap(g: Graph, a: AttributeSample):
     Isolated nodes carry zero edge weight and are excluded from the mean.
     """
     _check_length(g, a)
-    active = _active_nodes(g)
-    if not active:
-        raise EmptyGraphError("graph has no edges")
     deg = kernel(g).deg
-    dsum = sum(deg[i] for i in active)
-    np = len(active)
-    values = [a[i] for i in active]
-    if _is_exact(values):
-        ints, s = _as_ints(values)
-        wsum = sum(deg[i] * v for i, v in zip(active, ints))
-        return Fraction(wsum * np - sum(ints) * dsum, dsum * np * s)
-    return sum(deg[i] * a[i] for i in active) / dsum - sum(values) / np
+    np = g.n - deg.count(0)
+    if not np:
+        raise EmptyGraphError("graph has no edges")
+    dsum = sum(deg)
+    exact = _exact_sample(g, a)
+    if exact is None:
+        active = _active_nodes(g)
+        return sum(deg[i] * a[i] for i in active) / dsum - sum(a[i] for i in active) / np
+    ints, s = exact
+    return Fraction(sum(map(mul, deg, ints)) * np - sum(ints) * dsum, dsum * np * s)
 
 
 def correlation(x: Sequence, y: Sequence) -> Optional[float]:
@@ -140,10 +156,10 @@ def correlation(x: Sequence, y: Sequence) -> Optional[float]:
     n = len(x)
     if n < 2:
         return None
-    if _is_exact(x) and _is_exact(y):
-        xi, sx = _as_ints(x)
-        yi, sy = _as_ints(y)
-        return exact_correlation(xi, yi, sx, sy)
+    exact_x = _exact_ints(x)
+    exact_y = None if exact_x is None else _exact_ints(y)
+    if exact_y is not None:
+        return exact_correlation(exact_x[0], exact_y[0], exact_x[1], exact_y[1])
     xm = sum(float(v) for v in x) / n
     ym = sum(float(v) for v in y) / n
     sxy = sum((float(a) - xm) * (float(b) - ym) for a, b in zip(x, y))

@@ -86,6 +86,17 @@ def test_tiny_epsilon_exits_0(tmp_path, capsys, epsilon):
                  "--epsilon", epsilon]) == 0
 
 
+def test_subnormal_epsilon_gap_stays_negative(tmp_path, capsys):
+    # The witness's gap -epsilon/3 rounds to zero; it is reported as the
+    # largest negative float instead of -0.0.
+    graph = tmp_path / "g.edges"
+    main(["gen", "path", "--n", "3", "--output", str(graph)])
+    assert main(["optimize", str(graph), "--epsilon", "5e-324"]) == 0
+    assert json.loads(capsys.readouterr().out)["gap"] == -5e-324
+    assert main(["optimize", str(graph), "--epsilon", "1e-300"]) == 0
+    assert json.loads(capsys.readouterr().out)["gap"] < -1e-301
+
+
 def test_optimize_regular_exits_2(tmp_path):
     graph = tmp_path / "g.edges"
     graph.write_text("1 2\n2 3\n3 1\n")
@@ -267,6 +278,19 @@ def test_analyze_rational_is_exact(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["singular_gap"] == -1 / 3
     assert report["r_da"] == -1.0
+
+
+def test_analyze_rational_integers_match_fractions(tmp_path, capsys):
+    # "7" parses as the int 7 and "7.0" as Fraction(7): the same report.
+    graph = tmp_path / "g.edges"
+    graph.write_text("1 2\n2 3\n3 4\n2 4\n")
+    outputs = []
+    for values in (["3", "-2", "+7", "0"], ["3.0", "-2.0", "7.0", "0e1"]):
+        attrs = tmp_path / "a.csv"
+        attrs.write_text("node,value\n" + "".join(f"{i},{v}\n" for i, v in enumerate(values, 1)))
+        assert main(["analyze", str(graph), str(attrs), "--rational", "--per-node"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 FIG1_LABELS = "node,label\nA,x\nB,x\nC,y\nD,y\nE,y\nF,NA\nG,z\nH,z\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from sgfp.construct import (
 )
 from sgfp.errors import InvariantBrokenError, PreconditionViolatedError, TooSmallError
 from sgfp.experiments import grow_table
-from sgfp.graph import build_graph, degrees
+from sgfp.graph import Graph, build_graph, degrees, extend_kernel, kernel
 from sgfp.metrics import correlation, second_order, singular_gap
 
 
@@ -130,6 +131,29 @@ def test_growth_correlation_matches_measured():
         state = grow_step(state)
 
 
+def ref_growth_correlation(k):
+    """The closed form in exact rationals: the integer form's reference."""
+    _, attrs = example_graph_fig1()
+    deg = [2, 2, 3, 3, 3, 3, 1, 1]
+    n = 8 + 4 * k
+    a_mean = Fraction(sum(attrs) + 2 * k * 2 + 2 * k * 3, n)
+    d_mean = Fraction(sum(deg) + 2 * k * 2 + 2 * k * 3, n)
+    num = sum((a - a_mean) * (d - d_mean) for a, d in zip(attrs, deg))
+    num += 2 * k * (2 - a_mean) * (2 - d_mean) + 2 * k * (3 - a_mean) * (3 - d_mean)
+    var_a = sum((a - a_mean) ** 2 for a in attrs)
+    var_a += 2 * k * (2 - a_mean) ** 2 + 2 * k * (3 - a_mean) ** 2
+    var_d = sum((d - d_mean) ** 2 for d in deg)
+    var_d += 2 * k * (2 - d_mean) ** 2 + 2 * k * (3 - d_mean) ** 2
+    return float(num) / math.sqrt(float(var_a) * float(var_d))
+
+
+def test_growth_correlation_matches_rational_reference():
+    for k in range(10**4 + 1):
+        assert growth_correlation(k) == ref_growth_correlation(k), k
+    for k in (10**5, 10**6, 10**9, 10**18):
+        assert growth_correlation(k) == ref_growth_correlation(k), k
+
+
 def test_growth_correlation_limits():
     assert abs(growth_correlation(0) - (-17 / math.sqrt(451))) < 1e-12
     assert growth_correlation(10**6) > 0.999
@@ -167,3 +191,58 @@ def test_corrupted_marker_raises():
     )
     with pytest.raises(InvariantBrokenError):
         grow_step(broken)
+
+
+def test_carried_kernel_equals_fresh_kernel():
+    state = initial_growth_state()
+    for _ in range(150):
+        state = grow_step(state)
+        g = state.graph
+        assert g._kernel is not None  # carried, not computed on demand
+        carried, fresh = kernel(g), kernel(Graph(g.adj, g.labels))
+        assert carried == fresh, state.k
+        assert repr(carried) == repr(fresh)  # bit-equal floats, signed zeros too
+
+
+def _fresh_rows(steps):
+    """grow_table's rows from graphs rebuilt from edge lists, each with its own kernel."""
+    state, rows = initial_growth_state(), []
+    while True:
+        g = Graph(state.graph.adj, state.graph.labels)
+        attrs = list(state.attrs)
+        rows.append((state.k, g.n, float(singular_gap(g, attrs)), correlation(kernel(g).deg, attrs)))
+        if state.k == steps:
+            return rows
+        adj = _grow_by_rebuilding(state)
+        state = grow_step(state)
+        assert state.graph.adj == adj
+
+
+@pytest.mark.parametrize("steps", [0, 1, 5, 20, 100])
+def test_grow_table_matches_fresh_kernels(steps):
+    assert grow_table(steps) == _fresh_rows(steps)
+
+
+def test_extend_kernel_rejects_a_changed_degree():
+    parent = path(4)  # 0 - 1 - 2 - 3
+    grown = Graph([[1], [0, 2, 4], [1, 3], [2], [1]])  # node 1 gains a friend
+    with pytest.raises(InvariantBrokenError):
+        extend_kernel(parent, grown, (1,))
+    # 2-3 becomes 2-4-5-3 (L stays 2), or 2-4-3 with a pendant 5 on 4 (L becomes 6).
+    for adj in ([[1], [0, 2], [1, 4], [5], [2, 5], [3, 4]],
+                [[1], [0, 2], [1, 4], [4], [2, 3, 5], [4]]):
+        child = Graph(adj)
+        carried = extend_kernel(parent, child, (2, 3))
+        assert child._kernel is carried
+        assert carried == kernel(Graph(adj))
+        assert repr(carried) == repr(kernel(Graph(adj)))
+
+
+def test_wrong_carried_kernel_fails_the_gap_cross_check():
+    state = grow_step(initial_growth_state())
+    k = kernel(state.graph)
+    y = list(k.y)
+    y[0] += 1
+    state.graph._kernel = dataclasses.replace(k, y=tuple(y))
+    with pytest.raises(InvariantBrokenError):
+        singular_gap(state.graph, list(state.attrs))

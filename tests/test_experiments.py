@@ -4,7 +4,8 @@ import pytest
 
 from sgfp.classify import PRO, classify
 from sgfp.errors import InfeasibleAtEpsilonError
-from sgfp.experiments import CensusRecord, census
+from sgfp.experiments import CensusRecord, census, strip_isolates
+from sgfp.graph import Graph
 from sgfp.lp import max_failing_correlation
 from sgfp.randgen import mix
 
@@ -80,3 +81,10 @@ def test_census_memo_matches_reference_without_memo(jobs, epsilon):
 @pytest.mark.parametrize("n", [20, 21])  # the last batch-kernel size, the first per-graph size
 def test_census_matches_reference_around_the_exact_size(n):
     assert census(n, 30, seed=9) == _census_without_memo(n, 30, 9, 1e-3)
+
+
+def test_strip_isolates():
+    g = Graph([[1], [0, 2], [1]], ["a", "b", "c"])
+    assert strip_isolates(g) is g
+    h = Graph([[], [2], [1], []], ["w", "x", "y", "z"])
+    assert strip_isolates(h) == Graph([[1], [0]], ["x", "y"])

@@ -149,6 +149,17 @@ def test_read_attributes_rational_is_exact():
     assert values == [Fraction(1, 100000), Fraction(-1, 4), 7]
 
 
+def test_read_attributes_rational_integer_literals_are_ints():
+    g = edge_list_from_string("1 2\n2 3\n3 4\n4 5\n5 6\n")
+    csv = "node,value\n1,+7\n2,-0\n3,007\n4,1_0\n5,\u0661\n6,1e3\n"
+    values = read_attributes(io.StringIO(csv), g, rational=True)
+    assert values == [7, 0, 7, 10, 1, 1000]
+    # Only ASCII [+-]digits is an int; underscores, other digits and exponents
+    # keep the Fraction path.
+    assert [type(v) for v in values] == [int, int, int, Fraction, Fraction, Fraction]
+    assert [type(v) for v in read_attributes(io.StringIO(csv), g)] == [float] * 6
+
+
 @pytest.mark.parametrize("raw", ["nan", "inf", "1e400", "1e-999999", "abc", "1/3"])
 def test_read_attributes_rational_rejects(raw):
     g = edge_list_from_string("1 2\n")

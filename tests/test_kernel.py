@@ -8,6 +8,7 @@ quantity must be equal, and every float bit-equal.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 from sgfp.classify import ANTI, DEGENERATE, PRO, classify
 from sgfp.errors import IsolatedNodeError
 from sgfp.graph import build_graph, delta, is_connected, is_regular, kernel
-from sgfp.metrics import correlation, list_gap, r_d_delta, singular_gap, singular_gap_delta_form
+from sgfp.metrics import (_exact_ints, correlation, list_gap, r_d_delta, singular_gap,
+                          singular_gap_delta_form)
 from sgfp.randgen import SplitMix64, mix
 
 from conftest import random_graphs
@@ -71,6 +73,16 @@ def ref_list_gap(g, a):
     dsum = sum(len(g.adj[i]) for i in active)
     return (Fraction(sum(len(g.adj[i]) * a[i] for i in active), dsum)
             - Fraction(sum(a[i] for i in active), len(active)))
+
+
+def ref_is_exact(values):
+    return all(isinstance(v, (int, Fraction)) for v in values)
+
+
+def ref_as_ints(values):
+    """Exact values as integers over their common denominator s: (v * s, s)."""
+    s = math.lcm(*{v.denominator for v in values})
+    return [v.numerator * (s // v.denominator) for v in values], s
 
 
 def _attrs(g, seed, fractions):
@@ -160,3 +172,32 @@ def test_isolated_node_attribute_is_ignored():
 def test_kernel_is_computed_once():
     g = build_graph([(0, 1), (1, 2)])
     assert kernel(g) is kernel(g)
+
+
+mixed_values = st.one_of(
+    st.integers(-10**20, 10**20),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=97),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-10**6, 10**6).map(np.int64),
+)
+
+
+@given(st.one_of(st.lists(mixed_values, max_size=10),
+                 st.lists(st.one_of(st.integers(), st.booleans()), max_size=10),
+                 st.lists(st.one_of(st.integers(), st.fractions()), max_size=10)))
+@settings(max_examples=500, deadline=None)
+def test_exact_ints_matches_isinstance_reference(values):
+    got = _exact_ints(values)
+    if not ref_is_exact(values):
+        assert got is None
+        return
+    ints, s = got
+    assert (list(ints), s) == ref_as_ints(values)
+    assert all(type(v) is int for v in ints)
+
+
+def test_exact_ints_keeps_int_input():
+    values = [3, -1, 10**30]
+    ints, s = _exact_ints(values)
+    assert ints is values and s == 1

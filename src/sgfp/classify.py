@@ -169,9 +169,9 @@ def threshold_estimate(g: Graph, grid: int = 256) -> ThresholdEstimate:
     """
     if grid < 2:
         raise PreconditionViolatedError("grid must be >= 2")
-    if not is_connected(g) or is_regular(g):
-        raise DegenerateGraphError("graph must be connected and non-regular")
     cls = classify(g)
+    if cls.kind == DEGENERATE:
+        raise DegenerateGraphError("graph must be connected and non-regular")
     if cls.kind == PRO:
         return ThresholdEstimate(candidate_sup=0.0, validated=True, oracle_max=0.0)
 

@@ -73,8 +73,6 @@ def _columns(record_type) -> list[str]:
 def cmd_census(args) -> int:
     if args.nmin > args.nmax:
         raise PreconditionViolatedError("nmin must be <= nmax")
-    if args.nmax > 10:
-        print("warning: census beyond n=10 may take a long time", file=sys.stderr)
     records = []
     for n in range(args.nmin, args.nmax + 1):
         record, infeasible = experiments._census(n, args.samples, args.seed,
@@ -151,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("attrs")
     p.add_argument("--rational", action="store_true",
-                   help="exact rational arithmetic (default: 64-bit floats)")
+                   help="parse values as exact decimals (0.1 is 1/10, not the nearest double)")
     p.add_argument("--per-node", action="store_true")
     common(p)
     p.set_defaults(func=cmd_analyze)

@@ -34,12 +34,8 @@ class UsageError(SgfpError):
     """Command-line arguments that do not parse."""
 
 
-class EmptyGraphError(SgfpError):
-    pass
-
-
 class AllIsolatesError(SgfpError):
-    pass
+    """No node has an edge, so the mean over non-isolated nodes is undefined."""
 
 
 class DegenerateGraphError(SgfpError):

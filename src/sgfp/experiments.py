@@ -33,7 +33,7 @@ class CensusRecord:
     base_seed: int
 
 
-def _census_chunk(args: tuple[int, float, float, Sequence[int]]) -> list[tuple[bool, float, float]]:
+def _census_chunk(args: tuple[int, float, Sequence[int]]) -> list[tuple[bool, float, float]]:
     """(is_pro, r_high, r_ddelta) for the census draws with these sample seeds.
 
     Up to the LP's exact size the draws' degrees and y = L * delta are
@@ -43,11 +43,11 @@ def _census_chunk(args: tuple[int, float, float, Sequence[int]]) -> list[tuple[b
     Larger draws each build a graph. At most `_CHUNK` seeds are sampled
     at once.
     """
-    n, p, epsilon, seeds = args
+    n, epsilon, seeds = args
     memo: dict = {}
     out = []
     blocks = (adj for i in range(0, len(seeds), _CHUNK)
-              for adj in _sample_blocks(n, p, seeds[i:i + _CHUNK]))
+              for adj in _sample_blocks(n, 0.5, seeds[i:i + _CHUNK]))
     for adj in blocks:
         if n > _EXACT_MAX_N:
             out += [_census_row(kernel(_graph_of(a)), epsilon) for a in adj]
@@ -75,19 +75,19 @@ def _census_row(k: Kernel, epsilon: float) -> tuple[bool, float, float]:
 _CHUNK = 256  # samples per task sent to a worker process
 
 
-def census(n: int, samples: int, seed: int, p: float = 0.5,
-           epsilon: float = 0.001, jobs: int = 1) -> CensusRecord:
-    """Classify and optimize `samples` connected non-regular G(n, p) draws.
+def census(n: int, samples: int, seed: int, epsilon: float = 0.001,
+           jobs: int = 1) -> CensusRecord:
+    """Classify and optimize `samples` connected non-regular G(n, 1/2) draws.
 
     Deterministic for a fixed seed regardless of `jobs`: every sample uses
     its own derived seed and results reduce in sample order. At most one
     worker process runs per chunk of samples.
     """
-    return _census(n, samples, seed, p, epsilon, jobs)[0]
+    return _census(n, samples, seed, epsilon, jobs)[0]
 
 
-def _census(n: int, samples: int, seed: int, p: float = 0.5,
-            epsilon: float = 0.001, jobs: int = 1) -> tuple[CensusRecord, int]:
+def _census(n: int, samples: int, seed: int, epsilon: float = 0.001,
+            jobs: int = 1) -> tuple[CensusRecord, int]:
     """:func:`census` and the number of draws whose LP is infeasible at
     `epsilon` (their r_high is left out of the means)."""
     if samples < 1:
@@ -96,7 +96,7 @@ def _census(n: int, samples: int, seed: int, p: float = 0.5,
         raise PreconditionViolatedError("jobs must be >= 1")
     _check_epsilon(epsilon)
     seeds = [mix(mix(seed, n), i) for i in range(samples)]
-    chunks = [(n, p, epsilon, seeds[i:i + _CHUNK]) for i in range(0, samples, _CHUNK)]
+    chunks = [(n, epsilon, seeds[i:i + _CHUNK]) for i in range(0, samples, _CHUNK)]
     workers = min(jobs, len(chunks))
     if workers > 1:
         # Imported here: it loads multiprocessing, which one job never uses.
@@ -104,7 +104,7 @@ def _census(n: int, samples: int, seed: int, p: float = 0.5,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = [row for rows in pool.map(_census_chunk, chunks) for row in rows]
     else:
-        results = _census_chunk((n, p, epsilon, seeds))
+        results = _census_chunk((n, epsilon, seeds))
 
     pro_rh, anti_rh, pro_rdd, anti_rdd = [], [], [], []
     for is_pro, r_high, r_dd in results:

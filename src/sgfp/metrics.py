@@ -1,8 +1,11 @@
 """Gap and correlation statistics for node attributes.
 
-All functions use population moments (divide by n). Arithmetic is
-polymorphic: integer or Fraction attributes are scaled to integers over a
-common denominator and stay exact, floats fall back to 64-bit arithmetic.
+All functions use population moments (divide by n). Each sample is
+converted once to integers over a common denominator s: ints and
+Fractions by value, a finite float as the binary fraction it stores.
+Every metric is computed exactly from those integers. Gaps and friend
+means are returned as Fractions when every value is an int or Fraction,
+otherwise rounded once to the nearest float; correlations are floats.
 Isolated nodes are excluded from both means and counted in the report.
 """
 
@@ -10,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -17,90 +21,74 @@ from typing import Optional, Sequence
 
 from .errors import (
     AllIsolatesError,
-    EmptyGraphError,
     InvariantBrokenError,
     IsolatedNodeError,
     LengthMismatchError,
+    PreconditionViolatedError,
 )
-from .graph import Graph, exact_correlation, kernel
+from .graph import Graph, Kernel, exact_correlation, kernel
 
 # Attribute entries may be None only at isolated nodes (undefined marker).
 AttributeSample = Sequence
-
-
-def _check_length(g: Graph, a: AttributeSample) -> None:
-    if len(a) != g.n:
-        raise LengthMismatchError(g.n, len(a))
-
-
-def _active_nodes(g: Graph) -> list[int]:
-    return [i for i in range(g.n) if len(g.adj[i]) > 0]
-
 
 _INT = {int}
 _EXACT = {int, Fraction}
 
 
-def _exact_ints(values) -> Optional[tuple[Sequence[int], int]]:
-    """Exact values as integers over their common denominator s: (v * s, s).
+def _ratio(v) -> tuple[int, int]:
+    try:
+        return v.as_integer_ratio()
+    except AttributeError:  # numpy integers have no as_integer_ratio
+        return operator.index(v), 1
 
-    None when some value is neither an int nor a Fraction (subclasses such
-    as bool count as exact). Int-only input is returned as it is, with s = 1.
+
+def _as_ints(values) -> tuple[Sequence[int], int, bool]:
+    """Values as integers over their common denominator s, and whether
+    every value is exact: (v * s, s, exact).
+
+    Exact means an int or a Fraction (subclasses such as bool count).
+    Int-only input is returned as it is, with s = 1. Raises
+    :class:`PreconditionViolatedError` on a NaN or an infinity.
     """
     types = set(map(type, values))
     if types <= _INT:
-        return values, 1
-    if not types <= _EXACT and not all(isinstance(v, (int, Fraction)) for v in values):
-        return None
-    s = math.lcm(*{v.denominator for v in values})
-    return [v.numerator * (s // v.denominator) for v in values], s
+        return values, 1, True
+    exact = types <= _EXACT or all(isinstance(v, (int, Fraction)) for v in values)
+    try:
+        pairs = list(map(_ratio, values))
+    except (OverflowError, ValueError):
+        raise PreconditionViolatedError("attribute values must be finite") from None
+    s = math.lcm(*{d for _, d in pairs})
+    return [p * (s // d) for p, d in pairs], s, exact
 
 
-def _exact_sample(g: Graph, a: AttributeSample) -> Optional[tuple[Sequence[int], int]]:
-    """:func:`_exact_ints` of the sample with 0 at isolated nodes, whose
-    entries are ignored (None marks them undefined)."""
-    return _exact_ints(a if all(g.adj) else [v if nb else 0 for v, nb in zip(a, g.adj)])
+def _quotient(num: int, den: int, exact: bool):
+    """num / den for den > 0: a Fraction when exact, else the nearest float."""
+    if exact:
+        return Fraction(num, den)
+    try:
+        return num / den  # int / int division is correctly rounded
+    except OverflowError:  # beyond the largest float, which rounds to infinity
+        return math.inf if num > 0 else -math.inf
 
 
-def second_order(g: Graph, a: AttributeSample) -> list:
-    """Per-node mean of friends' attributes; None at isolated nodes."""
-    _check_length(g, a)
-    out = []
-    for i in range(g.n):
-        d = len(g.adj[i])
-        if d == 0:
-            out.append(None)
-        else:
-            total = sum(a[j] for j in g.adj[i])
-            out.append(Fraction(total, d) if isinstance(total, int) else total / d)
-    return out
-
-
-def singular_gap(g: Graph, a: AttributeSample):
-    """Mean second-order attribute minus mean attribute, isolates excluded.
-
-    Computed from the per-node friend means and cross-checked against the
-    reciprocal-degree-weighted form; exact (in integers) when attributes are.
-    """
-    _check_length(g, a)
+def _prepare(g: Graph, a: AttributeSample) -> tuple[Kernel, int, Sequence[int], int, bool]:
+    """(kernel, np, ints, s, exact): g's kernel, its count np of
+    non-isolated nodes, and :func:`_as_ints` of the sample with 0 at
+    isolated nodes, whose entries are ignored (None marks them undefined)."""
+    if len(a) != g.n:
+        raise LengthMismatchError(g.n, len(a))
     k = kernel(g)
     np = g.n - k.deg.count(0)
     if not np:
-        raise AllIsolatesError("every node is isolated")
-    exact = _exact_sample(g, a)
-    if exact is None:
-        active = _active_nodes(g)
-        second = second_order(g, a)
-        gap1 = sum(second[i] - a[i] for i in active) / np
-        gap2 = singular_gap_delta_form(g, a)
-        # Rounding error scales with the summed terms, whose size is bounded
-        # by sum|a| * (1 + max delta) / n and max delta <= max degree.
-        tol = 1e-9 * sum(abs(a[i]) for i in active) * (1 + max(k.deg)) / np
-        if abs(gap1 - gap2) > tol:
-            raise InvariantBrokenError(f"gap forms disagree: {gap1} != {gap2}")
-        return gap1
-    # Both forms share the denominator L * np * s: compare their numerators.
-    ints, s = exact
+        raise AllIsolatesError("no node has an edge")
+    return (k, np, *_as_ints(a if np == g.n else [v if d else 0 for v, d in zip(a, k.deg)]))
+
+
+def _gap(g: Graph, k: Kernel, np: int, ints: Sequence[int], s: int) -> tuple[int, int]:
+    """The gap as (numerator, denominator L * np * s), in the delta form;
+    raises :class:`InvariantBrokenError` when the friend form disagrees.
+    Both forms share the denominator, so their numerators are compared."""
     friend = ints.__getitem__  # every friend is active
     friends = sum(k.lcm // d * sum(map(friend, nb)) for d, nb in zip(k.deg, g.adj) if d)
     weighted = sum(map(mul, k.y, ints))
@@ -108,21 +96,40 @@ def singular_gap(g: Graph, a: AttributeSample):
     if friends != weighted:
         raise InvariantBrokenError(f"gap forms disagree: {Fraction(friends - base, den)} "
                                    f"!= {Fraction(weighted - base, den)}")
-    return Fraction(weighted - base, den)
+    return weighted - base, den
+
+
+def _list_gap(k: Kernel, np: int, ints: Sequence[int], s: int) -> tuple[int, int]:
+    dsum = sum(k.deg)
+    return sum(map(mul, k.deg, ints)) * np - sum(ints) * dsum, dsum * np * s
+
+
+def _second_order(g: Graph, k: Kernel, ints: Sequence[int], s: int, exact: bool) -> list:
+    friend = ints.__getitem__
+    return [_quotient(sum(map(friend, nb)), d * s, exact) if d else None
+            for d, nb in zip(k.deg, g.adj)]
+
+
+def second_order(g: Graph, a: AttributeSample) -> list:
+    """Per-node mean of friends' attributes; None at isolated nodes."""
+    k, _, ints, s, exact = _prepare(g, a)
+    return _second_order(g, k, ints, s, exact)
+
+
+def singular_gap(g: Graph, a: AttributeSample):
+    """Mean second-order attribute minus mean attribute, isolates excluded.
+
+    Computed in the reciprocal-degree-weighted form and cross-checked, in
+    integers, against the per-node friend means.
+    """
+    k, np, ints, s, exact = _prepare(g, a)
+    return _quotient(*_gap(g, k, np, ints, s), exact)
 
 
 def singular_gap_delta_form(g: Graph, a: AttributeSample):
     """The gap written as a reciprocal-degree-weighted sum over contributors."""
-    _check_length(g, a)
-    k = kernel(g)
-    np = g.n - k.deg.count(0)
-    if not np:
-        raise AllIsolatesError("every node is isolated")
-    exact = _exact_sample(g, a)
-    if exact is None:
-        return sum((k.y[j] - k.lcm) / k.lcm * a[j] for j in _active_nodes(g)) / np
-    ints, s = exact
-    return Fraction(sum(map(mul, k.y, ints)) - k.lcm * sum(ints), k.lcm * np * s)
+    k, np, ints, s, exact = _prepare(g, a)
+    return _quotient(sum(map(mul, k.y, ints)) - k.lcm * sum(ints), k.lcm * np * s, exact)
 
 
 def list_gap(g: Graph, a: AttributeSample):
@@ -131,43 +138,21 @@ def list_gap(g: Graph, a: AttributeSample):
     Equals r_{d,a} * sigma_d * sigma_a / mean(d) with population moments.
     Isolated nodes carry zero edge weight and are excluded from the mean.
     """
-    _check_length(g, a)
-    deg = kernel(g).deg
-    np = g.n - deg.count(0)
-    if not np:
-        raise EmptyGraphError("graph has no edges")
-    dsum = sum(deg)
-    exact = _exact_sample(g, a)
-    if exact is None:
-        active = _active_nodes(g)
-        return sum(deg[i] * a[i] for i in active) / dsum - sum(a[i] for i in active) / np
-    ints, s = exact
-    return Fraction(sum(map(mul, deg, ints)) * np - sum(ints) * dsum, dsum * np * s)
+    k, np, ints, s, exact = _prepare(g, a)
+    return _quotient(*_list_gap(k, np, ints, s), exact)
 
 
 def correlation(x: Sequence, y: Sequence) -> Optional[float]:
     """Pearson correlation; None when either input has zero variance.
 
-    Exact zero-covariance and perfect-fit cases return exactly 0.0 / +-1.0
-    when both inputs are integers or Fractions.
+    Computed from the inputs' exact values by :func:`exact_correlation`:
+    zero covariance and perfect fits give exactly 0.0 and +-1.0.
     """
     if len(x) != len(y):
         raise LengthMismatchError(len(x), len(y))
-    n = len(x)
-    if n < 2:
-        return None
-    exact_x = _exact_ints(x)
-    exact_y = None if exact_x is None else _exact_ints(y)
-    if exact_y is not None:
-        return exact_correlation(exact_x[0], exact_y[0], exact_x[1], exact_y[1])
-    xm = sum(float(v) for v in x) / n
-    ym = sum(float(v) for v in y) / n
-    sxy = sum((float(a) - xm) * (float(b) - ym) for a, b in zip(x, y))
-    sxx = sum((float(a) - xm) ** 2 for a in x)
-    syy = sum((float(b) - ym) ** 2 for b in y)
-    if sxx == 0 or syy == 0:
-        return None
-    return sxy / math.sqrt(sxx * syy)
+    x_ints, sx, _ = _as_ints(x)
+    y_ints, sy, _ = _as_ints(y)
+    return exact_correlation(x_ints, y_ints, sx, sy)
 
 
 def r_d_delta(g: Graph) -> Optional[float]:
@@ -217,18 +202,16 @@ def gap_report(g: Graph, a: AttributeSample, per_node: bool = True) -> GapReport
 
     ``per_node=False`` leaves the per-node lists ``s`` and ``delta`` empty.
     """
-    _check_length(g, a)
-    active = _active_nodes(g)
-    k = kernel(g)
-    r_da = correlation([k.deg[i] for i in active], [a[i] for i in active])
+    k, np, ints, s, exact = _prepare(g, a)
+    active = ints if np == g.n else [v for v, d in zip(ints, k.deg) if d]
     return GapReport(
         n=g.n,
         m=g.m,
-        singular_gap=float(singular_gap(g, a)),
-        list_gap=float(list_gap(g, a)),
-        r_da=r_da,
+        singular_gap=_quotient(*_gap(g, k, np, ints, s), False),
+        list_gap=_quotient(*_list_gap(k, np, ints, s), False),
+        r_da=exact_correlation([d for d in k.deg if d], active, 1, s),
         r_ddelta=k.r_ddelta,
-        excluded_isolates=g.n - len(active),
-        s=second_order(g, a) if per_node else [],
+        excluded_isolates=g.n - np,
+        s=_second_order(g, k, ints, s, exact) if per_node else [],
         delta=list(k.delta) if per_node else [],
     )

@@ -153,6 +153,9 @@ def test_threshold_rejects_regular():
     triangle = build_graph([(0, 1), (1, 2), (2, 0)])
     with pytest.raises(DegenerateGraphError):
         threshold_estimate(triangle)
+    disconnected = build_graph([(0, 1), (1, 2), (3, 4)])  # and non-regular
+    with pytest.raises(DegenerateGraphError):
+        threshold_estimate(disconnected)
 
 
 def _threshold_reference(g, grid):

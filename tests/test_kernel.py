@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from sgfp.classify import ANTI, DEGENERATE, PRO, classify
 from sgfp.errors import IsolatedNodeError
 from sgfp.graph import build_graph, delta, is_connected, is_regular, kernel
-from sgfp.metrics import (_exact_ints, correlation, list_gap, r_d_delta, singular_gap,
-                          singular_gap_delta_form)
+from sgfp.metrics import (_as_ints, correlation, gap_report, list_gap, r_d_delta, second_order,
+                          singular_gap, singular_gap_delta_form)
 from sgfp.randgen import SplitMix64, mix
 
 from conftest import random_graphs
@@ -174,6 +174,11 @@ def test_kernel_is_computed_once():
     assert kernel(g) is kernel(g)
 
 
+def as_fraction(v):
+    """The exact value of a number; numpy scalars by way of the Python number."""
+    return Fraction(v.item() if isinstance(v, np.generic) else v)
+
+
 mixed_values = st.one_of(
     st.integers(-10**20, 10**20),
     st.fractions(min_value=-1000, max_value=1000, max_denominator=97),
@@ -188,16 +193,58 @@ mixed_values = st.one_of(
                  st.lists(st.one_of(st.integers(), st.fractions()), max_size=10)))
 @settings(max_examples=500, deadline=None)
 def test_exact_ints_matches_isinstance_reference(values):
-    got = _exact_ints(values)
-    if not ref_is_exact(values):
-        assert got is None
-        return
-    ints, s = got
-    assert (list(ints), s) == ref_as_ints(values)
+    ints, s, exact = _as_ints(values)
+    assert exact == ref_is_exact(values)
+    assert (list(ints), s) == ref_as_ints([as_fraction(v) for v in values])
     assert all(type(v) is int for v in ints)
 
 
 def test_exact_ints_keeps_int_input():
     values = [3, -1, 10**30]
-    ints, s = _exact_ints(values)
-    assert ints is values and s == 1
+    ints, s, exact = _as_ints(values)
+    assert ints is values and s == 1 and exact
+
+
+def assert_same_float(got, want):
+    assert type(got) is float and got.hex() == float(want).hex()
+
+
+# Finite floats small enough that no metric leaves the float range.
+float_values = st.floats(-1e300, 1e300)
+float_samples = st.one_of(
+    st.lists(float_values, min_size=24, max_size=24),
+    st.lists(st.one_of(float_values, st.integers(-10**20, 10**20),
+                       st.integers(-10**6, 10**6).map(np.int64)),
+             min_size=24, max_size=24),
+)
+
+
+@given(graphs(), float_samples)
+@settings(max_examples=300, deadline=None)
+def test_float_metrics_are_the_rounded_exact_values(g, sample):
+    a = sample[:g.n]
+    deg = [len(nb) for nb in g.adj]
+    active = [i for i in range(g.n) if deg[i]]
+    if ref_is_exact([a[i] for i in active]):  # isolates' entries are ignored
+        a[active[0]] = float(a[active[0]])
+    exact = [as_fraction(v) for v in a]
+    gap, lgap = ref_singular_gap(g, exact), ref_list_gap(g, exact)
+    assert_same_float(singular_gap(g, a), gap)
+    assert_same_float(singular_gap_delta_form(g, a), gap)
+    assert_same_float(list_gap(g, a), lgap)
+    second = second_order(g, a)
+    for got, d, nb in zip(second, deg, g.adj):
+        if d:
+            assert_same_float(got, Fraction(sum(exact[j] for j in nb), d))
+        else:
+            assert got is None
+    report = gap_report(g, a)
+    assert list(map(repr, report.s)) == list(map(repr, second))
+    assert_same_float(report.singular_gap, gap)
+    assert_same_float(report.list_gap, lgap)
+    # The reference rounds each moment to a float, so its result holds
+    # only while the moments stay inside the float range.
+    if all(v == 0 or 1e-100 < abs(v) < 1e100 for v in a):
+        assert correlation(deg, a) == ref_correlation(deg, exact)
+        assert report.r_da == ref_correlation([deg[i] for i in active],
+                                              [exact[i] for i in active])

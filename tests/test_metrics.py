@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -5,9 +6,8 @@ from fractions import Fraction
 import pytest
 
 from sgfp.construct import example_graph_fig1, example_graph_fig4, path, star
-from sgfp import metrics
-from sgfp.errors import InvariantBrokenError, LengthMismatchError
-from sgfp.graph import build_graph, degrees
+from sgfp.errors import InvariantBrokenError, LengthMismatchError, SgfpError
+from sgfp.graph import build_graph, degrees, kernel
 from sgfp.metrics import (
     correlation,
     gap_report,
@@ -150,13 +150,36 @@ def test_gap_report_json():
 
 
 def test_singular_gap_large_float_terms():
-    # The exact gap is -1/10; the float forms round at the scale of 1e16,
-    # far above |gap|, and must not be reported as a broken invariant.
-    gap = singular_gap(path(5), [1e16, 1, 3, 1e16, 2])
-    assert abs(gap + 0.1) <= 4.0
+    # The exact gap is -1/10; float sums would round at the scale of 1e16.
+    assert singular_gap(path(5), [1e16, 1, 3, 1e16, 2]) == -0.1
 
 
-def test_singular_gap_cross_check_raises(monkeypatch):
-    monkeypatch.setattr(metrics, "singular_gap_delta_form", lambda g, a: 1.0)
-    with pytest.raises(InvariantBrokenError):
-        singular_gap(path(5), [0.5, 1.0, 3.0, 2.0, 2.0])
+def test_correlation_of_floats_stays_in_unit_interval():
+    # y = 2x exactly in binary, so the exact correlation is 1.
+    assert correlation([0.3, 1.1, 0.2, 1.1], [0.6, 2.2, 0.4, 2.2]) == 1.0
+
+
+def test_float_gap_beyond_the_float_range_is_infinite():
+    # Exact gap -2 (n - 2) M / n for leaves at M and the centre at -M.
+    assert singular_gap(star(10), [-1.7e308] + [1.7e308] * 9) == -math.inf
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_attribute_raises(bad):
+    a = [1.0, bad, 2.0, 0.5, 3.0]
+    for metric in (singular_gap, singular_gap_delta_form, list_gap, second_order, gap_report):
+        with pytest.raises(SgfpError):
+            metric(path(5), a)
+    with pytest.raises(SgfpError):
+        correlation(list(degrees(path(5))), a)
+
+
+def test_singular_gap_cross_check_raises():
+    g = path(5)
+    k = kernel(g)
+    g._kernel = dataclasses.replace(k, y=(k.y[0] + 1,) + k.y[1:])
+    for a in ([0.5, 1.0, 3.0, 2.0, 2.0], [1, 2, 3, 4, 5]):
+        with pytest.raises(InvariantBrokenError):
+            singular_gap(g, a)
+        with pytest.raises(InvariantBrokenError):
+            gap_report(g, a)

@@ -9,7 +9,6 @@ integer vector), so there is no tolerance anywhere in the decision path.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +22,7 @@ from .errors import (
     UnknownNodeError,
 )
 from .graph import Graph, build_graph, degrees, delta, is_connected, is_regular, kernel
-from .metrics import correlation, singular_gap
+from .metrics import _json, correlation, singular_gap
 
 PRO = "ProSGFP"
 ANTI = "AntiSGFP"
@@ -39,7 +38,7 @@ class Classification:
 
     def to_json(self) -> str:
         x, z = (str(self.witness[0]), str(self.witness[1])) if self.witness else (None, None)
-        return json.dumps({
+        return _json({
             "kind": self.kind, "x": x, "z": z,
             "r_ddelta": self.r_ddelta, "reason": self.reason,
         })
@@ -147,7 +146,7 @@ class ThresholdEstimate:
     oracle_max: float
 
     def to_json(self) -> str:
-        return json.dumps({
+        return _json({
             "candidate_sup": self.candidate_sup,
             "validated": self.validated,
             "oracle_max": self.oracle_max,

@@ -34,8 +34,9 @@ def cmd_analyze(args) -> int:
     g = read_edge_list(args.graph)
     attrs = read_attributes(args.attrs, g, rational=args.rational)
     report = gap_report(g, attrs, per_node=args.per_node)
+    text = report.to_json(include_per_node=args.per_node)  # raises before --output is opened
     with _out(args) as fh:
-        fh.write(report.to_json(include_per_node=args.per_node) + "\n")
+        fh.write(text + "\n")
     if report.r_da is None or report.r_ddelta is None:
         print("degenerate input: correlation undefined", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -45,24 +46,27 @@ def cmd_analyze(args) -> int:
 def cmd_classify(args) -> int:
     g = read_edge_list(args.graph)
     result = classify(g)
+    text = result.to_json()
     with _out(args) as fh:
-        fh.write(result.to_json() + "\n")
+        fh.write(text + "\n")
     return EXIT_DEGENERATE if result.kind == DEGENERATE else EXIT_OK
 
 
 def cmd_optimize(args) -> int:
     g = read_edge_list(args.graph)
     result = max_failing_correlation(g, args.epsilon)
+    text = result.to_json(include_witness=args.witness)
     with _out(args) as fh:
-        fh.write(result.to_json(include_witness=args.witness) + "\n")
+        fh.write(text + "\n")
     return EXIT_OK
 
 
 def cmd_threshold(args) -> int:
     g = read_edge_list(args.graph)
     est = threshold_estimate(g, grid=args.grid)
+    text = est.to_json()
     with _out(args) as fh:
-        fh.write(est.to_json() + "\n")
+        fh.write(text + "\n")
     return EXIT_OK
 
 

@@ -56,6 +56,14 @@ class TooSmallError(SgfpError):
     pass
 
 
+class NonFiniteOutputError(SgfpError):
+    """A result field holds an infinity or a NaN, which JSON cannot write."""
+
+    def __init__(self, field):
+        self.field = field
+        super().__init__(f"{field} is not finite and has no JSON form")
+
+
 class ParseError(SgfpError):
     def __init__(self, line_number, message):
         self.line_number = line_number

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np
@@ -14,7 +15,7 @@ import numpy as np
 from .classify import _affine_fit
 from .construct import initial_growth_state, grow_step
 from .errors import PreconditionViolatedError
-from .graph import Graph, Kernel, _kernel_of, kernel
+from .graph import Graph, Kernel, _from_keys, _kernel_of, kernel
 from .lp import _EXACT_MAX_N, _check_epsilon, _failing_witness
 from .metrics import correlation, r_d_delta, singular_gap
 from .randgen import _graph_of, _sample_blocks, configuration_rewire, mix
@@ -170,10 +171,14 @@ def strip_isolates(g: Graph) -> Graph:
     itself when it has none."""
     if all(g.adj):
         return g
-    keep = [i for i in range(g.n) if len(g.adj[i]) > 0]
-    remap = {old: new for new, old in enumerate(keep)}
-    adj = [[remap[v] for v in g.adj[i]] for i in keep]
-    return Graph(adj, [g.labels[i] for i in keep])
+    deg = np.fromiter(map(len, g.adj), np.int64, g.n)
+    keep = np.flatnonzero(deg)
+    # Renumbering is monotone, so the keys of the kept arcs stay sorted.
+    rank = np.cumsum(deg > 0) - 1
+    src = np.repeat(np.arange(len(keep)), deg[keep])
+    dst = rank[np.fromiter(chain.from_iterable(g.adj), np.int64, 2 * g.m)]
+    return _from_keys(len(keep), src * len(keep) + dst,
+                      tuple(map(g.labels.__getitem__, keep.tolist())))
 
 
 def r_high_loose(g: Graph, epsilon: float) -> Optional[float]:

@@ -5,6 +5,14 @@ of first appearance; that index order is the canonical node order used by
 every per-node sequence in this package (degrees, deltas, attributes).
 Exact per-graph quantities come from one integer :class:`Kernel`, cached
 on the graph on first use.
+
+Every graph the package builds from edges (:func:`build_graph`, the random
+generators, rewiring, isolate stripping) takes one path: the edges become
+sorted, distinct directed keys i*n + j in numpy (:func:`_arcs`), and
+:func:`_from_keys` slices them into neighbour tuples, which
+:meth:`Graph._trusted` takes as they are. The public ``Graph(adj, labels)``
+trusts nothing: it sorts and de-duplicates every neighbour list and checks
+that the labels are unique.
 """
 
 from __future__ import annotations
@@ -12,8 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from operator import mul
 from typing import Hashable, Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import (InvariantBrokenError, IsolatedNodeError, PreconditionViolatedError,
                      SelfLoopError, UnknownNodeError)
@@ -45,7 +56,20 @@ class Graph:
         if len(self._index) != self.n:
             raise PreconditionViolatedError("node labels must be unique")
 
+    @classmethod
+    def _trusted(cls, adj: tuple[tuple[int, ...], ...], labels: tuple[NodeId, ...], m: int,
+                 duplicates_collapsed: int, index: Optional[dict]) -> Graph:
+        """A graph of `adj` and `labels` taken as they are: symmetric, sorted,
+        distinct neighbour tuples with no self-loop, m edges, unique labels.
+        `index` maps each label to its node, or is None to build it on demand."""
+        g = object.__new__(cls)
+        g.adj, g.n, g.m, g.labels = adj, len(adj), m, labels
+        g.duplicates_collapsed, g._kernel, g._index = duplicates_collapsed, None, index
+        return g
+
     def index_of(self, label: NodeId) -> int:
+        if self._index is None:
+            self._index = dict(zip(self.labels, range(self.n)))
         try:
             return self._index[label]
         except KeyError:
@@ -73,32 +97,55 @@ def build_graph(edges: Iterable[tuple[NodeId, NodeId]],
 
     Self-loops raise :class:`SelfLoopError`; duplicate edges are collapsed
     and counted. ``nodes`` optionally pins the canonical node order (and may
-    include isolated nodes); otherwise order of first appearance is used.
+    include isolated nodes, while an edge to a label outside it raises
+    :class:`UnknownNodeError`); otherwise order of first appearance is used.
+    The first bad edge decides the error: a self-loop, else its first
+    unknown endpoint.
     """
-    labels: list[NodeId] = [] if nodes is None else list(dict.fromkeys(nodes))
-    index = {lab: i for i, lab in enumerate(labels)}
-    adj: list[set[int]] = [set() for _ in labels]
-
-    def idx(lab: NodeId) -> int:
-        if lab not in index:
-            if nodes is not None:
-                raise UnknownNodeError(lab)
-            index[lab] = len(labels)
-            labels.append(lab)
-            adj.append(set())
-        return index[lab]
-
-    duplicates = 0
-    for u, v in edges:
-        if u == v:
+    if not isinstance(edges, (list, tuple)):
+        edges = list(edges)
+    if set(map(len, edges)) - {2}:
+        raise ValueError("every edge must be a pair of labels")
+    flat = list(chain.from_iterable(edges))
+    labels = tuple(dict.fromkeys(flat if nodes is None else nodes))
+    n = len(labels)
+    index = dict(zip(labels, range(n)))
+    ends = np.array(list(map(index.get, flat, repeat(-1))), dtype=np.int64).reshape(-1, 2)
+    bad = ends[:, 0] == ends[:, 1]  # a self-loop, or two unknown labels (index -1)
+    if nodes is not None:
+        bad |= ends.min(1) < 0
+    if True in bad:
+        k = int(bad.argmax())
+        (u, v), (i, j) = edges[k], ends[k].tolist()
+        if u == v or min(i, j) >= 0:
             raise SelfLoopError(u)
-        i, j = idx(u), idx(v)
-        if j in adj[i]:
-            duplicates += 1
-        else:
-            adj[i].add(j)
-            adj[j].add(i)
-    return Graph(adj, labels, duplicates_collapsed=duplicates)
+        raise UnknownNodeError(u if i < 0 else v)
+    keys = _arcs(n, ends)
+    return _from_keys(n, keys, labels, len(edges) - len(keys) // 2, index)
+
+
+def _arcs(n: int, ends: np.ndarray) -> np.ndarray:
+    """The sorted, distinct directed keys i*n + j, in both orientations, of
+    the edges in the (m, 2) index array `ends`; n*n must stay below 2**63."""
+    keys = (ends @ ((n, 1), (1, n))).ravel()
+    keys.sort()
+    keep = np.empty(len(keys), dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def _from_keys(n: int, keys: np.ndarray, labels: tuple[NodeId, ...] | None = None,
+               duplicates_collapsed: int = 0, index: Optional[dict] = None) -> Graph:
+    """The graph on n nodes whose directed edges are the sorted, distinct
+    keys i*n + j of a symmetric relation with no self-loop (see :func:`_arcs`).
+    `labels` default to 0..n-1."""
+    src, dst = np.divmod(keys, max(n, 1))
+    ends = np.bincount(src, minlength=n).cumsum().tolist()
+    dst = tuple(dst.tolist())
+    adj = tuple(map(dst.__getitem__, map(slice, [0, *ends[:-1]], ends)))
+    return Graph._trusted(adj, tuple(range(n)) if labels is None else labels,
+                          len(keys) // 2, duplicates_collapsed, index)
 
 
 def degrees(g: Graph) -> tuple[int, ...]:

@@ -57,18 +57,24 @@ def opened(target: Source, mode: str = "r") -> Iterator[TextIO]:
 
 
 def read_edge_list(source: Source) -> Graph:
-    """Parse an edge-list file into a graph; labels stay strings."""
-    edges = []
+    """Parse an edge-list file into a graph; labels stay strings.
+
+    The text is read once and split on newlines only (a text-mode file has
+    already turned every line ending into one), then each line on
+    whitespace. A line that is not a comment must hold two labels, else
+    :class:`ParseError` names the first such line.
+    """
     with opened(source) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
+        text = fh.read()
+    lines = text.split("\n")
+    rows = list(filter(None, map(str.split, lines)))
+    if "#" in text:
+        rows = [r for r in rows if not r[0].startswith("#")]
+    if set(map(len, rows)) - {2}:
+        for lineno, parts in enumerate(map(str.split, lines), start=1):
+            if parts and not parts[0].startswith("#") and len(parts) != 2:
                 raise ParseError(lineno, f"expected two labels, got {len(parts)}")
-            edges.append((parts[0], parts[1]))
-    return build_graph(edges)
+    return build_graph(rows)
 
 
 def write_graph(g: Graph, target: Source) -> None:

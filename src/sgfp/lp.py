@@ -28,7 +28,6 @@ node labels. Larger graphs use the float solver (:func:`_solve_two_row`).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +43,7 @@ from .errors import (
     PreconditionViolatedError,
 )
 from .graph import Graph, Kernel, exact_correlation, is_connected, kernel
-from .metrics import correlation
+from .metrics import _json, correlation
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -243,7 +242,7 @@ class HighCorrelationResult:
         payload = {"r_high": self.r_high, "gap": self.gap, "epsilon": self.epsilon}
         if include_witness:
             payload["witness"] = list(self.witness)
-        return json.dumps(payload)
+        return _json(payload)
 
 
 # Up to this many nodes the LP runs in exact integers. There the exact path

@@ -16,14 +16,17 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import lshift, mul
 from typing import Optional, Sequence
+
+import numpy
 
 from .errors import (
     AllIsolatesError,
     InvariantBrokenError,
     IsolatedNodeError,
     LengthMismatchError,
+    NonFiniteOutputError,
     PreconditionViolatedError,
 )
 from .graph import Graph, Kernel, exact_correlation, kernel
@@ -33,6 +36,24 @@ AttributeSample = Sequence
 
 _INT = {int}
 _EXACT = {int, Fraction}
+_FLOAT = {float, numpy.float64}
+# From this many distinct floats on, converting them in numpy beats a
+# Python call per value (about 64 when warm; a cold numpy call costs more).
+_NUMPY_MIN = 128
+
+
+def _json(payload: dict) -> str:
+    """`payload` as strict JSON; raises :class:`NonFiniteOutputError`
+    naming the first field that holds an infinity or a NaN."""
+    try:
+        return json.dumps(payload, allow_nan=False)
+    except ValueError:
+        for key, value in payload.items():
+            try:
+                json.dumps(value, allow_nan=False)
+            except ValueError:
+                raise NonFiniteOutputError(key) from None
+        raise
 
 
 def _ratio(v) -> tuple[int, int]:
@@ -42,24 +63,48 @@ def _ratio(v) -> tuple[int, int]:
         return operator.index(v), 1
 
 
+def _float_ints(values: list) -> tuple[list[int], int]:
+    """Finite floats as (v * s, s) for s the least power of two that makes
+    every v * s an integer: the lcm of their ``as_integer_ratio`` denominators."""
+    v = numpy.array(values, dtype=float)
+    if not numpy.isfinite(v).all():
+        raise PreconditionViolatedError("attribute values must be finite")
+    frac, e = numpy.frexp(v)
+    mant = (frac * 2.0 ** 53).astype(numpy.int64)  # v = mant * 2**(e - 53) exactly
+    nz = mant != 0
+    low = numpy.where(nz, numpy.frexp((mant & -mant).astype(float))[1] - 1, 0)  # trailing zeros
+    den = numpy.where(nz, 53 - e - low, 0)  # v = (mant >> low) / 2**den, in lowest terms
+    k = max(0, int(den.max(initial=0)))
+    return list(map(lshift, (mant >> low).tolist(), (k - den).tolist())), 1 << k
+
+
 def _as_ints(values) -> tuple[Sequence[int], int, bool]:
     """Values as integers over their common denominator s, and whether
     every value is exact: (v * s, s, exact).
 
     Exact means an int or a Fraction (subclasses such as bool count).
-    Int-only input is returned as it is, with s = 1. Raises
-    :class:`PreconditionViolatedError` on a NaN or an infinity.
+    Int-only input is returned as it is, with s = 1. Each distinct value
+    is converted once (an LP witness holds a handful); many distinct
+    floats are converted in numpy.
+    Raises :class:`PreconditionViolatedError` on a NaN or an infinity.
     """
     types = set(map(type, values))
     if types <= _INT:
         return values, 1, True
     exact = types <= _EXACT or all(isinstance(v, (int, Fraction)) for v in values)
-    try:
-        pairs = list(map(_ratio, values))
-    except (OverflowError, ValueError):
-        raise PreconditionViolatedError("attribute values must be finite") from None
-    s = math.lcm(*{d for _, d in pairs})
-    return [p * (s // d) for p, d in pairs], s, exact
+    table = dict.fromkeys(values)
+    if types <= _FLOAT and len(table) >= _NUMPY_MIN:
+        ints, s = _float_ints(list(table))
+    else:
+        try:
+            pairs = list(map(_ratio, table))
+        except (OverflowError, ValueError):
+            raise PreconditionViolatedError("attribute values must be finite") from None
+        s = math.lcm(*{d for _, d in pairs})
+        ints = [p * (s // d) for p, d in pairs]
+    if len(table) < len(values):
+        ints = list(map(dict(zip(table, ints)).__getitem__, values))
+    return ints, s, exact
 
 
 def _quotient(num: int, den: int, exact: bool):
@@ -194,7 +239,7 @@ class GapReport:
         if include_per_node:
             payload["s"] = [None if v is None else float(v) for v in self.s]
             payload["delta"] = [float(v) for v in self.delta]
-        return json.dumps(payload)
+        return _json(payload)
 
 
 def gap_report(g: Graph, a: AttributeSample, per_node: bool = True) -> GapReport:

@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ExhaustedTriesError, PreconditionViolatedError
-from .graph import Graph, build_graph
+from .graph import Graph, _arcs, _from_keys
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -86,18 +86,10 @@ def _check_gnp(n: int, p: float) -> None:
         raise PreconditionViolatedError("p must be in [0, 1]")
 
 
-def _graph(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
-    """The graph on nodes 0..n-1 with edges (u[k], v[k])."""
-    src, dst = np.concatenate((u, v)), np.concatenate((v, u))
-    order = np.argsort(src, kind="stable")
-    bounds = np.cumsum(np.bincount(src, minlength=n))[:-1]
-    return Graph([a.tolist() for a in np.split(dst[order], bounds)])
-
-
 def _graph_of(adj: np.ndarray) -> Graph:
-    """The graph of an (n, n) boolean adjacency matrix."""
-    u, v = np.nonzero(np.triu(adj, 1))
-    return _graph(len(adj), u, v)
+    """The graph of a symmetric (n, n) boolean adjacency matrix with a zero
+    diagonal: its flat nonzero indices are the keys i*n + j, already sorted."""
+    return _from_keys(len(adj), np.flatnonzero(adj))
 
 
 def gnp(n: int, p: float, seed: int) -> Graph:
@@ -108,14 +100,13 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     offset = rows * n - rows * (rows + 1) // 2
     total = n * (n - 1) // 2
     base = _seeds([seed])
-    us, vs = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    ends = [np.zeros((0, 2), dtype=np.int64)]
     for start in range(0, total, _BLOCK):
         bits = _below(_draws(base, start, min(_BLOCK, total - start))[0], p)
         k = start + np.flatnonzero(bits)
         i = np.searchsorted(offset, k, side="right") - 1
-        us.append(i)
-        vs.append(k - offset[i] + i + 1)
-    return _graph(n, np.concatenate(us), np.concatenate(vs))
+        ends.append(np.column_stack((i, k - offset[i] + i + 1)))
+    return _from_keys(n, _arcs(n, np.concatenate(ends)))
 
 
 def _connected(adj: np.ndarray) -> np.ndarray:
@@ -197,19 +188,8 @@ def _shuffle(items: list, seed: int) -> None:
 
 def configuration_rewire_with_stats(g: Graph, seed: int) -> tuple[Graph, int]:
     """Like :func:`configuration_rewire`, also returning dropped pair count."""
-    stubs: list[int] = []
-    for i, neigh in enumerate(g.adj):
-        stubs.extend([i] * len(neigh))
+    stubs = np.repeat(np.arange(g.n), np.fromiter(map(len, g.adj), np.int64, g.n)).tolist()
     _shuffle(stubs, seed)
-    edges = []
-    seen: set[tuple[int, int]] = set()
-    dropped = 0
-    for k in range(0, len(stubs) - 1, 2):
-        u, v = stubs[k], stubs[k + 1]
-        key = (u, v) if u < v else (v, u)
-        if u == v or key in seen:
-            dropped += 1
-            continue
-        seen.add(key)
-        edges.append(key)
-    return build_graph(edges, nodes=list(range(g.n))), dropped
+    pairs = np.array(stubs[:len(stubs) // 2 * 2], dtype=np.int64).reshape(-1, 2)
+    keys = _arcs(g.n, pairs[pairs[:, 0] != pairs[:, 1]])
+    return _from_keys(g.n, keys), len(pairs) - len(keys) // 2

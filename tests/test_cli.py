@@ -44,6 +44,20 @@ def test_analyze_degenerate_constant_attrs(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("rational", [[], ["--rational"]])
+def test_analyze_gap_beyond_float_range_exits_1(tmp_path, capsys, rational):
+    graph, attrs = tmp_path / "g.edges", tmp_path / "a.csv"
+    graph.write_text("".join(f"c l{i}\n" for i in range(9)))
+    attrs.write_text("node,value\nc,-1.7e308\n" + "".join(f"l{i},1.7e308\n" for i in range(9)))
+    assert main(["analyze", str(graph), str(attrs), *rational]) == 1
+    captured = capsys.readouterr()
+    assert "Infinity" not in captured.out
+    assert "singular_gap is not finite" in captured.err
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(graph), str(attrs), *rational, "--output", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_classify_star(tmp_path, capsys):
     graph = tmp_path / "g.edges"
     main(["gen", "star", "--n", "6", "--output", str(graph)])

@@ -32,6 +32,39 @@ def test_read_edge_list_bad_line():
         edge_list_from_string("1 2 3\n")
 
 
+@pytest.mark.parametrize("bad, tokens", [("a b c", 3), ("a", 1)])
+def test_parse_error_names_the_line_after_comments_and_blanks(bad, tokens):
+    text = f"# header\n\n  # indented\n1 2\n\t\n2 3\n{bad}\n3 4\nx\n"
+    with pytest.raises(ParseError) as info:
+        edge_list_from_string(text)
+    assert info.value.line_number == 7
+    assert str(info.value) == f"line 7: expected two labels, got {tokens}"
+
+
+def test_read_edge_list_crlf_tabs_and_indented_comment(tmp_path):
+    text = "a\tb\r\n  # note\r\nb \t c\r\n\r\n\tc a\r\n"
+    (tmp_path / "g.edges").write_bytes(text.encode())
+    want = build_graph([("a", "b"), ("b", "c"), ("c", "a")])
+    for g in (read_edge_list(str(tmp_path / "g.edges")), edge_list_from_string(text)):
+        assert (g.labels, g.adj) == (want.labels, want.adj)
+
+
+def test_line_breaks_other_than_newline_do_not_end_a_line():
+    # "\x1c" and "\u2028" separate labels (str.split) but do not start a line.
+    g = edge_list_from_string("a\x1cb\nb\u2028c\n")
+    assert g.labels == ("a", "b", "c") and g.m == 2
+    with pytest.raises(ParseError) as info:
+        edge_list_from_string("# a\u2028b c\na b c\n")
+    assert info.value.line_number == 2
+
+
+def test_byte_order_mark_leaves_no_phantom_node(tmp_path):
+    (tmp_path / "bom.edges").write_bytes("\ufeffa b\r\nb c\r\n".encode())
+    g = read_edge_list(str(tmp_path / "bom.edges"))
+    assert g.labels == ("a", "b", "c")
+    assert not any("\ufeff" in lab for lab in g.labels)
+
+
 def test_round_trip_canonical_form():
     g = edge_list_from_string("b a\na c\nc b\n")
     buf = io.StringIO()

@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgfp.classify import ANTI, DEGENERATE, PRO, classify
-from sgfp.errors import IsolatedNodeError
+from sgfp.errors import IsolatedNodeError, PreconditionViolatedError
 from sgfp.graph import build_graph, delta, is_connected, is_regular, kernel
-from sgfp.metrics import (_as_ints, correlation, gap_report, list_gap, r_d_delta, second_order,
-                          singular_gap, singular_gap_delta_form)
+from sgfp.metrics import (_NUMPY_MIN, _as_ints, _float_ints, correlation, gap_report, list_gap,
+                          r_d_delta, second_order, singular_gap, singular_gap_delta_form)
 from sgfp.randgen import SplitMix64, mix
 
 from conftest import random_graphs
@@ -197,6 +197,50 @@ def test_exact_ints_matches_isinstance_reference(values):
     assert exact == ref_is_exact(values)
     assert (list(ints), s) == ref_as_ints([as_fraction(v) for v in values])
     assert all(type(v) is int for v in ints)
+
+
+special_floats = st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.5e-310, 2.0 ** -1022, 1.7976931348623157e308, 0.1])
+float_tables = st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                  special_floats), min_size=1, max_size=6)
+
+
+@given(float_tables.flatmap(lambda table: st.lists(st.sampled_from(table), max_size=30)),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_float_ints_match_reference_with_repeats(values, numpy_floats):
+    """Float samples (a witness repeats a few values) convert each value exactly."""
+    if numpy_floats:
+        values = [np.float64(v) for v in values]
+    ints, s, exact = _as_ints(values)
+    assert not exact or not values
+    assert (list(ints), s) == ref_as_ints([as_fraction(v) for v in values])
+    assert all(type(v) is int for v in ints)
+
+
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), special_floats),
+                min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_numpy_float_conversion_matches_reference(table):
+    ints, s = _float_ints(table)
+    assert (ints, s) == ref_as_ints([Fraction(v) for v in table])
+    assert all(type(v) is int for v in ints)
+
+
+def test_many_distinct_floats_convert_in_numpy():
+    rng = SplitMix64(4)
+    table = [math.ldexp(rng.random() - 0.5, rng.randrange(200) - 100) for _ in range(_NUMPY_MIN)]
+    values = [table[rng.randrange(len(table))] for _ in range(3 * _NUMPY_MIN)] + table
+    ints, s, _ = _as_ints(values)
+    assert (ints, s) == ref_as_ints([Fraction(v) for v in values])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_float_ints_refuse_non_finite(bad):
+    with pytest.raises(PreconditionViolatedError):
+        _as_ints([1.5, bad, 1.5])
+    with pytest.raises(PreconditionViolatedError):
+        _float_ints([1.5, bad])
 
 
 def test_exact_ints_keeps_int_input():

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from sgfp.classify import Classification, ThresholdEstimate
 from sgfp.construct import example_graph_fig1, example_graph_fig4, path, star
-from sgfp.errors import InvariantBrokenError, LengthMismatchError, SgfpError
+from sgfp.errors import InvariantBrokenError, LengthMismatchError, NonFiniteOutputError, SgfpError
 from sgfp.graph import build_graph, degrees, kernel
+from sgfp.lp import HighCorrelationResult
 from sgfp.metrics import (
     correlation,
     gap_report,
@@ -183,3 +185,22 @@ def test_singular_gap_cross_check_raises():
             singular_gap(g, a)
         with pytest.raises(InvariantBrokenError):
             gap_report(g, a)
+
+
+def test_to_json_refuses_non_finite_fields():
+    report = dataclasses.replace(gap_report(path(3), [1, 2, 4]), list_gap=-math.inf)
+    cases = [
+        (report.to_json, "list_gap"),
+        (HighCorrelationResult(-0.5, [1.0, math.nan], -1.0, 0.1).to_json, None),
+        (lambda: HighCorrelationResult(-0.5, [1.0, math.inf], -1.0, 0.1).to_json(True),
+         "witness"),
+        (Classification("ProSGFP", None, "fit", math.nan).to_json, "r_ddelta"),
+        (ThresholdEstimate(0.5, True, math.inf).to_json, "oracle_max"),
+    ]
+    for to_json, field in cases:
+        if field is None:
+            json.loads(to_json())
+            continue
+        with pytest.raises(NonFiniteOutputError) as info:
+            to_json()
+        assert isinstance(info.value, SgfpError) and info.value.field == field

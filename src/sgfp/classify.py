@@ -139,7 +139,11 @@ def perturb_to_positive_correlation(g: Graph, a: Sequence) -> list:
 
 @dataclass
 class ThresholdEstimate:
-    """Conjectured supremum of failing correlations, with oracle validation."""
+    """Conjectured supremum of failing correlations, with oracle validation.
+
+    ``oracle_max`` is -inf when the walk met no failing point (it has no
+    direction to walk when corr(d, delta) is +-1); JSON writes it as null.
+    """
 
     candidate_sup: float
     validated: bool
@@ -149,7 +153,7 @@ class ThresholdEstimate:
         return _json({
             "candidate_sup": self.candidate_sup,
             "validated": self.validated,
-            "oracle_max": self.oracle_max,
+            "oracle_max": None if self.oracle_max == -math.inf else self.oracle_max,
         })
 
 

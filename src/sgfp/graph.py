@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import mul
+from operator import eq, mul
 from typing import Hashable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -110,29 +110,27 @@ def build_graph(edges: Iterable[tuple[NodeId, NodeId]],
     labels = tuple(dict.fromkeys(flat if nodes is None else nodes))
     n = len(labels)
     index = dict(zip(labels, range(n)))
-    ends = np.array(list(map(index.get, flat, repeat(-1))), dtype=np.int64).reshape(-1, 2)
-    bad = ends[:, 0] == ends[:, 1]  # a self-loop, or two unknown labels (index -1)
-    if nodes is not None:
-        bad |= ends.min(1) < 0
-    if True in bad:
-        k = int(bad.argmax())
-        (u, v), (i, j) = edges[k], ends[k].tolist()
+    ends = list(map(index.get, flat, repeat(-1)))
+    heads, tails = ends[::2], ends[1::2]
+    # A self-loop, or two unknown labels (index -1), or one unknown label.
+    if True in map(eq, heads, tails) or (nodes is not None and -1 in ends):
+        k = next(k for k, (i, j) in enumerate(zip(heads, tails)) if i == j or min(i, j) < 0)
+        (u, v), i, j = edges[k], heads[k], tails[k]
         if u == v or min(i, j) >= 0:
             raise SelfLoopError(u)
         raise UnknownNodeError(u if i < 0 else v)
-    keys = _arcs(n, ends)
+    keys = _arcs(n, heads, tails)
     return _from_keys(n, keys, labels, len(edges) - len(keys) // 2, index)
 
 
-def _arcs(n: int, ends: np.ndarray) -> np.ndarray:
+def _arcs(n: int, heads, tails) -> np.ndarray:
     """The sorted, distinct directed keys i*n + j, in both orientations, of
-    the edges in the (m, 2) index array `ends`; n*n must stay below 2**63."""
-    keys = (ends @ ((n, 1), (1, n))).ravel()
+    the edges heads[k]--tails[k] (two integer lists or arrays); n*n must
+    stay below 2**63."""
+    ends = np.array((heads, tails), dtype=np.int64)
+    keys = np.concatenate(((-1,), ((n, 1), (1, n)) @ ends), axis=None)  # -1 sorts first
     keys.sort()
-    keep = np.empty(len(keys), dtype=bool)
-    keep[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    return keys[keep]
+    return keys[1:][keys[1:] != keys[:-1]]
 
 
 def _from_keys(n: int, keys: np.ndarray, labels: tuple[NodeId, ...] | None = None,

@@ -16,10 +16,8 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import lshift, mul
+from operator import mul
 from typing import Optional, Sequence
-
-import numpy
 
 from .errors import (
     AllIsolatesError,
@@ -36,10 +34,6 @@ AttributeSample = Sequence
 
 _INT = {int}
 _EXACT = {int, Fraction}
-_FLOAT = {float, numpy.float64}
-# From this many distinct floats on, converting them in numpy beats a
-# Python call per value (about 64 when warm; a cold numpy call costs more).
-_NUMPY_MIN = 128
 
 
 def _json(payload: dict) -> str:
@@ -63,29 +57,13 @@ def _ratio(v) -> tuple[int, int]:
         return operator.index(v), 1
 
 
-def _float_ints(values: list) -> tuple[list[int], int]:
-    """Finite floats as (v * s, s) for s the least power of two that makes
-    every v * s an integer: the lcm of their ``as_integer_ratio`` denominators."""
-    v = numpy.array(values, dtype=float)
-    if not numpy.isfinite(v).all():
-        raise PreconditionViolatedError("attribute values must be finite")
-    frac, e = numpy.frexp(v)
-    mant = (frac * 2.0 ** 53).astype(numpy.int64)  # v = mant * 2**(e - 53) exactly
-    nz = mant != 0
-    low = numpy.where(nz, numpy.frexp((mant & -mant).astype(float))[1] - 1, 0)  # trailing zeros
-    den = numpy.where(nz, 53 - e - low, 0)  # v = (mant >> low) / 2**den, in lowest terms
-    k = max(0, int(den.max(initial=0)))
-    return list(map(lshift, (mant >> low).tolist(), (k - den).tolist())), 1 << k
-
-
 def _as_ints(values) -> tuple[Sequence[int], int, bool]:
     """Values as integers over their common denominator s, and whether
     every value is exact: (v * s, s, exact).
 
     Exact means an int or a Fraction (subclasses such as bool count).
     Int-only input is returned as it is, with s = 1. Each distinct value
-    is converted once (an LP witness holds a handful); many distinct
-    floats are converted in numpy.
+    is converted once (an LP witness holds a handful).
     Raises :class:`PreconditionViolatedError` on a NaN or an infinity.
     """
     types = set(map(type, values))
@@ -93,15 +71,12 @@ def _as_ints(values) -> tuple[Sequence[int], int, bool]:
         return values, 1, True
     exact = types <= _EXACT or all(isinstance(v, (int, Fraction)) for v in values)
     table = dict.fromkeys(values)
-    if types <= _FLOAT and len(table) >= _NUMPY_MIN:
-        ints, s = _float_ints(list(table))
-    else:
-        try:
-            pairs = list(map(_ratio, table))
-        except (OverflowError, ValueError):
-            raise PreconditionViolatedError("attribute values must be finite") from None
-        s = math.lcm(*{d for _, d in pairs})
-        ints = [p * (s // d) for p, d in pairs]
+    try:
+        pairs = list(map(_ratio, table))
+    except (OverflowError, ValueError):
+        raise PreconditionViolatedError("attribute values must be finite") from None
+    s = math.lcm(*{d for _, d in pairs})
+    ints = [p * (s // d) for p, d in pairs]
     if len(table) < len(values):
         ints = list(map(dict(zip(table, ints)).__getitem__, values))
     return ints, s, exact

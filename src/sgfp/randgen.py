@@ -106,7 +106,7 @@ def gnp(n: int, p: float, seed: int) -> Graph:
         k = start + np.flatnonzero(bits)
         i = np.searchsorted(offset, k, side="right") - 1
         ends.append(np.column_stack((i, k - offset[i] + i + 1)))
-    return _from_keys(n, _arcs(n, np.concatenate(ends)))
+    return _from_keys(n, _arcs(n, *np.concatenate(ends).T))
 
 
 def _connected(adj: np.ndarray) -> np.ndarray:
@@ -191,5 +191,5 @@ def configuration_rewire_with_stats(g: Graph, seed: int) -> tuple[Graph, int]:
     stubs = np.repeat(np.arange(g.n), np.fromiter(map(len, g.adj), np.int64, g.n)).tolist()
     _shuffle(stubs, seed)
     pairs = np.array(stubs[:len(stubs) // 2 * 2], dtype=np.int64).reshape(-1, 2)
-    keys = _arcs(g.n, pairs[pairs[:, 0] != pairs[:, 1]])
+    keys = _arcs(g.n, *pairs[pairs[:, 0] != pairs[:, 1]].T)
     return _from_keys(g.n, keys), len(pairs) - len(keys) // 2

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import pytest
@@ -124,6 +125,23 @@ def test_threshold_path5(tmp_path, capsys):
     assert rc == 0
     result = json.loads(capsys.readouterr().out)
     assert abs(result["candidate_sup"] - 0.40824829) < 1e-6
+
+
+def test_threshold_without_oracle_point_writes_null(tmp_path, capsys, monkeypatch):
+    """At corr(d, delta) = +-1 the walk has no direction, so the oracle
+    finds no failing point; forcing a star (r = 1) down the anti branch
+    shows that -inf sentinel comes out as JSON null, not as an error."""
+    classify_module = importlib.import_module("sgfp.classify")
+
+    def anti(g):
+        return classify_module.Classification(classify_module.ANTI, None, "forced", 1.0)
+
+    monkeypatch.setattr(classify_module, "classify", anti)
+    graph = tmp_path / "g.edges"
+    main(["gen", "star", "--n", "6", "--output", str(graph)])
+    assert main(["threshold", str(graph)]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result == {"candidate_sup": 0.0, "validated": False, "oracle_max": None}
 
 
 def test_repeated_calls_share_no_state(tmp_path, capsys):

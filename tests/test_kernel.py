@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from sgfp.classify import ANTI, DEGENERATE, PRO, classify
 from sgfp.errors import IsolatedNodeError, PreconditionViolatedError
 from sgfp.graph import build_graph, delta, is_connected, is_regular, kernel
-from sgfp.metrics import (_NUMPY_MIN, _as_ints, _float_ints, correlation, gap_report, list_gap,
-                          r_d_delta, second_order, singular_gap, singular_gap_delta_form)
+from sgfp.metrics import (_as_ints, correlation, gap_report, list_gap, r_d_delta, second_order,
+                          singular_gap, singular_gap_delta_form)
 from sgfp.randgen import SplitMix64, mix
 
 from conftest import random_graphs
@@ -218,29 +218,10 @@ def test_float_ints_match_reference_with_repeats(values, numpy_floats):
     assert all(type(v) is int for v in ints)
 
 
-@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), special_floats),
-                min_size=1, max_size=40))
-@settings(max_examples=300, deadline=None)
-def test_numpy_float_conversion_matches_reference(table):
-    ints, s = _float_ints(table)
-    assert (ints, s) == ref_as_ints([Fraction(v) for v in table])
-    assert all(type(v) is int for v in ints)
-
-
-def test_many_distinct_floats_convert_in_numpy():
-    rng = SplitMix64(4)
-    table = [math.ldexp(rng.random() - 0.5, rng.randrange(200) - 100) for _ in range(_NUMPY_MIN)]
-    values = [table[rng.randrange(len(table))] for _ in range(3 * _NUMPY_MIN)] + table
-    ints, s, _ = _as_ints(values)
-    assert (ints, s) == ref_as_ints([Fraction(v) for v in values])
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_float_ints_refuse_non_finite(bad):
     with pytest.raises(PreconditionViolatedError):
         _as_ints([1.5, bad, 1.5])
-    with pytest.raises(PreconditionViolatedError):
-        _float_ints([1.5, bad])
 
 
 def test_exact_ints_keeps_int_input():

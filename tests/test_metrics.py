@@ -197,6 +197,7 @@ def test_to_json_refuses_non_finite_fields():
         (Classification("ProSGFP", None, "fit", math.nan).to_json, "r_ddelta"),
         (ThresholdEstimate(0.5, True, math.inf).to_json, "oracle_max"),
     ]
+    assert json.loads(ThresholdEstimate(0.5, False, -math.inf).to_json())["oracle_max"] is None
     for to_json, field in cases:
         if field is None:
             json.loads(to_json())

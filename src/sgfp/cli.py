@@ -1,21 +1,20 @@
-"""Command-line interface.
+"""Command-line interface: one row of :data:`COMMANDS` per subcommand.
 
-Exit codes: 0 success, 1 error (bad arguments included), 2 degenerate
-input (regular graph or constant attributes), so scripts can tell
-"undefined correlation" apart from failure.
+A call builds only the parser of the subcommand it names. A handler returns its
+text, alone or with an exit code or an error that is raised once ``--output``
+(or stdout) holds the text. Exit codes: 0 success, 1 error (bad arguments
+included), 2 degenerate input (regular graph or constant attributes).
 """
-
-from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import astuple, fields
+from dataclasses import astuple
 
 from . import construct, experiments
 from .classify import DEGENERATE, classify, threshold_estimate
 from .errors import DegenerateGraphError, PreconditionViolatedError, SgfpError, UsageError
-from .ingest import (opened, prop_own, read_attributes, read_edge_list, read_labels,
-                     write_graph, write_node_values)
+from .ingest import (edge_list_text, node_values_text, opened, prop_own, read_attributes,
+                     read_edge_list, read_labels)
 from .lp import max_failing_correlation
 from .metrics import gap_report
 from .randgen import gnp
@@ -25,112 +24,111 @@ EXIT_ERROR = 1
 EXIT_DEGENERATE = 2
 
 
-def _out(args):
-    """The command's output: the --output file, or stdout."""
-    return opened(args.output or sys.stdout, "w")
-
-
-def cmd_analyze(args) -> int:
+def cmd_analyze(args):
     g = read_edge_list(args.graph)
-    attrs = read_attributes(args.attrs, g, rational=args.rational)
-    report = gap_report(g, attrs, per_node=args.per_node)
-    text = report.to_json(include_per_node=args.per_node)  # raises before --output is opened
-    with _out(args) as fh:
-        fh.write(text + "\n")
+    report = gap_report(g, read_attributes(args.attrs, g, rational=args.rational),
+                        per_node=args.per_node)
+    text = report.to_json(include_per_node=args.per_node) + "\n"
     if report.r_da is None or report.r_ddelta is None:
-        print("degenerate input: correlation undefined", file=sys.stderr)
-        return EXIT_DEGENERATE
-    return EXIT_OK
+        return text, DegenerateGraphError("correlation undefined")  # raised once text is written
+    return text
 
 
-def cmd_classify(args) -> int:
-    g = read_edge_list(args.graph)
-    result = classify(g)
-    text = result.to_json()
-    with _out(args) as fh:
-        fh.write(text + "\n")
-    return EXIT_DEGENERATE if result.kind == DEGENERATE else EXIT_OK
+def cmd_classify(args):
+    result = classify(read_edge_list(args.graph))
+    return result.to_json() + "\n", EXIT_DEGENERATE if result.kind == DEGENERATE else EXIT_OK
 
 
-def cmd_optimize(args) -> int:
-    g = read_edge_list(args.graph)
-    result = max_failing_correlation(g, args.epsilon)
-    text = result.to_json(include_witness=args.witness)
-    with _out(args) as fh:
-        fh.write(text + "\n")
-    return EXIT_OK
+def cmd_optimize(args):
+    result = max_failing_correlation(read_edge_list(args.graph), args.epsilon)
+    return result.to_json(include_witness=args.witness) + "\n"
 
 
-def cmd_threshold(args) -> int:
-    g = read_edge_list(args.graph)
-    est = threshold_estimate(g, grid=args.grid)
-    text = est.to_json()
-    with _out(args) as fh:
-        fh.write(text + "\n")
-    return EXIT_OK
+def cmd_threshold(args):
+    return threshold_estimate(read_edge_list(args.graph), grid=args.grid).to_json() + "\n"
 
 
-def _columns(record_type) -> list[str]:
-    return [f.name for f in fields(record_type)]
-
-
-def cmd_census(args) -> int:
+def cmd_census(args):
     if args.nmin > args.nmax:
         raise PreconditionViolatedError("nmin must be <= nmax")
     records = []
     for n in range(args.nmin, args.nmax + 1):
-        record, infeasible = experiments._census(n, args.samples, args.seed,
-                                                 epsilon=args.epsilon, jobs=args.jobs)
+        row, infeasible = experiments._census(n, args.samples, args.seed, args.epsilon, args.jobs)
         if infeasible:
             print(f"warning: n={n}: {infeasible} of {args.samples} samples infeasible "
                   f"at epsilon={args.epsilon}", file=sys.stderr)
-        records.append(record)
-    with _out(args) as fh:
-        experiments.write_csv(_columns(experiments.CensusRecord), map(astuple, records), fh)
-    return EXIT_OK
+        records.append(row)
+    return experiments.csv_text(experiments.CENSUS_COLUMNS, map(astuple, records))
 
 
-def cmd_grow(args) -> int:
-    rows = experiments.grow_table(args.steps)
-    with _out(args) as fh:
-        experiments.write_csv(experiments.GROW_COLUMNS, rows, fh)
-    return EXIT_OK
+def cmd_grow(args):
+    return experiments.csv_text(experiments.GROW_COLUMNS, experiments.grow_table(args.steps))
 
 
-def cmd_rewire_experiment(args) -> int:
+def cmd_rewire_experiment(args):
     graphs = [(path, read_edge_list(path)) for path in args.graphs]
-    records = experiments.rewire_experiment(graphs, args.seed,
-                                            epsilon=args.epsilon)
-    with _out(args) as fh:
-        experiments.write_csv(_columns(experiments.RewireRecord), map(astuple, records), fh)
-    return EXIT_OK
+    records = experiments.rewire_experiment(graphs, args.seed, epsilon=args.epsilon)
+    return experiments.csv_text(experiments.REWIRE_COLUMNS, map(astuple, records))
 
 
-def cmd_propown(args) -> int:
+def cmd_propown(args):
     g = read_edge_list(args.graph)
-    labels = read_labels(args.labels, g)
-    values = prop_own(g, labels)
-    with _out(args) as fh:
-        write_node_values(g, [None if v is None else float(v) for v in values], fh)
-    return EXIT_OK
+    values = prop_own(g, read_labels(args.labels, g))
+    return node_values_text(g, [None if v is None else float(v) for v in values])
 
 
-def cmd_gen(args) -> int:
-    attrs = None
-    if args.kind == "gnp":
-        g = gnp(args.n, args.p, args.seed)
-    elif args.kind == "fig1":
+def cmd_gen(args):
+    if args.kind == "fig1":
         g, attrs = construct.example_graph_fig1()
     elif args.kind == "fig4":
         g, samples = construct.example_graph_fig4()
         attrs = samples[args.sample]
+    elif args.attrs_output:
+        raise UsageError(f"sgfp gen: argument --attrs-output: {args.kind} has no attributes")
+    elif args.kind == "gnp":
+        g = gnp(args.n, args.p, args.seed)
     else:
-        g = {"star": construct.star, "knee": construct.knee,
-             "path": construct.path}[args.kind](args.n)
-    write_graph(g, args.output or sys.stdout)
-    if attrs is not None and args.attrs_output:
-        write_node_values(g, attrs, args.attrs_output)
-    return EXIT_OK
+        g = getattr(construct, args.kind)(args.n)  # star, knee or path
+    text = edge_list_text(g)  # raises on isolated nodes before any file is written
+    if args.attrs_output:
+        with opened(args.attrs_output, "w") as fh:
+            fh.write(node_values_text(g, attrs))
+    return text
+
+
+_FLAG = {"action": "store_true"}
+_SEED = ("--seed", {"type": int, "default": 0})
+_EPSILON = ("--epsilon", {"type": float, "default": 0.001})
+_OUTPUT = ("--output", {"help": "write to this file instead of stdout"})
+
+#: name -> (handler, help text, argument specs); every command also takes --output.
+COMMANDS = {
+    "analyze": (cmd_analyze, "gap/correlation report for a graph + attributes", [
+        ("graph", {}), ("attrs", {}),
+        ("--rational", {**_FLAG, "help": "parse values as exact decimals "
+                                         "(0.1 is 1/10, not the nearest double)"}),
+        ("--per-node", _FLAG)]),
+    "classify": (cmd_classify, "exact pro-/anti-SGFP classification", [("graph", {})]),
+    "optimize": (cmd_optimize, "LP search for a failing attribute sample", [
+        ("graph", {}), _EPSILON, ("--witness", _FLAG)]),
+    "threshold": (cmd_threshold, "failing-correlation threshold estimate", [
+        ("graph", {}), ("--grid", {"type": int, "default": 256})]),
+    "census": (cmd_census, "random-graph pro/anti census", [
+        ("--nmin", {"type": int, "default": 3}), ("--nmax", {"type": int, "default": 10}),
+        ("--samples", {"type": int, "default": 10000}), _SEED, _EPSILON,
+        ("--jobs", {"type": int, "default": 1})]),
+    "grow": (cmd_grow, "growth-construction curve data", [("steps", {"type": int})]),
+    "rewire-experiment": (cmd_rewire_experiment, "configuration-model rewiring study", [
+        ("graphs", {"nargs": "+"}), _SEED, _EPSILON]),
+    "propown": (cmd_propown, "derive shared-label proportion attribute", [
+        ("graph", {}), ("labels", {})]),
+    "gen": (cmd_gen, "generate a named graph as an edge list", [
+        ("kind", {"choices": ["gnp", "star", "knee", "path", "fig1", "fig4"]}),
+        ("--n", {"type": int, "default": 8}), ("--p", {"type": float, "default": 0.5}), _SEED,
+        ("--sample", {"type": int, "default": 0, "choices": range(3),
+                      "help": "fig4 attribute sample index"}),
+        ("--attrs-output", {"help": "also write the attribute CSV here"})]),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,88 +138,31 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="sgfp",
-        description="Singular generalized friendship paradox toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--output", help="write to this file instead of stdout")
-
-    p = sub.add_parser("analyze", help="gap/correlation report for a graph + attributes")
-    p.add_argument("graph")
-    p.add_argument("attrs")
-    p.add_argument("--rational", action="store_true",
-                   help="parse values as exact decimals (0.1 is 1/10, not the nearest double)")
-    p.add_argument("--per-node", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("classify", help="exact pro-/anti-SGFP classification")
-    p.add_argument("graph")
-    common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("optimize", help="LP search for a failing attribute sample")
-    p.add_argument("graph")
-    p.add_argument("--epsilon", type=float, default=0.001)
-    p.add_argument("--witness", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_optimize)
-
-    p = sub.add_parser("threshold", help="failing-correlation threshold estimate")
-    p.add_argument("graph")
-    p.add_argument("--grid", type=int, default=256)
-    common(p)
-    p.set_defaults(func=cmd_threshold)
-
-    p = sub.add_parser("census", help="random-graph pro/anti census")
-    p.add_argument("--nmin", type=int, default=3)
-    p.add_argument("--nmax", type=int, default=10)
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=float, default=0.001)
-    p.add_argument("--jobs", type=int, default=1)
-    common(p)
-    p.set_defaults(func=cmd_census)
-
-    p = sub.add_parser("grow", help="growth-construction curve data")
-    p.add_argument("steps", type=int)
-    common(p)
-    p.set_defaults(func=cmd_grow)
-
-    p = sub.add_parser("rewire-experiment", help="configuration-model rewiring study")
-    p.add_argument("graphs", nargs="+")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=float, default=0.001)
-    common(p)
-    p.set_defaults(func=cmd_rewire_experiment)
-
-    p = sub.add_parser("propown", help="derive shared-label proportion attribute")
-    p.add_argument("graph")
-    p.add_argument("labels")
-    common(p)
-    p.set_defaults(func=cmd_propown)
-
-    p = sub.add_parser("gen", help="generate a named graph as an edge list")
-    p.add_argument("kind", choices=["gnp", "star", "knee", "path", "fig1", "fig4"])
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--p", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sample", type=int, default=0, choices=range(3),
-                   help="fig4 attribute sample index")
-    p.add_argument("--attrs-output", help="also write the attribute CSV here")
-    common(p)
-    p.set_defaults(func=cmd_gen)
-
-    return parser
-
-
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        if not argv or argv[0] not in COMMANDS:
+            # Help or a usage error, from a parser whose subcommands hold only their help.
+            top = _Parser(prog="sgfp",
+                          description="Singular generalized friendship paradox toolkit")
+            sub = top.add_subparsers(dest="command", required=True)
+            for name, (_, help_text, _) in COMMANDS.items():
+                sub.add_parser(name, help=help_text)
+            top.parse_args(argv[:1])  # names no command, so this exits or raises
+        handler, _, specs = COMMANDS[argv[0]]
+        parser = _Parser(prog=f"sgfp {argv[0]}")
+        for flag, spec in (*specs, _OUTPUT):
+            parser.add_argument(flag, **spec)
+        args, extra = parser.parse_known_args(argv[1:])
+        if extra:
+            raise UsageError(f"sgfp: unrecognized arguments: {' '.join(extra)}")
+        result = handler(args)
+        text, status = result if isinstance(result, tuple) else (result, EXIT_OK)
+        with opened(args.output or sys.stdout, "w") as fh:
+            fh.write(text)
+        if isinstance(status, SgfpError):
+            raise status
+        return status
     except DegenerateGraphError as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -6,9 +6,10 @@ Each record's CSV columns are its dataclass fields, in order.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import io
+from dataclasses import dataclass, fields
 from itertools import chain
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -130,14 +131,13 @@ def _census(n: int, samples: int, seed: int, epsilon: float = 0.001,
     return record, sum(r_high != r_high for _, r_high, _ in results)
 
 
-def write_csv(header: Sequence[str], rows: Iterable[Sequence], fh: TextIO) -> None:
-    """Write a header and rows with the csv module, which ends lines in CRLF."""
-    writer = csv.writer(fh)
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """A header and rows as the csv module writes them, with CRLF line ends."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-
-
-GROW_COLUMNS = ["k", "n", "gap", "r"]
+    return buf.getvalue()
 
 
 def grow_table(steps: int) -> list[tuple[int, int, float, float]]:
@@ -164,6 +164,11 @@ class RewireRecord:
     r_high_rewired: Optional[float]
     r_ddelta_rewired: Optional[float]
     seed: int
+
+
+CENSUS_COLUMNS = [f.name for f in fields(CensusRecord)]
+GROW_COLUMNS = ["k", "n", "gap", "r"]
+REWIRE_COLUMNS = [f.name for f in fields(RewireRecord)]
 
 
 def strip_isolates(g: Graph) -> Graph:

@@ -77,12 +77,9 @@ def read_edge_list(source: Source) -> Graph:
     return build_graph(rows)
 
 
-def write_graph(g: Graph, target: Source) -> None:
-    """Write the canonical normal form: sorted edges, one per line.
-
-    An edge list has no line for a node without edges, so a graph with
-    isolated nodes raises before anything is written.
-    """
+def edge_list_text(g: Graph) -> str:
+    """The canonical normal form: sorted edges, one per line. An edge list has
+    no line for a node without edges, so a graph with isolated nodes raises."""
     isolated = sum(not a for a in g.adj)
     if isolated:
         raise PreconditionViolatedError(
@@ -91,17 +88,20 @@ def write_graph(g: Graph, target: Source) -> None:
         tuple(sorted((str(g.labels[i]), str(g.labels[j]))))
         for i, j in g.edges()
     )
-    with opened(target, "w") as fh:
-        for u, v in lines:
-            fh.write(f"{u} {v}\n")
+    return "".join(f"{u} {v}\n" for u, v in lines)
 
 
-def write_node_values(g: Graph, values: Sequence, target: Source) -> None:
-    """Write a "node,value" table in g's canonical order; None writes an empty value."""
+def write_graph(g: Graph, target: Source) -> None:
+    """Write :func:`edge_list_text`; it raises before anything is written."""
+    text = edge_list_text(g)
     with opened(target, "w") as fh:
-        fh.write("node,value\n")
-        for label, v in zip(g.labels, values):
-            fh.write(f"{label},{'' if v is None else v}\n")
+        fh.write(text)
+
+
+def node_values_text(g: Graph, values: Sequence) -> str:
+    """A "node,value" table in g's canonical order; None writes an empty value."""
+    return "node,value\n" + "".join(f"{label},{'' if v is None else v}\n"
+                                    for label, v in zip(g.labels, values))
 
 
 def _read_node_table(source: Source, g: Graph, column: str,

@@ -1,9 +1,17 @@
+import argparse
 import importlib
+import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sgfp
 from sgfp.cli import main
+from sgfp.errors import SgfpError
 
 
 @pytest.fixture
@@ -256,6 +264,8 @@ def test_analyze_non_finite_attribute_exits_1(tmp_path, capsys, mode):
     ["optimize", "{graph}", "--epsilon", "inf"],
     ["census", "--nmin", "3", "--nmax", "3", "--samples", "4", "--epsilon", "inf"],
     ["rewire-experiment", "{graph}", "--epsilon", "inf"],
+    [],
+    ["gen", "star", "--n", "5", "--attrs-output", "{attrs_out}", "--output", "{graph_out}"],
 ])
 def test_bad_arguments_exit_1(tmp_path, capsys, argv):
     graph = tmp_path / "g.edges"
@@ -266,12 +276,152 @@ def test_bad_arguments_exit_1(tmp_path, capsys, argv):
     binary.write_bytes(b"1 2\n\xff 3\n")
     capsys.readouterr()
     paths = {"graph": graph, "triangle": triangle, "binary": binary,
-             "missing": tmp_path / "missing.edges", "nodir": tmp_path / "no-such-dir"}
+             "missing": tmp_path / "missing.edges", "nodir": tmp_path / "no-such-dir",
+             "graph_out": tmp_path / "out.edges", "attrs_out": tmp_path / "out.csv"}
     argv = [a.format(**paths) for a in argv]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    assert not paths["graph_out"].exists()
+    assert not paths["attrs_out"].exists()
+
+
+HELP = {
+    "analyze": "gap/correlation report for a graph + attributes",
+    "classify": "exact pro-/anti-SGFP classification",
+    "optimize": "LP search for a failing attribute sample",
+    "threshold": "failing-correlation threshold estimate",
+    "census": "random-graph pro/anti census",
+    "grow": "growth-construction curve data",
+    "rewire-experiment": "configuration-model rewiring study",
+    "propown": "derive shared-label proportion attribute",
+    "gen": "generate a named graph as an edge list",
+}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["threshold", "G", "--grid", "abc"],
+     "sgfp threshold: argument --grid: invalid int value: 'abc'"),
+    (["gen", "fig4", "--sample", "7"],
+     "sgfp gen: argument --sample: invalid choice: 7 (choose from 0, 1, 2)"),
+    (["grow"], "sgfp grow: the following arguments are required: steps"),
+    (["no-such-command"], "sgfp: argument command: invalid choice: 'no-such-command' "
+                          f"(choose from {', '.join(map(repr, HELP))})"),
+    ([], "sgfp: the following arguments are required: command"),
+    (["census", "--foo"], "sgfp: unrecognized arguments: --foo"),
+])
+def test_usage_error_text(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_help_lists_commands_and_options(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: sgfp ")
+    for name, text in HELP.items():
+        assert f"    {name}" in out and text in out
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: sgfp census ")
+    for option in ("--nmin", "--nmax", "--samples", "--seed", "--epsilon", "--jobs", "--output"):
+        assert option in out
+
+
+def test_call_builds_only_its_own_parser(tmp_path, capsys, monkeypatch):
+    graph = tmp_path / "g.edges"
+    main(["gen", "path", "--n", "5", "--output", str(graph)])
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def recording_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+    assert main(["threshold", str(graph)]) == 0
+    assert main(["threshold", str(graph)]) == 0
+    assert built == ["sgfp threshold", "sgfp threshold"]
+
+
+class _Stop(SgfpError):
+    pass
+
+
+def _recorder(module, name, calls, result=None):
+    """Replace module.name by a stub that records its bound arguments and
+    returns `result`, or raises _Stop when `result` is None."""
+    signature = inspect.signature(getattr(module, name))
+
+    def stub(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(dict(bound.arguments))
+        if result is None:
+            raise _Stop("stopped")
+        return result
+    return stub
+
+
+@pytest.mark.parametrize("argv, module, name, expected", [
+    (["optimize", "{graph}"], "sgfp.cli", "max_failing_correlation", {"epsilon": 0.001}),
+    (["threshold", "{graph}"], "sgfp.cli", "threshold_estimate", {"grid": 256}),
+    (["rewire-experiment", "{graph}"], "sgfp.experiments", "rewire_experiment",
+     {"seed": 0, "epsilon": 0.001}),
+    (["gen", "gnp"], "sgfp.cli", "gnp", {"n": 8, "p": 0.5, "seed": 0}),
+])
+def test_subcommand_defaults(tmp_path, capsys, monkeypatch, argv, module, name, expected):
+    graph = tmp_path / "g.edges"
+    main(["gen", "path", "--n", "5", "--output", str(graph)])
+    calls = []
+    target = importlib.import_module(module)
+    monkeypatch.setattr(target, name, _recorder(target, name, calls))
+    assert main([a.format(graph=graph) for a in argv]) == 1
+    assert len(calls) == 1
+    for key, value in expected.items():
+        assert calls[0][key] == value and type(calls[0][key]) is type(value)
+
+
+def test_census_defaults(monkeypatch, capsys):
+    experiments = importlib.import_module("sgfp.experiments")
+    record = experiments.CensusRecord(3, 1, 1, 1.0, None, None, None, None, 0)
+    calls = []
+    monkeypatch.setattr(experiments, "_census",
+                        _recorder(experiments, "_census", calls, (record, 0)))
+    assert main(["census"]) == 0
+    assert [c["n"] for c in calls] == list(range(3, 11))
+    for call in calls:
+        assert {k: call[k] for k in ("samples", "seed", "epsilon", "jobs")} == {
+            "samples": 10000, "seed": 0, "epsilon": 0.001, "jobs": 1}
+        assert type(call["epsilon"]) is float
+
+
+def test_gen_sample_defaults_to_0(tmp_path, capsys):
+    default, first = tmp_path / "d.csv", tmp_path / "f.csv"
+    assert main(["gen", "fig4", "--attrs-output", str(default)]) == 0
+    assert main(["gen", "fig4", "--sample", "0", "--attrs-output", str(first)]) == 0
+    assert default.read_bytes() == first.read_bytes()
+
+
+def test_module_entry_point(tmp_path, capsys):
+    graph = tmp_path / "g.edges"
+    main(["gen", "path", "--n", "5", "--output", str(graph)])
+    capsys.readouterr()
+    assert main(["threshold", str(graph)]) == 0
+    expected = capsys.readouterr().out.encode()
+    env = dict(os.environ, PYTHONPATH=str(Path(sgfp.__file__).parents[1]))
+    run = [sys.executable, "-m", "sgfp.cli"]
+    proc = subprocess.run([*run, "threshold", str(graph)], capture_output=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, b"")
+    proc = subprocess.run(run, capture_output=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"error: ")
 
 
 @pytest.mark.parametrize("argv", [

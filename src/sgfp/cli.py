@@ -1,9 +1,10 @@
 """Command-line interface: one row of :data:`COMMANDS` per subcommand.
 
-A call builds only the parser of the subcommand it names. A handler returns its
-text, alone or with an exit code or an error that is raised once ``--output``
-(or stdout) holds the text. Exit codes: 0 success, 1 error (bad arguments
-included), 2 degenerate input (regular graph or constant attributes).
+Every call builds the argparse tree from the table afresh; nothing is kept
+between calls. A handler returns its text, alone or with an exit code or an
+error that is raised once ``--output`` (or stdout) holds the text. Exit codes:
+0 success, 1 error (bad arguments included), 2 degenerate input (regular graph
+or constant attributes).
 """
 
 import argparse
@@ -139,24 +140,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        if not argv or argv[0] not in COMMANDS:
-            # Help or a usage error, from a parser whose subcommands hold only their help.
-            top = _Parser(prog="sgfp",
-                          description="Singular generalized friendship paradox toolkit")
-            sub = top.add_subparsers(dest="command", required=True)
-            for name, (_, help_text, _) in COMMANDS.items():
-                sub.add_parser(name, help=help_text)
-            top.parse_args(argv[:1])  # names no command, so this exits or raises
-        handler, _, specs = COMMANDS[argv[0]]
-        parser = _Parser(prog=f"sgfp {argv[0]}")
-        for flag, spec in (*specs, _OUTPUT):
-            parser.add_argument(flag, **spec)
-        args, extra = parser.parse_known_args(argv[1:])
-        if extra:
-            raise UsageError(f"sgfp: unrecognized arguments: {' '.join(extra)}")
-        result = handler(args)
+        parser = _Parser(prog="sgfp",
+                         description="Singular generalized friendship paradox toolkit")
+        sub = parser.add_subparsers(dest="command", required=True)
+        for name, (handler, help_text, specs) in COMMANDS.items():
+            p = sub.add_parser(name, help=help_text)
+            for flag, spec in (*specs, _OUTPUT):
+                p.add_argument(flag, **spec)
+            p.set_defaults(handler=handler)
+        args = parser.parse_args(argv)
+        result = args.handler(args)
         text, status = result if isinstance(result, tuple) else (result, EXIT_OK)
         with opened(args.output or sys.stdout, "w") as fh:
             fh.write(text)

@@ -1,4 +1,3 @@
-import argparse
 import importlib
 import inspect
 import json
@@ -333,21 +332,6 @@ def test_help_lists_commands_and_options(capsys):
     assert out.startswith("usage: sgfp census ")
     for option in ("--nmin", "--nmax", "--samples", "--seed", "--epsilon", "--jobs", "--output"):
         assert option in out
-
-
-def test_call_builds_only_its_own_parser(tmp_path, capsys, monkeypatch):
-    graph = tmp_path / "g.edges"
-    main(["gen", "path", "--n", "5", "--output", str(graph)])
-    built, init = [], argparse.ArgumentParser.__init__
-
-    def recording_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
-    assert main(["threshold", str(graph)]) == 0
-    assert main(["threshold", str(graph)]) == 0
-    assert built == ["sgfp threshold", "sgfp threshold"]
 
 
 class _Stop(SgfpError):

@@ -17,9 +17,9 @@ from .classify import _affine_fit
 from .construct import initial_growth_state, grow_step
 from .errors import PreconditionViolatedError
 from .graph import Graph, Kernel, _from_keys, _kernel_of, kernel
-from .lp import _EXACT_MAX_N, _check_epsilon, _failing_witness
+from .lp import _check_epsilon, _failing_witness
 from .metrics import correlation, r_d_delta, singular_gap
-from .randgen import _graph_of, _sample_blocks, configuration_rewire, mix
+from .randgen import _sample_blocks, configuration_rewire, mix
 
 
 @dataclass
@@ -38,12 +38,11 @@ class CensusRecord:
 def _census_chunk(args: tuple[int, float, Sequence[int]]) -> list[tuple[bool, float, float]]:
     """(is_pro, r_high, r_ddelta) for the census draws with these sample seeds.
 
-    Up to the LP's exact size the draws' degrees and y = L * delta are
-    computed as arrays, and all three results are functions of a draw's
-    sorted (degree, y) pairs: draws with the same pairs share one memo
-    entry, kept for this call only, and only a miss builds a kernel.
-    Larger draws each build a graph. At most `_CHUNK` seeds are sampled
-    at once.
+    The draws' degrees and y = L * delta are computed as arrays, and all
+    three results are functions of a draw's sorted (degree, y) pairs:
+    draws with the same pairs share one memo entry, kept for this call
+    only, and only a miss builds a kernel. At most `_CHUNK` seeds are
+    sampled at once.
     """
     n, epsilon, seeds = args
     memo: dict = {}
@@ -51,11 +50,9 @@ def _census_chunk(args: tuple[int, float, Sequence[int]]) -> list[tuple[bool, fl
     blocks = (adj for i in range(0, len(seeds), _CHUNK)
               for adj in _sample_blocks(n, 0.5, seeds[i:i + _CHUNK]))
     for adj in blocks:
-        if n > _EXACT_MAX_N:
-            out += [_census_row(kernel(_graph_of(a)), epsilon) for a in adj]
-            continue
-        deg = adj.sum(2)
-        big_l = np.lcm.reduce(deg, axis=1)  # y <= n * lcm(1..n-1) fits in int64
+        # Above _INT64_MAX_N nodes y may overflow int64: use Python ints.
+        deg = adj.sum(2, dtype=np.int64 if n <= _INT64_MAX_N else object)
+        big_l = np.lcm.reduce(deg, axis=1)
         y = (adj * (big_l[:, None] // deg)[:, None, :]).sum(2)
         for d, lcm, ys in zip(deg.tolist(), big_l.tolist(), y.tolist()):
             key = tuple(sorted(zip(d, ys)))
@@ -75,6 +72,7 @@ def _census_row(k: Kernel, epsilon: float) -> tuple[bool, float, float]:
 
 
 _CHUNK = 256  # samples per task sent to a worker process
+_INT64_MAX_N = 43  # the largest n with y <= (n - 1) * lcm(1..n-1) < 2**63
 
 
 def census(n: int, samples: int, seed: int, epsilon: float = 0.001,

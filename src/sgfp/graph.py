@@ -172,11 +172,15 @@ def exact_correlation(x: Sequence[int], y: Sequence[int], sx: int = 1, sy: int =
     """
     n = len(x)
     sum_x, sum_y = sum(x), sum(y)
-    b = n * sum(map(mul, x, x)) - sum_x * sum_x
-    c = n * sum(map(mul, y, y)) - sum_y * sum_y
+    return _pearson(n, n * sum(map(mul, x, y)) - sum_x * sum_y,
+                    n * sum(map(mul, x, x)) - sum_x * sum_x,
+                    n * sum(map(mul, y, y)) - sum_y * sum_y, sx, sy)
+
+
+def _pearson(n: int, a: int, b: int, c: int, sx: int, sy: int) -> Optional[float]:
+    """:func:`exact_correlation` from a = n Sxy - Sx Sy, b = n Sxx - Sx^2, c = n Syy - Sy^2."""
     if b == 0 or c == 0:
         return None
-    a = n * sum(map(mul, x, y)) - sum_x * sum_y
     if a == 0:
         return 0.0
     if a * a == b * c:

@@ -1,4 +1,4 @@
-"""The failing-correlation LP and its two-row solver.
+"""The failing-correlation LP and its exact two-row solver.
 
 The only LP this package poses is
 
@@ -17,13 +17,14 @@ regression), until the slopes bracket zero. Any fill of T between the
 two extreme ones is then optimal; the witness walks from one extreme
 toward the other until delta . a = -epsilon (or as far as the walk goes
 when the optimum has lambda = 0), ending near a vertex of the feasible
-polytope as a simplex would. Each step is O(n log n) and there is no size
-cap.
+polytope as a simplex would. There is no size cap.
 
-Up to `_EXACT_MAX_N` nodes the same descent runs exactly, in integers from
-the graph's kernel (:func:`_solve_exact`): there the witness, and so
-r_high, depend only on the multiset of (d_i, L delta_i) pairs, not on the
-node labels. Larger graphs use the float solver (:func:`_solve_two_row`).
+The descent runs in exact integers from the graph's kernel at every size
+(:func:`_solve_exact`), so the witness, and so r_high, depend only on the
+multiset of (d_i, L delta_i) pairs, not on the node labels. Floats only
+choose where it starts (:func:`_float_pair`), in the float-solve,
+exact-certify pattern of QSopt_ex (Applegate, Cook, Dash and Espinoza,
+2007).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -42,8 +43,8 @@ from .errors import (
     InvariantBrokenError,
     PreconditionViolatedError,
 )
-from .graph import Graph, Kernel, exact_correlation, is_connected, kernel
-from .metrics import _json, correlation
+from .graph import Graph, Kernel, _pearson, is_connected, kernel
+from .metrics import _json
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -51,166 +52,130 @@ def _check_epsilon(epsilon: float) -> None:
         raise PreconditionViolatedError("epsilon must be positive and finite")
 
 
-def _fill(k: int, total: float) -> np.ndarray:
-    """k values in [-1, 1] summing to `total`: +1 first, then -1."""
-    return np.clip(total + k - 2 * np.arange(k), 0, 2) - 1.0
+def _int_fill(k: int, total: int) -> list[int]:
+    """k values in {-1, 0, 1} summing to `total`, |total| <= k: +1 first."""
+    ones, zero = divmod(total + k, 2)
+    return [1] * ones + [0] * zero + [-1] * (k - ones - zero)
 
 
-def _vertex_between(a: np.ndarray, up: np.ndarray, dl: np.ndarray, need: float) -> np.ndarray:
-    """Raise delta . a by `need` (or as far as it goes) within the tied set.
-
-    `a` holds the fill of the tied nodes `up` (sorted by delta) that
-    minimizes delta . a. Swapping the values of the i-th lowest- and
-    i-th highest-delta tied nodes, outermost pair first, walks to the fill
-    that maximizes it; the walk stops part-way through one swap, so at
-    most two tied nodes end strictly inside the box.
-    """
-    vals = a[up]
-    half = len(up) // 2
-    lo_i, hi_i = np.arange(half), len(up) - 1 - np.arange(half)
-    gain = (vals[lo_i] - vals[hi_i]) * (dl[up[hi_i]] - dl[up[lo_i]])
-    cum = np.cumsum(gain)
-    m = int(np.searchsorted(cum, need))
-    swapped = vals.copy()
-    swapped[lo_i[:m]], swapped[hi_i[:m]] = vals[hi_i[:m]], vals[lo_i[:m]]
-    if m < half and gain[m] > 0:
-        part = (need - (cum[m - 1] if m else 0.0)) / gain[m]
-        shift = part * (vals[hi_i[m]] - vals[lo_i[m]])
-        swapped[lo_i[m]] += shift
-        swapped[hi_i[m]] -= shift
-    out = a.copy()
-    out[up] = swapped
-    return out
-
-
-def _solve_two_row(d: np.ndarray, dl: np.ndarray, epsilon: float) -> Optional[np.ndarray]:
-    """An optimal a of the failing-correlation LP for degrees d and
-    reciprocal-degree sums dl, or None when it is infeasible.
-
-    Deterministic: ties are broken by delta, then by node index.
-    """
-    _check_epsilon(epsilon)
+def _float_pair(k: Kernel, epsilon: float) -> Optional[tuple[int, int]]:
+    """Where the exact descent may start on a feasible LP: the pivot pair
+    (p, j) whose slope (d_j - d_p) / (delta_j - delta_p) is the last lambda
+    of the same descent in floats, or None when that stays at lambda = 0.
+    Its ties and slope signs are decided within float tolerances."""
+    d, dl = np.array(k.deg, dtype=float), np.array(k.delta)
     n = len(d)
-    # Feasible iff min delta . a over {sum(a) = 0, box} reaches -epsilon.
-    a_min = np.empty(n)
-    a_min[np.argsort(dl, kind="stable")] = _fill(n, 0.0)
-    slack_tol = 1e-13 * np.abs(dl).sum()
-    if dl @ a_min > -epsilon + slack_tol:
-        return None
-    d_max, dl_max = np.abs(d).max(), np.abs(dl).max()
-    lo, hi, lam = 0.0, np.inf, 0.0
-    for _ in range(1000):  # g strictly decreases per step; a few steps in practice
+    slack_tol = 1e-13 * dl.sum()  # d and delta are positive
+    lo, hi, lam, pair = 0.0, np.inf, 0.0, None
+    for _ in range(1000):
         c = d - lam * dl
         mu = np.partition(c, (n - 1) // 2)[(n - 1) // 2]
         r = c - mu
-        tied = np.abs(r) <= 1e-11 * (d_max + lam * dl_max)
+        tied = np.abs(r) <= 1e-11 * (d.max() + lam * dl.max())
         a = np.sign(r)
         a[tied] = 0.0
         tie = np.flatnonzero(tied)
-        total = -a.sum()
-        up = tie[np.argsort(dl[tie], kind="stable")]     # maximizer at lambda+
-        down = tie[np.argsort(-dl[tie], kind="stable")]  # maximizer at lambda-
-        fill = _fill(len(tie), total)
-        a_up, a_down = a.copy(), a
-        a_up[up] = fill
-        a_down[down] = fill
-        h_up = dl @ a_up + epsilon      # -(right slope of g)
-        h_down = dl @ a_down + epsilon  # -(left slope of g)
+        total = -int(a.sum())
+        up = tie[np.argsort(dl[tie], kind="stable")]  # maximizer at lambda+
+        fill = _int_fill(len(tie), total)
+        h = dl @ a + epsilon
+        h_up = h + dl[up] @ fill          # -(right slope of g)
+        h_down = h + dl[up[::-1]] @ fill  # -(left slope of g)
         if h_up <= slack_tol and (lam == 0.0 or h_down >= -slack_tol):
-            return _vertex_between(a_up, up, dl, max(0.0, -h_up))
-        # Pivot on the median node of the side g descends to; the line
-        # through it is best at the weighted median of the slopes to the
-        # other nodes, shifted by epsilon.
-        j = min(int(total + len(tie)) // 2, len(tie) - 1)
+            break
+        j = min((total + len(tie)) // 2, len(tie) - 1)
         if h_up > slack_tol:
             lo, p = lam, up[j]
         else:
-            hi, p = lam, down[j]
+            hi, p = lam, up[::-1][j]
         w = dl - dl[p]
-        off = w != 0
+        off = np.flatnonzero(w)
         slopes = (d[off] - d[p]) / w[off]
         order = np.argsort(slopes, kind="stable")
         cum = np.cumsum(np.abs(w[off])[order])
-        k = min(int(np.searchsorted(2 * cum, cum[-1] + epsilon)), len(cum) - 1)
-        step = float(slopes[order[k]])
-        if not lo < step < hi:
+        i = order[min(int(np.searchsorted(2 * cum, cum[-1] + epsilon)), len(cum) - 1)]
+        if not lo < slopes[i] < hi:
             break
-        lam = step
-    raise InvariantBrokenError(f"two-row LP descent stalled at lambda={lam}")
+        lam, pair = float(slopes[i]), (int(p), int(off[i]))
+    return pair
 
 
-def _int_fill(k: int, total: int) -> list[int]:
-    """:func:`_fill` for an integer total: k values in {-1, 0, 1}."""
-    return [min(max(total + k - 2 * i, 0), 2) - 1 for i in range(k)]
-
-
-def _vertex_between_exact(a: list[int], up: list[int], y: Sequence[int], scale: int,
-                          need: int) -> tuple[list[int], int]:
-    """:func:`_vertex_between` in integers, on y = L * delta; `need` and the
-    gains are y-sums times `scale`. Returns (a * m, m): only the two nodes
-    of the partial swap can end off a multiple of m."""
-    done = 0
-    for i in range(len(up) // 2):
-        lo, hi = up[i], up[-1 - i]
-        gain = scale * (a[lo] - a[hi]) * (y[hi] - y[lo])
-        if done + gain >= need:
-            if need > done:
-                shift = (need - done) * (a[hi] - a[lo])
-                g = math.gcd(shift, gain)
-                m = gain // g
-                a = [v * m for v in a]
-                a[lo] += shift // g
-                a[hi] -= shift // g
-                return a, m
-            break
-        a[lo], a[hi] = a[hi], a[lo]
-        done += gain
-    return a, 1
-
-
-def _solve_exact(deg: Sequence[int], y: Sequence[int], big_l: int,
-                 epsilon: float) -> Optional[tuple[list[int], int]]:
-    """:func:`_solve_two_row` in exact arithmetic, on the kernel's integers.
+def _solve_exact(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: float,
+                 start: Optional[Callable[[], Optional[tuple[int, int]]]] = None,
+                 ) -> Optional[tuple[list[int], int, dict[int, int], int]]:
+    """The failing-correlation LP in exact arithmetic, on the kernel's integers.
 
     With y = L * delta the LP's row is y . a <= -epsilon * L, and
     epsilon * L = e / s exactly (s > 0). The descent runs in
     kappa = lambda / L = p / q, so c = q * d - p * y is an integer vector
     whose median and tie set are exact, and the one-sided slopes of g are
-    decided by the sign of the integer s * (y . a) + e. Returns an optimal
-    a as (a * m, m), with every entry in {-1, 0, 1} but at most two, or
-    None when the LP is infeasible.
+    decided by the sign of the integer s * (y . a) + e.
+
+    Once the LP is known to be feasible, `start()` may name a pivot pair
+    (p, j): the descent then starts at kappa = (d_j - d_p) / (y_j - y_p)
+    instead of 0. Every start gives the same witness. Returns None when
+    the LP is infeasible, else an optimal a as (a, m, fill, y . a * m): a_i
+    in {-1, 1} off the tied nodes (0 on them) and fill[i] / m on them, in
+    {-1, 0, 1} but for the two nodes of at most one partial swap.
     """
     _check_epsilon(epsilon)
     e, s = epsilon.as_integer_ratio()
     e *= big_l
     n = len(deg)
-    by_y = sorted(range(n), key=y.__getitem__)
-    if s * sum(y[i] * v for i, v in zip(by_y, _int_fill(n, 0))) + e > 0:
+    # Feasible iff the least y . a over {sum(a) = 0, box}, +1 on the n // 2
+    # smallest y and -1 on the n // 2 largest, reaches -e / s.
+    y_sorted = sorted(y)
+    if s * (sum(y_sorted[:n // 2]) - sum(y_sorted[n - n // 2:])) + e > 0:
         return None
-    lo, hi = Fraction(0), math.inf
-    p, q = 0, 1
+    pair = start() if start else None
+    kappa = Fraction(deg[pair[1]] - deg[pair[0]], y[pair[1]] - y[pair[0]]) if pair else 0
+    p, q = max(kappa, 0).as_integer_ratio()
+    # lo = -1 until a kappa >= 0 is known to lie below the optimum; a step
+    # from above that would leave kappa >= 0 stops at 0 instead.
+    lo, hi = Fraction(-1), math.inf
     for _ in range(1000):
         c = [q * di - p * yi for di, yi in zip(deg, y)]
         mu = sorted(c)[(n - 1) // 2]
         a = [(v > mu) - (v < mu) for v in c]
         tie = [i for i, v in enumerate(c) if v == mu]
         total = -sum(a)
-        up = sorted(tie, key=y.__getitem__)
-        down = sorted(tie, key=lambda i: -y[i])
-        fill = _int_fill(len(tie), total)
+        up = sorted(tie, key=y.__getitem__)  # reversed: the maximizer at kappa-
+        ys = [y[i] for i in up]
+        vals = _int_fill(len(tie), total)
         ya = sum(map(mul, y, a))
-        h_up = s * (ya + sum(y[i] * v for i, v in zip(up, fill))) + e
-        h_down = s * (ya + sum(y[i] * v for i, v in zip(down, fill))) + e
+        h_up = s * (ya + sum(map(mul, ys, vals))) + e
+        h_down = s * (ya + sum(map(mul, reversed(ys), vals))) + e
         if h_up <= 0 and (p == 0 or h_down >= 0):
-            for i, v in zip(up, fill):
-                a[i] = v
-            return _vertex_between_exact(a, up, y, s, -h_up)
+            # Any fill between the two is optimal. Swap the values of the
+            # i-th lowest- and i-th highest-y tied nodes, outermost pair first,
+            # until s * (y . a) + e rises to 0 (or as far as the walk goes);
+            # a part-way swap leaves two values off a multiple of m.
+            m, done = 1, 0
+            for i in range(len(up) // 2):
+                gain = s * (vals[i] - vals[-1 - i]) * (ys[-1 - i] - ys[i])
+                if done + gain >= -h_up:
+                    if -h_up > done:
+                        shift = (-h_up - done) * (vals[-1 - i] - vals[i])
+                        g = math.gcd(shift, gain)
+                        m = gain // g
+                        vals = [v * m for v in vals]
+                        vals[i] += shift // g
+                        vals[-1 - i] -= shift // g
+                    break
+                vals[i], vals[-1 - i] = vals[-1 - i], vals[i]
+                done += gain
+            # Tied nodes with equal y (so equal d) take their values largest
+            # first in index order, from whichever side the descent came.
+            vals = [-v for _, v in sorted(zip(ys, (-v for v in vals)))]
+            return a, m, dict(zip(up, vals)), m * ya + sum(map(mul, ys, vals))
         j = min((total + len(tie)) // 2, len(tie) - 1)
         if h_up > 0:
             lo, piv = Fraction(p, q), up[j]
         else:
-            hi, piv = Fraction(p, q), down[j]
-        # Slopes (d_k - d_p) / (y_k - y_p) as integers over their lcm D.
+            hi, piv = Fraction(p, q), up[-1 - j]
+        # Pivot on the median node of the side g descends to; the line
+        # through it is best at the weighted median of its slopes
+        # (d_k - d_p) / (y_k - y_p), shifted by e, here over their lcm D.
         dp, yp = deg[piv], y[piv]
         lines = [(dk - dp, yk - yp) for dk, yk in zip(deg, y) if yk != yp]
         big_d = math.lcm(*(w for _, w in lines))
@@ -221,7 +186,7 @@ def _solve_exact(deg: Sequence[int], y: Sequence[int], big_l: int,
             cum += w
             if 2 * s * cum >= target:
                 break
-        step = Fraction(slope, big_d)
+        step = max(Fraction(slope, big_d), Fraction(0))
         if not lo < step < hi:
             break
         p, q = step.numerator, step.denominator
@@ -245,37 +210,30 @@ class HighCorrelationResult:
         return _json(payload)
 
 
-# Up to this many nodes the LP runs in exact integers. There the exact path
-# is at least a fifth faster than the float one; they break even near
-# n = 28 (G(n, p) graphs, measured in CHANGES.md).
-_EXACT_MAX_N = 20
+# From this many nodes on the exact descent starts from :func:`_float_pair`;
+# on smaller graphs one numpy descent costs more than the whole exact solve.
+_FLOAT_START_MIN_N = 21
 
 
 def _failing_witness(k: Kernel, epsilon: float) -> Optional[HighCorrelationResult]:
     """The failing-correlation LP for a kernel with no isolates and at least
     two distinct degrees, or None when it is infeasible at `epsilon`."""
     n = len(k.deg)
-    if n <= _EXACT_MAX_N:
-        found = _solve_exact(k.deg, k.y, k.lcm, epsilon)
-        if found is None:
-            return None
-        a, m = found  # int / int division is correctly rounded
-        ya = sum(map(mul, k.y, a))
-        # ya < 0: a gap that rounds to -0.0 is reported as -5e-324 instead.
-        gap = ya / (k.lcm * m * n) or math.nextafter(0.0, -math.inf)
-        return HighCorrelationResult(
-            r_high=exact_correlation(k.deg, a, 1, m), witness=[v / m for v in a],
-            gap=gap,
-            epsilon=epsilon, objective=sum(map(mul, k.deg, a)) / m)
-    d = np.array(k.deg, dtype=float)
-    dl = np.array(k.delta)
-    a = _solve_two_row(d, dl, epsilon)
-    if a is None:
+    found = _solve_exact(k.deg, k.y, k.lcm, epsilon,
+                         (lambda: _float_pair(k, epsilon)) if n >= _FLOAT_START_MIN_N else None)
+    if found is None:
         return None
-    witness = a.tolist()
-    return HighCorrelationResult(
-        r_high=float(correlation(k.deg, witness)), witness=witness,
-        gap=float(dl @ a) / n, epsilon=epsilon, objective=float(d @ a))
+    a, m, fill, ya = found  # int / int division is correctly rounded
+    witness = [fill[i] / m if i in fill else float(v) for i, v in enumerate(a)]
+    # m * (d . witness), and m * m * |witness|^2; the witness sums to 0.
+    da = m * sum(map(mul, k.deg, a)) + sum(k.deg[i] * v for i, v in fill.items())
+    aa = m * m * (n - len(fill)) + sum(v * v for v in fill.values())
+    sum_d = sum(k.deg)
+    r_high = _pearson(n, n * da, n * sum(map(mul, k.deg, k.deg)) - sum_d * sum_d, n * aa, 1, m)
+    # ya < 0: a gap that rounds to -0.0 is reported as -5e-324 instead.
+    gap = ya / (k.lcm * m * n) or math.nextafter(0.0, -math.inf)
+    return HighCorrelationResult(r_high=r_high, witness=witness, gap=gap,
+                                 epsilon=epsilon, objective=da / m)
 
 
 def max_failing_correlation(g: Graph, epsilon: float = 0.001) -> HighCorrelationResult:

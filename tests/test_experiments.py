@@ -78,8 +78,8 @@ def test_census_memo_matches_reference_without_memo(jobs, epsilon):
             _census_without_memo(n, 300, 8, epsilon)
 
 
-@pytest.mark.parametrize("n", [20, 21])  # the last batch-kernel size, the first per-graph size
-def test_census_matches_reference_around_the_exact_size(n):
+@pytest.mark.parametrize("n", [43, 44])  # the last int64 kernel size, the first in Python ints
+def test_census_matches_reference_around_the_int64_limit(n):
     assert census(n, 30, seed=9) == _census_without_memo(n, 30, 9, 1e-3)
 
 

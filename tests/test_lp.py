@@ -12,9 +12,10 @@ from sgfp.errors import (
     InfeasibleAtEpsilonError,
     PreconditionViolatedError,
 )
-from sgfp.graph import Graph, build_graph, degrees, delta, exact_correlation, kernel
-from sgfp.lp import _solve_exact, _solve_two_row, max_failing_correlation
+from sgfp.graph import Graph, _kernel_of, build_graph, degrees, delta, exact_correlation, kernel
+from sgfp.lp import _failing_witness, _float_pair, _solve_exact, max_failing_correlation
 from sgfp.metrics import correlation
+from sgfp.randgen import sample_connected_nonregular
 
 from conftest import preferential_attachment, random_graphs
 
@@ -24,18 +25,17 @@ def _arrays(g):
             np.array([float(v) for v in delta(g)]))
 
 
-def _objective(d, dl, eps):
-    """The solver's optimum d . a after checking its witness, or None."""
-    a = _solve_two_row(d, dl, eps)
-    if a is None:
+def _objective(k, eps):
+    """The LP's optimum d . a after checking its float witness, or None."""
+    res = _failing_witness(k, eps)
+    if res is None:
         return None
-    assert np.all(np.abs(a) <= 1 + 1e-12)
+    a = np.array(res.witness)
+    assert np.all(np.abs(a) <= 1)
     assert abs(a.sum()) < 1e-9
-    assert dl @ a <= -eps + 1e-12
-    # Tie rule: a near-vertex, with at most two entries strictly inside the
-    # box besides a median node at 0.
-    assert np.sum(np.abs(a) < 1 - 1e-9) <= 3
-    return float(d @ a)
+    assert np.array(k.delta) @ a <= -eps + 1e-12
+    assert abs(float(np.array(k.deg) @ a) - res.objective) <= 1e-9 * (1 + abs(res.objective))
+    return res.objective
 
 
 def _highs(d, dl, eps):
@@ -50,8 +50,7 @@ def _highs(d, dl, eps):
     return -res.fun
 
 
-def _assert_matches_highs(d, dl, eps):
-    ours, ref = _objective(d, dl, eps), _highs(d, dl, eps)
+def _assert_close(ours, ref):
     assert (ours is None) == (ref is None)
     if ref is not None:
         assert abs(ours - ref) <= 1e-9 * (1 + abs(ref))
@@ -59,26 +58,30 @@ def _assert_matches_highs(d, dl, eps):
 
 def test_solver_matches_highs_on_criterion_5_stream():
     for g in random_graphs(201, 1000, n_range=(4, 10)):
-        d, dl = _arrays(g)
         for eps in (1e-3, 1e-6):
-            _assert_matches_highs(d, dl, eps)
+            _assert_close(_objective(kernel(g), eps), _highs(*_arrays(g), eps))
 
 
 @pytest.mark.parametrize("n", [1000, 2500, 10_000])
 def test_solver_matches_highs_on_large_graphs(n):
-    d, dl = _arrays(preferential_attachment(n, seed=n))
-    _assert_matches_highs(d, dl, 1e-3)
+    g = preferential_attachment(n, seed=n)
+    _assert_close(_objective(kernel(g), 1e-3), _highs(*_arrays(g), 1e-3))
 
 
-def test_solver_matches_highs_on_degenerate_instances():
+def _degenerate_instances():
     # Few distinct values force median ties, repeated (d, delta) pairs and
-    # optima at lambda = 0 or on the feasibility boundary.
+    # optima at lambda = 0 or on the feasibility boundary; delta = y / 6.
     rng = random.Random(5)
     for _ in range(3000):
         n = rng.randint(1, 9)
-        d = np.array([rng.randint(1, 4) for _ in range(n)], dtype=float)
-        dl = np.array([rng.choice([1 / 3, 0.5, 2 / 3, 1.0, 1.5, 2.0]) for _ in range(n)])
-        _assert_matches_highs(d, dl, rng.choice([1e-6, 1e-3, 0.1, 0.5, 1.0]))
+        d = [rng.randint(1, 4) for _ in range(n)]
+        y = [rng.choice([2, 3, 4, 6, 9, 12]) for _ in range(n)]
+        yield _kernel_of(d, 6, y), rng.choice([1e-6, 1e-3, 0.1, 0.5, 1.0])
+
+
+def test_solver_matches_highs_on_degenerate_instances():
+    for k, eps in _degenerate_instances():
+        _assert_close(_objective(k, eps), _highs(np.array(k.deg, dtype=float), np.array(k.delta), eps))
 
 
 def _enumerate_vertices(c, constraints, lo, hi):
@@ -123,31 +126,35 @@ def _enumerate_vertices(c, constraints, lo, hi):
     return best
 
 
-def test_solver_against_vertex_enumeration():
+def _vertex_cases():
     rng = random.Random(11)
     graphs = [g for g in random_graphs(11, 40, n_range=(4, 6))]
     for g in graphs + [path(4), path(5), path(6), star(5)]:
         d, dl = _arrays(g)
-        n = g.n
         for eps in (1e-3, 10 ** rng.uniform(-6, 0.5)):
             oracle = _enumerate_vertices(
-                d, [([1.0] * n, "=", 0.0), (dl, "<=", -eps)], [-1.0] * n, [1.0] * n)
-            ours = _objective(d, dl, eps)
-            if oracle is None:
-                assert ours is None
-            else:
-                assert abs(ours - oracle) < 1e-7
+                d, [([1.0] * g.n, "=", 0.0), (dl, "<=", -eps)], [-1.0] * g.n, [1.0] * g.n)
+            yield kernel(g), eps, oracle
+
+
+def test_solver_against_vertex_enumeration():
+    for k, eps, oracle in _vertex_cases():
+        ours = _objective(k, eps)
+        if oracle is None:
+            assert ours is None
+        else:
+            assert abs(ours - oracle) < 1e-7
 
 
 def test_infeasible_detected():
     # path(5) has delta = (1/2, 3/2, 1, 3/2, 1/2), so the least delta . a
     # over mean-zero a in the box is 1/2 + 1/2 - 3/2 - 3/2 = -2.
-    d, dl = _arrays(path(5))
-    assert _solve_two_row(d, dl, 2.0 + 1e-9) is None
-    a = _solve_two_row(d, dl, 2.0 - 1e-9)
-    assert abs(dl @ a + 2.0) < 1e-8
+    k = kernel(path(5))
+    assert _failing_witness(k, 2.0 + 1e-9) is None
+    res = _failing_witness(k, 2.0 - 1e-9)
+    assert abs(res.gap * 5 + 2.0) < 1e-8
     with pytest.raises(PreconditionViolatedError):
-        _solve_two_row(d, dl, 0.0)
+        _failing_witness(k, 0.0)
 
 
 def test_failing_correlation_lp_path5_positive_objective():
@@ -203,85 +210,104 @@ def test_determinism():
     assert a.r_high == b.r_high
 
 
-# --- the exact solver: the float solver, HiGHS and vertex enumeration are
-# its references ---------------------------------------------------------
+# --- the exact descent from its different starts: HiGHS, vertex
+# enumeration and the descent from kappa = 0 are its references ----------
 
-def _exact_witness(d, y, big_l, eps):
+def _exact_witness(k, eps, start=None):
     """The exact solver's witness as Fractions, checked exactly, or None."""
-    found = _solve_exact(d, y, big_l, eps)
+    found = _solve_exact(k.deg, k.y, k.lcm, eps, start)
     if found is None:
         return None
-    am, m = found
-    a = [Fraction(v, m) for v in am]
+    am, m, fill, ya = found
+    a = [Fraction(fill[i], m) if i in fill else Fraction(v) for i, v in enumerate(am)]
+    assert all(v in (-1, 1) for i, v in enumerate(am) if i not in fill)
     assert sum(a) == 0
-    assert sum(yi * ai for yi, ai in zip(y, a)) <= -Fraction(eps) * big_l
+    assert sum(yi * ai for yi, ai in zip(k.y, a)) == Fraction(ya, m)
+    assert Fraction(ya, m) <= -Fraction(eps) * k.lcm
     assert all(-1 <= v <= 1 for v in a)
     # Entries in {-1, 0, 1} but for the two of one partial swap.
     assert sum(v.denominator != 1 for v in a) <= 2
     return a
 
 
-def _exact_objective(d, y, big_l, eps):
+def _scaled(found):
+    """The solver's witness as (a * m, m)."""
+    am, m, fill, _ = found
+    return [fill.get(i, v * m) for i, v in enumerate(am)], m
+
+
+def _float_start(k, eps):
+    return lambda: _float_pair(k, eps)
+
+
+def _exact_objective(k, eps, start=None):
     """The exact solver's optimum d . a, or None when infeasible."""
-    a = _exact_witness(d, y, big_l, eps)
-    return None if a is None else float(sum(di * ai for di, ai in zip(d, a)))
+    a = _exact_witness(k, eps, start)
+    return None if a is None else float(sum(di * ai for di, ai in zip(k.deg, a)))
 
 
 def test_exact_solver_matches_float_and_highs_on_criterion_5_stream():
+    # The descent started from the float descent's pair matches HiGHS and
+    # returns exactly what the descent from kappa = 0 returns.
     for g in random_graphs(201, 1000, n_range=(4, 10)):
         k = kernel(g)
-        d, dl = _arrays(g)
         for eps in (1e-3, 1e-6):
-            ours, ref = _exact_objective(k.deg, k.y, k.lcm, eps), _highs(d, dl, eps)
-            a_float = _solve_two_row(d, dl, eps)
-            assert (ours is None) == (ref is None) == (a_float is None)
-            if ref is None:
-                continue
-            assert abs(ours - ref) <= 1e-9 * (1 + abs(ref))
-            r_exact = correlation(list(k.deg), _exact_witness(k.deg, k.y, k.lcm, eps))
-            assert abs(r_exact - correlation(list(k.deg), a_float.tolist())) <= 1e-15
+            ours = _exact_objective(k, eps, _float_start(k, eps))
+            _assert_close(ours, _highs(*_arrays(g), eps))
+            if ours is not None:
+                assert _scaled(_solve_exact(k.deg, k.y, k.lcm, eps, _float_start(k, eps))) == \
+                    _scaled(_solve_exact(k.deg, k.y, k.lcm, eps))
 
 
 def test_exact_solver_matches_highs_on_degenerate_instances():
-    # The float test's instances in integers: delta in {1/3, ..., 2} is y / 6.
-    rng = random.Random(5)
-    for _ in range(3000):
-        n = rng.randint(1, 9)
-        d = [rng.randint(1, 4) for _ in range(n)]
-        y = [rng.choice([2, 3, 4, 6, 9, 12]) for _ in range(n)]
-        eps = rng.choice([1e-6, 1e-3, 0.1, 0.5, 1.0])
-        ours = _exact_objective(d, y, 6, eps)
-        ref = _highs(np.array(d, dtype=float), np.array(y) / 6, eps)
-        assert (ours is None) == (ref is None)
-        if ref is not None:
-            assert abs(ours - ref) <= 1e-9 * (1 + abs(ref))
+    for k, eps in _degenerate_instances():
+        ours = _exact_objective(k, eps, _float_start(k, eps))
+        _assert_close(ours, _highs(np.array(k.deg, dtype=float), np.array(k.delta), eps))
 
 
 def test_exact_solver_against_vertex_enumeration():
-    rng = random.Random(11)
-    graphs = [g for g in random_graphs(11, 40, n_range=(4, 6))]
-    for g in graphs + [path(4), path(5), path(6), star(5)]:
-        k = kernel(g)
-        d, dl = _arrays(g)
-        n = g.n
-        for eps in (1e-3, 10 ** rng.uniform(-6, 0.5)):
-            oracle = _enumerate_vertices(
-                d, [([1.0] * n, "=", 0.0), (dl, "<=", -eps)], [-1.0] * n, [1.0] * n)
-            ours = _exact_objective(k.deg, k.y, k.lcm, eps)
-            if oracle is None:
-                assert ours is None
-            else:
-                assert abs(ours - oracle) < 1e-7
+    for k, eps, oracle in _vertex_cases():
+        ours = _exact_objective(k, eps, _float_start(k, eps))
+        if oracle is None:
+            assert ours is None
+        else:
+            assert abs(ours - oracle) < 1e-7
 
 
 def test_exact_infeasibility_boundary():
     # path(5): the least delta . a is exactly -2, so epsilon = 2 is feasible.
     k = kernel(path(5))
-    assert _exact_objective(k.deg, k.y, k.lcm, 2.0) is not None
+    assert _exact_objective(k, 2.0) is not None
     assert _solve_exact(k.deg, k.y, k.lcm, 2.0 + 1e-15) is None
     for eps in (0.0, float("nan"), float("inf")):
         with pytest.raises(PreconditionViolatedError):
             _solve_exact(k.deg, k.y, k.lcm, eps)
+
+
+def _start_cases():
+    yield from random_graphs(201, 300, n_range=(4, 10))
+    for n in (30, 200, 1000):
+        yield preferential_attachment(n, seed=n)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.5, 1.0])  # dyadic: the dual optimum may be an interval
+def test_every_start_gives_the_same_witness(eps):
+    # Starts: kappa = 0, the float descent's pair and breakpoints (d_j -
+    # d_p) / (y_j - y_p) of sampled pairs, below and above the optimum.
+    rng = random.Random(17)
+    for g in _start_cases():
+        k = kernel(g)
+        want = _solve_exact(k.deg, k.y, k.lcm, eps)
+        if want is None:
+            continue
+        want = _scaled(want)
+        pairs = [_float_pair(k, eps)]
+        while len(pairs) < 4:
+            p, j = rng.randrange(g.n), rng.randrange(g.n)
+            if k.y[p] != k.y[j]:
+                pairs.append((p, j))
+        for pair in pairs:
+            assert _scaled(_solve_exact(k.deg, k.y, k.lcm, eps, lambda: pair)) == want
 
 
 def _relabel(g, rng):
@@ -295,10 +321,12 @@ def _relabel(g, rng):
 
 def test_relabeling_leaves_r_high_and_witness_pairs_unchanged():
     rng = random.Random(13)
-    for g in random_graphs(201, 1000, n_range=(4, 10)):
+    larger = [sample_connected_nonregular(50, 0.2, 1), sample_connected_nonregular(500, 0.02, 2),
+              preferential_attachment(10_000, seed=5)]
+    for g in itertools.chain(random_graphs(201, 1000, n_range=(4, 10)), larger):
         res = max_failing_correlation(g, 0.001)
         pairs = sorted(zip(degrees(g), res.witness))
-        for _ in range(5):
+        for _ in range(5 if g.n <= 10 else 2):
             h = _relabel(g, rng)
             other = max_failing_correlation(h, 0.001)
             assert other.r_high == res.r_high
@@ -321,10 +349,9 @@ def test_r_high_at_tiny_epsilon_matches_fractions(epsilon):
     # scaled by m * m leaves the float range.
     g = path(3)
     k = kernel(g)
-    a, m = _solve_exact(k.deg, k.y, k.lcm, epsilon)
     r_high = max_failing_correlation(g, epsilon).r_high
     assert -1.0 <= r_high <= 1.0
-    assert abs(r_high - _fraction_correlation(k.deg, [Fraction(v, m) for v in a])) <= 1e-15
+    assert abs(r_high - _fraction_correlation(k.deg, _exact_witness(k, epsilon))) <= 1e-15
 
 
 @pytest.mark.parametrize("bits", [0, 600, 1100, 3000])

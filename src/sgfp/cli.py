@@ -8,6 +8,7 @@ or constant attributes).
 """
 
 import argparse
+import os
 import sys
 from dataclasses import astuple
 
@@ -152,8 +153,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         result = args.handler(args)
         text, status = result if isinstance(result, tuple) else (result, EXIT_OK)
-        with opened(args.output or sys.stdout, "w") as fh:
-            fh.write(text)
+        try:
+            with opened(args.output or sys.stdout, "w") as fh:
+                fh.write(text)
+        except SgfpError:
+            if getattr(args, "attrs_output", None):  # gen wrote it: leave neither file
+                os.remove(args.attrs_output)
+            raise
         if isinstance(status, SgfpError):
             raise status
         return status

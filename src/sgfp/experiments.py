@@ -50,10 +50,11 @@ def _census_chunk(args: tuple[int, float, Sequence[int]]) -> list[tuple[bool, fl
     blocks = (adj for i in range(0, len(seeds), _CHUNK)
               for adj in _sample_blocks(n, 0.5, seeds[i:i + _CHUNK]))
     for adj in blocks:
-        # Above _INT64_MAX_N nodes y may overflow int64: use Python ints.
-        deg = adj.sum(2, dtype=np.int64 if n <= _INT64_MAX_N else object)
-        big_l = np.lcm.reduce(deg, axis=1)
-        y = (adj * (big_l[:, None] // deg)[:, None, :]).sum(2)
+        # L in Python ints above _INT64_MAX_N nodes, y too where (n - 1) L may not fit.
+        deg = adj.sum(2, dtype=np.int64)
+        big_l = np.lcm.reduce(deg if n <= _INT64_MAX_N else deg.astype(object), axis=1)
+        w = (big_l[:, None] // deg).astype(np.int64 if big_l.max() < 2 ** 63 // (n - 1) else object)
+        y = (adj * w[:, None, :]).sum(2)
         for d, lcm, ys in zip(deg.tolist(), big_l.tolist(), y.tolist()):
             key = tuple(sorted(zip(d, ys)))
             row = memo.get(key)

@@ -22,18 +22,21 @@ polytope as a simplex would. There is no size cap.
 The descent runs in exact integers from the graph's kernel at every size
 (:func:`_solve_exact`), so the witness, and so r_high, depend only on the
 multiset of (d_i, L delta_i) pairs, not on the node labels. Floats only
-choose where it starts (:func:`_float_pair`), in the float-solve,
-exact-certify pattern of QSopt_ex (Applegate, Cook, Dash and Espinoza,
-2007).
+save exact work: on larger graphs they choose where it starts
+(:func:`_float_pair`), in the float-solve, exact-certify pattern of
+QSopt_ex (Applegate, Cook, Dash and Espinoza, 2007), and place the nodes
+far from the median (:func:`_filtered_pass`).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
-from typing import Callable, Optional, Sequence
+from itertools import accumulate, compress
+from operator import itemgetter, mul
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -58,12 +61,11 @@ def _int_fill(k: int, total: int) -> list[int]:
     return [1] * ones + [0] * zero + [-1] * (k - ones - zero)
 
 
-def _float_pair(k: Kernel, epsilon: float) -> Optional[tuple[int, int]]:
+def _float_pair(d: np.ndarray, dl: np.ndarray, epsilon: float) -> Optional[tuple[int, int]]:
     """Where the exact descent may start on a feasible LP: the pivot pair
     (p, j) whose slope (d_j - d_p) / (delta_j - delta_p) is the last lambda
     of the same descent in floats, or None when that stays at lambda = 0.
     Its ties and slope signs are decided within float tolerances."""
-    d, dl = np.array(k.deg, dtype=float), np.array(k.delta)
     n = len(d)
     slack_tol = 1e-13 * dl.sum()  # d and delta are positive
     lo, hi, lam, pair = 0.0, np.inf, 0.0, None
@@ -91,7 +93,7 @@ def _float_pair(k: Kernel, epsilon: float) -> Optional[tuple[int, int]]:
         w = dl - dl[p]
         off = np.flatnonzero(w)
         slopes = (d[off] - d[p]) / w[off]
-        order = np.argsort(slopes, kind="stable")
+        order = np.argsort(slopes)
         cum = np.cumsum(np.abs(w[off])[order])
         i = order[min(int(np.searchsorted(2 * cum, cum[-1] + epsilon)), len(cum) - 1)]
         if not lo < slopes[i] < hi:
@@ -100,9 +102,37 @@ def _float_pair(k: Kernel, epsilon: float) -> Optional[tuple[int, int]]:
     return pair
 
 
+def _filtered_pass(deg: Sequence[int], y: Sequence[int], big_l: int, d: np.ndarray,
+                   dl: np.ndarray, p: int, q: int):
+    """The exact pass of :func:`_solve_exact` at kappa = p / q with the signs
+    as an int8 array, or None when floats cannot place the median. Each
+    float c / q = d - kappa L delta, and so their median, is within
+    4.01 u (d_max + kappa L delta_max) = err / 2 of the exact one, u = 2**-53
+    (a static filter as in Shewchuk 1997): nodes beyond 2 err from the float
+    median are decided in floats, the rest in integers."""
+    if (p * big_l).bit_length() > q.bit_length() + 960:  # lambda delta may overflow
+        return None
+    lam = p * big_l / q
+    cf = d - lam * dl
+    r = (len(cf) - 1) // 2
+    mf = np.partition(cf, r)[r]
+    err = 2.0 ** -50 * (d.max() + lam * dl.max())
+    above, below = cf > mf + 2 * err, cf < mf - 2 * err
+    band = np.flatnonzero(~(above | below)).tolist()
+    rank = r - int(below.sum())
+    if not 0 <= rank < len(band):
+        return None
+    c = [q * deg[i] - p * y[i] for i in band]
+    mu = sorted(c)[rank]
+    a = above.astype(np.int8) - below
+    a[band] = [(v > mu) - (v < mu) for v in c]
+    ya = sum(compress(y, (a > 0).tolist())) - sum(compress(y, (a < 0).tolist()))
+    return a, [i for i, v in zip(band, c) if v == mu], ya, -int(a.sum())
+
+
 def _solve_exact(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: float,
-                 start: Optional[Callable[[], Optional[tuple[int, int]]]] = None,
-                 ) -> Optional[tuple[list[int], int, dict[int, int], int]]:
+                 arrays: Optional[tuple[np.ndarray, np.ndarray]] = None,
+                 ) -> Optional[tuple[Sequence[int], int, dict[int, int], int]]:
     """The failing-correlation LP in exact arithmetic, on the kernel's integers.
 
     With y = L * delta the LP's row is y . a <= -epsilon * L, and
@@ -111,11 +141,11 @@ def _solve_exact(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: floa
     whose median and tie set are exact, and the one-sided slopes of g are
     decided by the sign of the integer s * (y . a) + e.
 
-    Once the LP is known to be feasible, `start()` may name a pivot pair
-    (p, j): the descent then starts at kappa = (d_j - d_p) / (y_j - y_p)
-    instead of 0. Every start gives the same witness. Returns None when
-    the LP is infeasible, else an optimal a as (a, m, fill, y . a * m): a_i
-    in {-1, 1} off the tied nodes (0 on them) and fill[i] / m on them, in
+    With `arrays` = (d, delta) in numpy the descent starts at the slope of
+    the pair from :func:`_float_pair`, if any, and floats decide what they
+    provably can. Every start gives the same witness. Returns None when the
+    LP is infeasible, else an optimal a as (a, m, fill, y . a * m): a_i in
+    {-1, 1} off the tied nodes, 0 on them, and fill[i] / m there, in
     {-1, 0, 1} but for the two nodes of at most one partial swap.
     """
     _check_epsilon(epsilon)
@@ -123,29 +153,36 @@ def _solve_exact(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: floa
     e *= big_l
     n = len(deg)
     # Feasible iff the least y . a over {sum(a) = 0, box}, +1 on the n // 2
-    # smallest y and -1 on the n // 2 largest, reaches -e / s.
-    y_sorted = sorted(y)
-    if s * (sum(y_sorted[:n // 2]) - sum(y_sorted[n - n // 2:])) + e > 0:
+    # smallest y and -1 on the n // 2 largest, reaches -e / s. In floats,
+    # that sum over L plus epsilon is off by less than (n + 3) u sum(delta).
+    if arrays:
+        dl = np.sort(arrays[1])
+        gap = dl[:n // 2].sum() - dl[n - n // 2:].sum() + epsilon
+    if not arrays or abs(gap) <= 2.0 ** -50 * n * dl.sum():
+        y_sorted = sorted(y)
+        gap = s * (sum(y_sorted[:n // 2]) - sum(y_sorted[n - n // 2:])) + e
+    if gap > 0:
         return None
-    pair = start() if start else None
+    pair = _float_pair(*arrays, epsilon) if arrays else None
     kappa = Fraction(deg[pair[1]] - deg[pair[0]], y[pair[1]] - y[pair[0]]) if pair else 0
     p, q = max(kappa, 0).as_integer_ratio()
     # lo = -1 until a kappa >= 0 is known to lie below the optimum; a step
     # from above that would leave kappa >= 0 stops at 0 instead.
     lo, hi = Fraction(-1), math.inf
     for _ in range(1000):
-        c = [q * di - p * yi for di, yi in zip(deg, y)]
-        mu = sorted(c)[(n - 1) // 2]
-        a = [(v > mu) - (v < mu) for v in c]
-        tie = [i for i, v in enumerate(c) if v == mu]
-        total = -sum(a)
+        found = arrays and _filtered_pass(deg, y, big_l, *arrays, p, q)
+        if not found:  # the exact pass
+            c = [q * di - p * yi for di, yi in zip(deg, y)]
+            mu = sorted(c)[(n - 1) // 2]
+            a = [(v > mu) - (v < mu) for v in c]
+            found = a, [i for i, v in enumerate(c) if v == mu], sum(map(mul, y, a)), -sum(a)
+        a, tie, ya, total = found
         up = sorted(tie, key=y.__getitem__)  # reversed: the maximizer at kappa-
         ys = [y[i] for i in up]
         vals = _int_fill(len(tie), total)
-        ya = sum(map(mul, y, a))
         h_up = s * (ya + sum(map(mul, ys, vals))) + e
-        h_down = s * (ya + sum(map(mul, reversed(ys), vals))) + e
-        if h_up <= 0 and (p == 0 or h_down >= 0):
+        # At kappa > 0 the left slope of g (from the kappa- maximizer) must be <= 0.
+        if h_up <= 0 and (p == 0 or s * (ya + sum(map(mul, reversed(ys), vals))) + e >= 0):
             # Any fill between the two is optimal. Swap the values of the
             # i-th lowest- and i-th highest-y tied nodes, outermost pair first,
             # until s * (y . a) + e rises to 0 (or as far as the walk goes);
@@ -175,18 +212,23 @@ def _solve_exact(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: floa
             hi, piv = Fraction(p, q), up[-1 - j]
         # Pivot on the median node of the side g descends to; the line
         # through it is best at the weighted median of its slopes
-        # (d_k - d_p) / (y_k - y_p), shifted by e, here over their lcm D.
+        # (d_k - d_p) / (y_k - y_p), shifted by e. They are sorted by their
+        # floats, which are monotone; only floats tied with the median's are
+        # ordered exactly, over the lcm of their denominators.
         dp, yp = deg[piv], y[piv]
-        lines = [(dk - dp, yk - yp) for dk, yk in zip(deg, y) if yk != yp]
-        big_d = math.lcm(*(w for _, w in lines))
-        lines = sorted((num * (big_d // w), abs(w)) for num, w in lines)
-        target = s * sum(w for _, w in lines) + e
-        cum = 0
-        for slope, w in lines:
-            cum += w
-            if 2 * s * cum >= target:
-                break
-        step = max(Fraction(slope, big_d), Fraction(0))
+        lines = sorted([((dk - dp) / w, dk - dp, w) for dk, yk in zip(deg, y) if (w := yk - yp)])
+        cum = list(accumulate(map(abs, map(itemgetter(2), lines))))
+        need = -(-(s * cum[-1] + e) // (2 * s))  # the least cum with 2 s cum >= s W + e
+        f, num, w = lines[min(bisect_left(cum, need), len(cum) - 1)]
+        first, last = bisect_left(lines, (f,)), bisect_left(lines, (f, math.inf))
+        if last - first > 1:
+            big_d = math.lcm(*map(itemgetter(2), lines[first:last]))
+            cum_w = cum[first - 1] if first else 0
+            for _, num, w in sorted(lines[first:last], key=lambda ln: ln[1] * (big_d // ln[2])):
+                cum_w += abs(w)
+                if cum_w >= need:
+                    break
+        step = max(Fraction(num, w), Fraction(0))
         if not lo < step < hi:
             break
         p, q = step.numerator, step.denominator
@@ -210,23 +252,27 @@ class HighCorrelationResult:
         return _json(payload)
 
 
-# From this many nodes on the exact descent starts from :func:`_float_pair`;
-# on smaller graphs one numpy descent costs more than the whole exact solve.
-_FLOAT_START_MIN_N = 21
+# From this many nodes on, the exact descent starts from :func:`_float_pair`
+# and filters its passes; below, that costs more than it saves.
+_FLOAT_START_MIN_N = 60
 
 
 def _failing_witness(k: Kernel, epsilon: float) -> Optional[HighCorrelationResult]:
     """The failing-correlation LP for a kernel with no isolates and at least
     two distinct degrees, or None when it is infeasible at `epsilon`."""
     n = len(k.deg)
-    found = _solve_exact(k.deg, k.y, k.lcm, epsilon,
-                         (lambda: _float_pair(k, epsilon)) if n >= _FLOAT_START_MIN_N else None)
+    arrays = ((np.fromiter(k.deg, np.int64, n), np.fromiter(k.delta, float, n))
+              if n >= _FLOAT_START_MIN_N else None)
+    found = _solve_exact(k.deg, k.y, k.lcm, epsilon, arrays)
     if found is None:
         return None
-    a, m, fill, ya = found  # int / int division is correctly rounded
-    witness = [fill[i] / m if i in fill else float(v) for i, v in enumerate(a)]
+    a, m, fill, ya = found
+    witness = np.asarray(a, float).tolist() if arrays else list(map(float, a))
+    for i, v in fill.items():
+        witness[i] = v / m  # int / int division is correctly rounded
     # m * (d . witness), and m * m * |witness|^2; the witness sums to 0.
-    da = m * sum(map(mul, k.deg, a)) + sum(k.deg[i] * v for i, v in fill.items())
+    da = m * (int(arrays[0] @ a) if arrays else sum(map(mul, k.deg, a)))
+    da += sum(k.deg[i] * v for i, v in fill.items())
     aa = m * m * (n - len(fill)) + sum(v * v for v in fill.values())
     sum_d = sum(k.deg)
     r_high = _pearson(n, n * da, n * sum(map(mul, k.deg, k.deg)) - sum_d * sum_d, n * aa, 1, m)

@@ -265,6 +265,8 @@ def test_analyze_non_finite_attribute_exits_1(tmp_path, capsys, mode):
     ["rewire-experiment", "{graph}", "--epsilon", "inf"],
     [],
     ["gen", "star", "--n", "5", "--attrs-output", "{attrs_out}", "--output", "{graph_out}"],
+    ["gen", "fig1", "--attrs-output", "{attrs_out}", "--output", "{nodir}/g.edges"],
+    ["gen", "fig4", "--attrs-output", "{nodir}/a.csv", "--output", "{graph_out}"],
 ])
 def test_bad_arguments_exit_1(tmp_path, capsys, argv):
     graph = tmp_path / "g.edges"

@@ -1,7 +1,10 @@
+import functools
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +16,8 @@ from sgfp.errors import (
     PreconditionViolatedError,
 )
 from sgfp.graph import Graph, _kernel_of, build_graph, degrees, delta, exact_correlation, kernel
-from sgfp.lp import _failing_witness, _float_pair, _solve_exact, max_failing_correlation
+from sgfp import lp
+from sgfp.lp import _failing_witness, _float_pair, _int_fill, _solve_exact, max_failing_correlation
 from sgfp.metrics import correlation
 from sgfp.randgen import sample_connected_nonregular
 
@@ -38,10 +42,12 @@ def _objective(k, eps):
     return res.objective
 
 
-def _highs(d, dl, eps):
-    """Reference optimum from scipy's HiGHS, or None when infeasible."""
+@functools.cache  # one solve per instance, shared by the tests of both starts
+def _highs(deg, delta, eps):
+    """Reference optimum from scipy's HiGHS for degrees and deltas given as
+    tuples, or None when infeasible."""
     linprog = pytest.importorskip("scipy.optimize").linprog
-    n = len(d)
+    d, dl, n = np.array(deg, dtype=float), np.array(delta), len(deg)
     res = linprog(-d, A_ub=[dl], b_ub=[-eps], A_eq=[np.ones(n)], b_eq=[0.0],
                   bounds=[(-1, 1)] * n, method="highs")
     if res.status == 2:
@@ -56,16 +62,23 @@ def _assert_close(ours, ref):
         assert abs(ours - ref) <= 1e-9 * (1 + abs(ref))
 
 
+@functools.cache
+def _criterion_5_stream():
+    return list(random_graphs(201, 1000, n_range=(4, 10)))
+
+
 def test_solver_matches_highs_on_criterion_5_stream():
-    for g in random_graphs(201, 1000, n_range=(4, 10)):
+    for g in _criterion_5_stream():
+        k = kernel(g)
         for eps in (1e-3, 1e-6):
-            _assert_close(_objective(kernel(g), eps), _highs(*_arrays(g), eps))
+            _assert_close(_objective(k, eps), _highs(k.deg, k.delta, eps))
 
 
 @pytest.mark.parametrize("n", [1000, 2500, 10_000])
 def test_solver_matches_highs_on_large_graphs(n):
     g = preferential_attachment(n, seed=n)
-    _assert_close(_objective(kernel(g), 1e-3), _highs(*_arrays(g), 1e-3))
+    k = kernel(g)
+    _assert_close(_objective(k, 1e-3), _highs(k.deg, k.delta, 1e-3))
 
 
 def _degenerate_instances():
@@ -81,7 +94,7 @@ def _degenerate_instances():
 
 def test_solver_matches_highs_on_degenerate_instances():
     for k, eps in _degenerate_instances():
-        _assert_close(_objective(k, eps), _highs(np.array(k.deg, dtype=float), np.array(k.delta), eps))
+        _assert_close(_objective(k, eps), _highs(k.deg, k.delta, eps))
 
 
 def _enumerate_vertices(c, constraints, lo, hi):
@@ -126,15 +139,18 @@ def _enumerate_vertices(c, constraints, lo, hi):
     return best
 
 
+@functools.cache  # the enumeration is the slow part of both vertex tests
 def _vertex_cases():
     rng = random.Random(11)
     graphs = [g for g in random_graphs(11, 40, n_range=(4, 6))]
+    cases = []
     for g in graphs + [path(4), path(5), path(6), star(5)]:
         d, dl = _arrays(g)
         for eps in (1e-3, 10 ** rng.uniform(-6, 0.5)):
             oracle = _enumerate_vertices(
                 d, [([1.0] * g.n, "=", 0.0), (dl, "<=", -eps)], [-1.0] * g.n, [1.0] * g.n)
-            yield kernel(g), eps, oracle
+            cases.append((kernel(g), eps, oracle))
+    return cases
 
 
 def test_solver_against_vertex_enumeration():
@@ -211,15 +227,93 @@ def test_determinism():
 
 
 # --- the exact descent from its different starts: HiGHS, vertex
-# enumeration and the descent from kappa = 0 are its references ----------
+# enumeration, the descent from kappa = 0 and the reference below ---------
 
-def _exact_witness(k, eps, start=None):
+def _reference_exact(deg, y, big_l, epsilon):
+    """The exact descent from kappa = 0 with no float in it: every pass
+    evaluates c = q * d - p * y at every node, and each slope step orders
+    all the slopes over the lcm of their denominators. Returns what
+    :func:`_solve_exact` returns, with `a` as a list."""
+    e, s = epsilon.as_integer_ratio()
+    e *= big_l
+    n = len(deg)
+    y_sorted = sorted(y)
+    if s * (sum(y_sorted[:n // 2]) - sum(y_sorted[n - n // 2:])) + e > 0:
+        return None
+    p, q, lo, hi = 0, 1, Fraction(-1), math.inf
+    for _ in range(1000):
+        c = [q * di - p * yi for di, yi in zip(deg, y)]
+        mu = sorted(c)[(n - 1) // 2]
+        a = [(v > mu) - (v < mu) for v in c]
+        tie = [i for i, v in enumerate(c) if v == mu]
+        total = -sum(a)
+        up = sorted(tie, key=y.__getitem__)
+        ys = [y[i] for i in up]
+        vals = _int_fill(len(tie), total)
+        ya = sum(yi * ai for yi, ai in zip(y, a))
+        h_up = s * (ya + sum(map(operator.mul, ys, vals))) + e
+        h_down = s * (ya + sum(map(operator.mul, reversed(ys), vals))) + e
+        if h_up <= 0 and (p == 0 or h_down >= 0):
+            m, done = 1, 0
+            for i in range(len(up) // 2):
+                gain = s * (vals[i] - vals[-1 - i]) * (ys[-1 - i] - ys[i])
+                if done + gain >= -h_up:
+                    if -h_up > done:
+                        shift = (-h_up - done) * (vals[-1 - i] - vals[i])
+                        g = math.gcd(shift, gain)
+                        m = gain // g
+                        vals = [v * m for v in vals]
+                        vals[i] += shift // g
+                        vals[-1 - i] -= shift // g
+                    break
+                vals[i], vals[-1 - i] = vals[-1 - i], vals[i]
+                done += gain
+            vals = [-v for _, v in sorted(zip(ys, (-v for v in vals)))]
+            return a, m, dict(zip(up, vals)), m * ya + sum(map(operator.mul, ys, vals))
+        j = min((total + len(tie)) // 2, len(tie) - 1)
+        if h_up > 0:
+            lo, piv = Fraction(p, q), up[j]
+        else:
+            hi, piv = Fraction(p, q), up[-1 - j]
+        dp, yp = deg[piv], y[piv]
+        lines = [(dk - dp, yk - yp) for dk, yk in zip(deg, y) if yk != yp]
+        big_d = math.lcm(*(w for _, w in lines))
+        lines = sorted((num * (big_d // w), abs(w)) for num, w in lines)
+        target = s * sum(w for _, w in lines) + e
+        cum = 0
+        for slope, w in lines:
+            cum += w
+            if 2 * s * cum >= target:
+                break
+        step = max(Fraction(slope, big_d), Fraction(0))
+        if not lo < step < hi:
+            break
+        p, q = step.numerator, step.denominator
+    raise AssertionError("reference descent stalled")
+
+
+def _numpy(k):
+    """(d, delta) as numpy arrays: they turn on the float start and filter."""
+    return np.array(k.deg), np.array(k.delta)
+
+
+def _solve(k, eps, filtered=False):
+    return _solve_exact(k.deg, k.y, k.lcm, eps, _numpy(k) if filtered else None)
+
+
+def _solve_from(k, eps, pair):
+    """The filtered descent started at the slope of `pair` (None: kappa = 0)."""
+    with mock.patch.object(lp, "_float_pair", lambda *_: pair):
+        return _solve(k, eps, filtered=True)
+
+
+def _exact_witness(k, eps, filtered=False):
     """The exact solver's witness as Fractions, checked exactly, or None."""
-    found = _solve_exact(k.deg, k.y, k.lcm, eps, start)
+    found = _solve(k, eps, filtered)
     if found is None:
         return None
     am, m, fill, ya = found
-    a = [Fraction(fill[i], m) if i in fill else Fraction(v) for i, v in enumerate(am)]
+    a = [Fraction(fill[i], m) if i in fill else Fraction(int(v)) for i, v in enumerate(am)]
     assert all(v in (-1, 1) for i, v in enumerate(am) if i not in fill)
     assert sum(a) == 0
     assert sum(yi * ai for yi, ai in zip(k.y, a)) == Fraction(ya, m)
@@ -231,43 +325,88 @@ def _exact_witness(k, eps, start=None):
 
 
 def _scaled(found):
-    """The solver's witness as (a * m, m)."""
-    am, m, fill, _ = found
-    return [fill.get(i, v * m) for i, v in enumerate(am)], m
+    """The solver's witness as (a * m, m) and y . a * m."""
+    am, m, fill, ya = found
+    return [fill.get(i, int(v) * m) for i, v in enumerate(am)], m, ya
 
 
-def _float_start(k, eps):
-    return lambda: _float_pair(k, eps)
-
-
-def _exact_objective(k, eps, start=None):
+def _exact_objective(k, eps, filtered=False):
     """The exact solver's optimum d . a, or None when infeasible."""
-    a = _exact_witness(k, eps, start)
+    a = _exact_witness(k, eps, filtered)
     return None if a is None else float(sum(di * ai for di, ai in zip(k.deg, a)))
 
 
+def _assert_matches_reference(k, eps):
+    # From kappa = 0 with exact passes, and from the float pair with
+    # filtered passes.
+    want = _reference_exact(k.deg, k.y, k.lcm, eps)
+    for filtered in (False, True):
+        got = _solve(k, eps, filtered)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert _scaled(got) == _scaled(want)
+
+
 def test_exact_solver_matches_float_and_highs_on_criterion_5_stream():
-    # The descent started from the float descent's pair matches HiGHS and
-    # returns exactly what the descent from kappa = 0 returns.
-    for g in random_graphs(201, 1000, n_range=(4, 10)):
+    # Both starts match HiGHS and return exactly the reference's witness.
+    for g in _criterion_5_stream():
         k = kernel(g)
         for eps in (1e-3, 1e-6):
-            ours = _exact_objective(k, eps, _float_start(k, eps))
-            _assert_close(ours, _highs(*_arrays(g), eps))
-            if ours is not None:
-                assert _scaled(_solve_exact(k.deg, k.y, k.lcm, eps, _float_start(k, eps))) == \
-                    _scaled(_solve_exact(k.deg, k.y, k.lcm, eps))
+            _assert_close(_exact_objective(k, eps, filtered=True), _highs(k.deg, k.delta, eps))
+            _assert_matches_reference(k, eps)
 
 
 def test_exact_solver_matches_highs_on_degenerate_instances():
     for k, eps in _degenerate_instances():
-        ours = _exact_objective(k, eps, _float_start(k, eps))
-        _assert_close(ours, _highs(np.array(k.deg, dtype=float), np.array(k.delta), eps))
+        _assert_close(_exact_objective(k, eps, filtered=True), _highs(k.deg, k.delta, eps))
+        _assert_matches_reference(k, eps)
+
+
+def _float_defeating_kernels():
+    # L > 2**60 and y in clusters whose members differ by a few units, so
+    # their deltas are equal as floats, as are the float slopes of lines that
+    # join two clusters through nodes of equal degree.
+    rng = random.Random(23)
+    for _ in range(40):
+        n = rng.randint(2, 90)
+        big_l = rng.randrange(1 << 61, 1 << 64) | 1
+        centres = [rng.randrange(big_l // 3, 3 * big_l) for _ in range(rng.randint(1, 4))]
+        y = [rng.choice(centres) + rng.randrange(4) for _ in range(n)]
+        yield _kernel_of([rng.randint(1, 4) for _ in range(n)], big_l, y)
+
+
+def _overflowing_kernel():
+    # lambda = kappa * L leaves the float range at the start kappa = 1 / 1
+    # of the pair (0, 1), so the filter must fall back to exact passes.
+    rng = random.Random(29)
+    big_l = 3 << 1100
+    y = [big_l // 2, big_l // 2 + 1] + [rng.randrange(big_l // 4, 2 * big_l) for _ in range(70)]
+    return _kernel_of([2, 3] + [rng.randint(1, 5) for _ in range(70)], big_l, y)
+
+
+def test_float_defeating_instances_match_reference(monkeypatch):
+    passes = []
+    filtered_pass = lp._filtered_pass
+
+    def spy(*args):
+        passes.append(filtered_pass(*args))
+        return passes[-1]
+
+    monkeypatch.setattr(lp, "_filtered_pass", spy)
+    k = _overflowing_kernel()
+    for eps in (1e-3, 0.1):
+        want = _reference_exact(k.deg, k.y, k.lcm, eps)
+        assert want is not None
+        assert _scaled(_solve_from(k, eps, (0, 1))) == _scaled(want)
+    assert None in passes  # a filtered pass fell back to the exact one
+    for k in _float_defeating_kernels():
+        for eps in (1e-18, 1e-3, 0.5):
+            _assert_matches_reference(k, eps)
 
 
 def test_exact_solver_against_vertex_enumeration():
     for k, eps, oracle in _vertex_cases():
-        ours = _exact_objective(k, eps, _float_start(k, eps))
+        ours = _exact_objective(k, eps, filtered=True)
         if oracle is None:
             assert ours is None
         else:
@@ -277,8 +416,9 @@ def test_exact_solver_against_vertex_enumeration():
 def test_exact_infeasibility_boundary():
     # path(5): the least delta . a is exactly -2, so epsilon = 2 is feasible.
     k = kernel(path(5))
-    assert _exact_objective(k, 2.0) is not None
-    assert _solve_exact(k.deg, k.y, k.lcm, 2.0 + 1e-15) is None
+    for filtered in (False, True):
+        assert _exact_objective(k, 2.0, filtered) is not None
+        assert _solve(k, 2.0 + 1e-15, filtered) is None
     for eps in (0.0, float("nan"), float("inf")):
         with pytest.raises(PreconditionViolatedError):
             _solve_exact(k.deg, k.y, k.lcm, eps)
@@ -286,28 +426,29 @@ def test_exact_infeasibility_boundary():
 
 def _start_cases():
     yield from random_graphs(201, 300, n_range=(4, 10))
-    for n in (30, 200, 1000):
+    for n in (30, 200, 1000, 10_000):
         yield preferential_attachment(n, seed=n)
 
 
 @pytest.mark.parametrize("eps", [1e-3, 0.5, 1.0])  # dyadic: the dual optimum may be an interval
 def test_every_start_gives_the_same_witness(eps):
-    # Starts: kappa = 0, the float descent's pair and breakpoints (d_j -
-    # d_p) / (y_j - y_p) of sampled pairs, below and above the optimum.
+    # Starts: kappa = 0 with exact passes; with filtered passes, the float
+    # descent's pair and breakpoints (d_j - d_p) / (y_j - y_p) of sampled
+    # pairs, below and above the optimum.
     rng = random.Random(17)
     for g in _start_cases():
         k = kernel(g)
-        want = _solve_exact(k.deg, k.y, k.lcm, eps)
+        want = _solve(k, eps)
         if want is None:
             continue
         want = _scaled(want)
-        pairs = [_float_pair(k, eps)]
+        pairs = [_float_pair(*_numpy(k), eps)]
         while len(pairs) < 4:
             p, j = rng.randrange(g.n), rng.randrange(g.n)
             if k.y[p] != k.y[j]:
                 pairs.append((p, j))
         for pair in pairs:
-            assert _scaled(_solve_exact(k.deg, k.y, k.lcm, eps, lambda: pair)) == want
+            assert _scaled(_solve_from(k, eps, pair)) == want
 
 
 def _relabel(g, rng):
@@ -323,7 +464,7 @@ def test_relabeling_leaves_r_high_and_witness_pairs_unchanged():
     rng = random.Random(13)
     larger = [sample_connected_nonregular(50, 0.2, 1), sample_connected_nonregular(500, 0.02, 2),
               preferential_attachment(10_000, seed=5)]
-    for g in itertools.chain(random_graphs(201, 1000, n_range=(4, 10)), larger):
+    for g in itertools.chain(_criterion_5_stream(), larger):
         res = max_failing_correlation(g, 0.001)
         pairs = sorted(zip(degrees(g), res.witness))
         for _ in range(5 if g.n <= 10 else 2):

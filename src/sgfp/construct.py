@@ -5,7 +5,9 @@ marked edge whose endpoints both carry attribute 2 and degree 2, and two
 degree-3/attribute-3 nodes by replacing two marked disjoint edges among
 attribute-3/degree-3 nodes with a connected pair of new nodes. Both gadgets
 leave every pre-existing node's degree, attribute, and friend-attribute
-mean untouched, so the (gap * node count) product is invariant.
+mean untouched, so the (gap * node count) product is invariant. A step
+re-sorts only the ten neighbour lists it touches and builds the child on the
+trusted constructor; the child computes its kernel on first use.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvariantBrokenError, PreconditionViolatedError, TooSmallError
-from .graph import Graph, build_graph, extend_kernel
+from .graph import Graph, build_graph
 
 Edge = tuple[int, int]
 
@@ -87,7 +89,7 @@ def initial_growth_state() -> GrowthState:
 
 def _check_marker(g: Graph, attrs, edge: Edge, want: int) -> None:
     u, v = edge
-    if not g.has_edge(u, v):
+    if v not in g.adj[u]:
         raise InvariantBrokenError(f"marker edge {edge} missing")
     for node in edge:
         if len(g.adj[node]) != want or attrs[node] != want:
@@ -96,7 +98,7 @@ def _check_marker(g: Graph, attrs, edge: Edge, want: int) -> None:
 
 
 def grow_step(state: GrowthState) -> GrowthState:
-    """Add two triple-2 and two triple-3 nodes; n grows by 4."""
+    """Add two triple-2 and two triple-3 nodes, labelled n..n+3; n grows by 4."""
     g = state.graph
     attrs = list(state.attrs)
     _check_marker(g, attrs, state.two_chain_edge, 2)
@@ -111,16 +113,18 @@ def grow_step(state: GrowthState) -> GrowthState:
     p, q = n + 2, n + 3      # triple-3 nodes
     u, v = state.two_chain_edge
     (u1, v1), (u2, v2) = e1, e2
+    if not {w1, w2, p, q}.isdisjoint(g.labels):
+        raise InvariantBrokenError(f"labels {n}..{n + 3} of the new nodes are in use")
 
     # Only the six marker endpoints change: subdivide u-v twice
     # (u - w2 - w1 - v) and replace u1-v1, u2-v2 by u1, v1 - p - q - u2, v2.
-    adj = [list(a) for a in g.adj]
+    # That adds 5 edges; the ten touched neighbour lists are sorted again.
+    adj = list(g.adj)
     for node, old, new in ((u, v, w2), (v, u, w1), (u1, v1, p), (v1, u1, p),
                            (u2, v2, q), (v2, u2, q)):
-        adj[node][adj[node].index(old)] = new
-    adj += [[w2, v], [u, w1], [u1, v1, q], [p, u2, v2]]
-    child = Graph(adj, g.labels + (w1, w2, p, q))
-    extend_kernel(g, child, (u, v, u1, v1, u2, v2))
+        adj[node] = tuple(sorted(new if j == old else j for j in adj[node]))
+    adj += map(tuple, map(sorted, ((w2, v), (u, w1), (u1, v1, q), (p, u2, v2))))
+    child = Graph._trusted(tuple(adj), g.labels + (w1, w2, p, q), g.m + 5, 0, None)
     return GrowthState(
         graph=child,
         attrs=tuple(attrs + [2, 2, 3, 3]),

@@ -10,14 +10,15 @@ Every graph the package builds from edges (:func:`build_graph`, the random
 generators, rewiring, isolate stripping) takes one path: the edges become
 sorted, distinct directed keys i*n + j in numpy (:func:`_arcs`), and
 :func:`_from_keys` slices them into neighbour tuples, which
-:meth:`Graph._trusted` takes as they are. The public ``Graph(adj, labels)``
-trusts nothing: it sorts and de-duplicates every neighbour list and checks
-that the labels are unique.
+:meth:`Graph._trusted` takes as they are; so does the growth step. The
+public ``Graph(adj, labels)`` trusts nothing: it sorts and de-duplicates
+every neighbour list and checks, in O(n + m), every promise of the class.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
@@ -26,8 +27,7 @@ from typing import Hashable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (InvariantBrokenError, IsolatedNodeError, PreconditionViolatedError,
-                     SelfLoopError, UnknownNodeError)
+from .errors import IsolatedNodeError, PreconditionViolatedError, SelfLoopError, UnknownNodeError
 
 NodeId = Hashable
 
@@ -37,24 +37,34 @@ class Graph:
 
     No self-loops, no parallel edges; adjacency is symmetric and each
     neighbor tuple is sorted. ``duplicates_collapsed`` counts input edges
-    that were dropped as duplicates during construction.
+    that were dropped as duplicates during construction. Labels are unique.
     """
 
     __slots__ = ("n", "m", "adj", "labels", "duplicates_collapsed", "_index", "_kernel")
 
     def __init__(self, adj: Sequence[Iterable[int]], labels: Sequence[NodeId] | None = None,
                  duplicates_collapsed: int = 0):
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(set(a))) for a in adj)
-        self.n = len(self.adj)
-        self.m = sum(len(a) for a in self.adj) // 2
-        if labels is None:
-            labels = tuple(range(self.n))
-        self.labels: tuple[NodeId, ...] = tuple(labels)
+        try:
+            sets = [set(map(operator.index, a)) for a in adj]
+        except TypeError:
+            raise PreconditionViolatedError("neighbours must be integers") from None
+        self.n = n = len(sets)
+        self.labels: tuple[NodeId, ...] = tuple(range(n)) if labels is None else tuple(labels)
+        self._index = {lab: i for i, lab in enumerate(self.labels)}
+        if len(self._index) != n:
+            raise PreconditionViolatedError("node labels must be unique")
+        nodes = set(range(n))
+        for i, s in enumerate(sets):
+            if i in s:
+                raise SelfLoopError(self.labels[i])
+            if not s <= nodes:
+                raise PreconditionViolatedError(f"node {i} has a neighbour outside 0..{n - 1}")
+            if any(i not in sets[j] for j in s):
+                raise PreconditionViolatedError(f"node {i} has a neighbour not adjacent to it")
+        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in sets)
+        self.m = sum(map(len, sets)) // 2
         self.duplicates_collapsed = duplicates_collapsed
         self._kernel: Optional[Kernel] = None
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
-        if len(self._index) != self.n:
-            raise PreconditionViolatedError("node labels must be unique")
 
     @classmethod
     def _trusted(cls, adj: tuple[tuple[int, ...], ...], labels: tuple[NodeId, ...], m: int,
@@ -74,9 +84,6 @@ class Graph:
             return self._index[label]
         except KeyError:
             raise UnknownNodeError(label) from None
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return j in self.adj[i]
 
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.n) for j in self.adj[i] if i < j]
@@ -105,7 +112,7 @@ def build_graph(edges: Iterable[tuple[NodeId, NodeId]],
     if not isinstance(edges, (list, tuple)):
         edges = list(edges)
     if set(map(len, edges)) - {2}:
-        raise ValueError("every edge must be a pair of labels")
+        raise PreconditionViolatedError("every edge must be a pair of labels")
     flat = list(chain.from_iterable(edges))
     labels = tuple(dict.fromkeys(flat if nodes is None else nodes))
     n = len(labels)
@@ -220,32 +227,6 @@ def kernel(g: Graph) -> Kernel:
         w = [big_l // d if d else 0 for d in deg]
         g._kernel = _kernel_of(deg, big_l, [sum(map(w.__getitem__, a)) for a in g.adj])
     return g._kernel
-
-
-def extend_kernel(parent: Graph, child: Graph, rewired: Sequence[int]) -> Kernel:
-    """Derive `child`'s kernel from `parent`'s, cache it on `child` and return it.
-
-    `child` keeps the parent's nodes in order and appends new ones; of the
-    parent's nodes only those in `rewired` may change neighbours, and they
-    must keep their degrees. Every other parent node then keeps its delta:
-    its y is only rescaled to the new L, and y is recomputed from `child`'s
-    adjacency at the rewired and new nodes. Raises
-    :class:`InvariantBrokenError` when a rewired node's degree changed.
-    """
-    k, n0 = kernel(parent), parent.n
-    for i in rewired:
-        if len(child.adj[i]) != k.deg[i]:
-            raise InvariantBrokenError(
-                f"rewired node {i} changed degree from {k.deg[i]} to {len(child.adj[i])}")
-    deg = k.deg + tuple(map(len, child.adj[n0:]))
-    big_l = math.lcm(k.lcm, *{d for d in deg[n0:] if d})
-    scale = big_l // k.lcm
-    y = [v * scale for v in k.y] if scale > 1 else list(k.y)
-    y += [0] * (child.n - n0)
-    for i in (*rewired, *range(n0, child.n)):
-        y[i] = sum(big_l // deg[j] for j in child.adj[i])
-    child._kernel = _kernel_of(deg, big_l, y)
-    return child._kernel
 
 
 def _kernel_of(deg: Sequence[int], big_l: int, y: Sequence[int]) -> Kernel:

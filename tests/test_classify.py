@@ -20,7 +20,7 @@ from sgfp.errors import (
     PreconditionViolatedError,
     UnknownNodeError,
 )
-from sgfp.graph import build_graph, degrees, delta, kernel
+from sgfp.graph import Graph, build_graph, degrees, delta, kernel
 from sgfp.metrics import correlation, r_d_delta, singular_gap
 from sgfp.randgen import mix, sample_connected_nonregular
 
@@ -64,6 +64,8 @@ def test_degenerate_cases():
     assert classify(triangle).kind == DEGENERATE
     two_edges = build_graph([(0, 1), (2, 3)])
     assert classify(two_edges).kind == DEGENERATE
+    empty = classify(Graph([]))
+    assert (empty.kind, empty.witness, empty.reason) == (DEGENERATE, None, "empty graph")
 
 
 def test_classify_matches_r_d_delta():

@@ -234,6 +234,30 @@ def test_analyze_non_finite_attribute_exits_1(tmp_path, capsys, mode):
     assert capsys.readouterr().err.startswith("error: line 3: ")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "error: line 1: missing header\n"),
+    ("node,value\n1,5\n2,1,7\n3,1\n", "error: line 3: expected two columns\n"),
+    ("node,value\n1,5,0\n", "error: line 2: expected two columns\n"),
+])
+def test_analyze_malformed_attribute_file_exits_1(tmp_path, capsys, text, message):
+    graph, attrs = tmp_path / "g.edges", tmp_path / "a.csv"
+    graph.write_text("1 2\n2 3\n")
+    attrs.write_text(text)
+    assert main(["analyze", str(graph), str(attrs)]) == 1
+    assert capsys.readouterr().err == message
+
+
+def test_analyze_skips_blank_attribute_rows(tmp_path, capsys):
+    graph, attrs = tmp_path / "g.edges", tmp_path / "a.csv"
+    graph.write_text("1 2\n2 3\n3 4\n")
+    attrs.write_text("node,value\n1,1\n2,2\n3,3\n4,5\n")
+    assert main(["analyze", str(graph), str(attrs)]) == 0
+    want = capsys.readouterr().out
+    attrs.write_text("node,value\n\n1,1\n2,2\n\n\n3,3\n4,5\n\n")
+    assert main(["analyze", str(graph), str(attrs)]) == 0
+    assert capsys.readouterr().out == want
+
+
 @pytest.mark.parametrize("argv", [
     ["optimize", "{graph}", "--epsilon", "0"],
     ["census", "--nmin", "3", "--nmax", "3", "--samples", "4", "--epsilon", "0"],

@@ -17,7 +17,7 @@ from sgfp.construct import (
 )
 from sgfp.errors import InvariantBrokenError, PreconditionViolatedError, TooSmallError
 from sgfp.experiments import grow_table
-from sgfp.graph import Graph, build_graph, degrees, extend_kernel, kernel
+from sgfp.graph import Graph, build_graph, degrees, kernel
 from sgfp.metrics import correlation, second_order, singular_gap
 
 
@@ -65,6 +65,8 @@ def test_too_small():
         star(2)
     with pytest.raises(TooSmallError):
         knee(2)
+    with pytest.raises(TooSmallError):
+        path(1)
 
 
 def test_path3_zero_gap_example():
@@ -191,17 +193,33 @@ def test_corrupted_marker_raises():
     )
     with pytest.raises(InvariantBrokenError):
         grow_step(broken)
+    for markers, message in ((dict(two_chain_edge=(0, 3)), r"marker edge \(0, 3\) missing"),
+                             (dict(three_edges=((2, 3), (3, 5))), "not disjoint")):
+        # A-D is no edge; C-D and D-F share D.
+        with pytest.raises(InvariantBrokenError, match=message):
+            grow_step(dataclasses.replace(state, **markers))
 
 
-def test_carried_kernel_equals_fresh_kernel():
+def test_grow_step_rejects_labels_of_the_new_nodes_in_use():
+    state = initial_growth_state()
+    g = state.graph
+    relabelled = Graph(g.adj, g.labels[:-1] + (g.n + 2,))
+    with pytest.raises(InvariantBrokenError, match="in use"):
+        grow_step(dataclasses.replace(state, graph=relabelled))
+
+
+def test_grown_graph_is_in_normal_form():
     state = initial_growth_state()
     for _ in range(150):
         state = grow_step(state)
         g = state.graph
-        assert g._kernel is not None  # carried, not computed on demand
-        carried, fresh = kernel(g), kernel(Graph(g.adj, g.labels))
-        assert carried == fresh, state.k
-        assert repr(carried) == repr(fresh)  # bit-equal floats, signed zeros too
+        rebuilt = Graph(g.adj, g.labels)  # sorts, de-duplicates and checks everything
+        assert g == rebuilt, state.k
+        assert 2 * g.m == sum(degrees(g)) and g.m == rebuilt.m
+        assert g._kernel is None  # computed on demand, like any other graph's
+        assert kernel(g) == kernel(rebuilt)
+        assert repr(kernel(g)) == repr(kernel(rebuilt))  # bit-equal floats, signed zeros too
+        assert g.index_of(g.n - 1) == g.n - 1
 
 
 def _fresh_rows(steps):
@@ -221,21 +239,6 @@ def _fresh_rows(steps):
 @pytest.mark.parametrize("steps", [0, 1, 5, 20, 100])
 def test_grow_table_matches_fresh_kernels(steps):
     assert grow_table(steps) == _fresh_rows(steps)
-
-
-def test_extend_kernel_rejects_a_changed_degree():
-    parent = path(4)  # 0 - 1 - 2 - 3
-    grown = Graph([[1], [0, 2, 4], [1, 3], [2], [1]])  # node 1 gains a friend
-    with pytest.raises(InvariantBrokenError):
-        extend_kernel(parent, grown, (1,))
-    # 2-3 becomes 2-4-5-3 (L stays 2), or 2-4-3 with a pendant 5 on 4 (L becomes 6).
-    for adj in ([[1], [0, 2], [1, 4], [5], [2, 5], [3, 4]],
-                [[1], [0, 2], [1, 4], [4], [2, 3, 5], [4]]):
-        child = Graph(adj)
-        carried = extend_kernel(parent, child, (2, 3))
-        assert child._kernel is carried
-        assert carried == kernel(Graph(adj))
-        assert repr(carried) == repr(kernel(Graph(adj)))
 
 
 def test_wrong_carried_kernel_fails_the_gap_cross_check():

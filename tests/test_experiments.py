@@ -4,9 +4,11 @@ import pytest
 
 from sgfp.classify import PRO, classify
 from sgfp.errors import InfeasibleAtEpsilonError
-from sgfp.experiments import CensusRecord, census, strip_isolates
+from sgfp.construct import path
+from sgfp.experiments import CensusRecord, census, r_high_loose, rewire_experiment, strip_isolates
 from sgfp.graph import Graph
 from sgfp.lp import max_failing_correlation
+from sgfp.metrics import r_d_delta
 from sgfp.randgen import mix
 
 from conftest import reference_sample
@@ -90,3 +92,13 @@ def test_strip_isolates():
     assert strip_isolates(g) is g
     h = Graph([[], [2], [1], []], ["w", "x", "y", "z"])
     assert strip_isolates(h) == Graph([[1], [0]], ["x", "y"])
+
+
+def test_r_high_loose_is_none_when_the_lp_is_infeasible():
+    g = path(5)
+    assert r_high_loose(g, 3.0) is None  # no failing sample within a slack of 3
+    assert r_high_loose(g, 1e-3) is not None
+    (record,) = rewire_experiment([("p5", g)], seed=0, epsilon=3.0)
+    assert (record.network_id, record.r_high_original, record.r_high_rewired) == ("p5", None, None)
+    assert record.r_ddelta_original == r_d_delta(g)
+    assert record.seed == mix(0, 0)

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from sgfp.errors import IsolatedNodeError, SgfpError, SelfLoopError, UnknownNodeError
+from sgfp.errors import (IsolatedNodeError, PreconditionViolatedError, SgfpError, SelfLoopError,
+                         UnknownNodeError)
 from sgfp.graph import (
     Graph,
     build_graph,
@@ -35,6 +37,41 @@ def test_self_loop_rejected():
 def test_duplicate_labels_rejected():
     with pytest.raises(SgfpError):
         Graph([[1], [0]], labels=["a", "a"])
+
+
+@pytest.mark.parametrize("adj, error, message", [
+    ([[0, 1], [0]], SelfLoopError, "self-loop on node 0"),
+    ([[1], []], PreconditionViolatedError, "node 0 has a neighbour not adjacent to it"),
+    ([[1], [0, 2], [0]], PreconditionViolatedError, "node 1 has a neighbour not adjacent"),
+    ([[5]], PreconditionViolatedError, r"node 0 has a neighbour outside 0\.\.0"),
+    ([[1], [0, -1]], PreconditionViolatedError, "outside"),
+    ([["b"], ["a"]], PreconditionViolatedError, "neighbours must be integers"),
+    ([[1.0], [0]], PreconditionViolatedError, "neighbours must be integers"),
+])
+def test_constructor_refuses_what_the_class_does_not_allow(adj, error, message):
+    with pytest.raises(error, match=message):
+        Graph(adj)
+
+
+def test_constructor_normalises_lists_and_names_a_looping_label():
+    g = Graph([(2, 1, 1), [0], iter([0])], duplicates_collapsed=3)
+    assert (g.adj, g.n, g.m, g.duplicates_collapsed) == (((1, 2), (0,), (0,)), 3, 2, 3)
+    assert g == build_graph([(0, 1), (0, 2)])
+    assert all(type(j) is int for a in Graph([np.array([1]), [np.int64(0)]]).adj for j in a)
+    with pytest.raises(SelfLoopError, match="'b'"):
+        Graph([[1], [0, 1]], labels=["a", "b"])
+
+
+def test_build_graph_refuses_an_edge_that_is_not_a_pair():
+    for edges in ([(1, 2), (1, 2, 3)], [(1,)], [(1, 2), ()]):
+        with pytest.raises(PreconditionViolatedError, match="pair"):
+            build_graph(edges)
+
+
+def test_build_graph_takes_a_generator_of_edges():
+    g = build_graph((i, i + 1) for i in range(4))
+    assert g == build_graph([(0, 1), (1, 2), (2, 3), (3, 4)])
+    assert g.m == 4 and g.duplicates_collapsed == 0
 
 
 def test_pinned_nodes_dedupe_and_keep_isolates():

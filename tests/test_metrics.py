@@ -7,8 +7,9 @@ import pytest
 
 from sgfp.classify import Classification, ThresholdEstimate
 from sgfp.construct import example_graph_fig1, example_graph_fig4, path, star
-from sgfp.errors import InvariantBrokenError, LengthMismatchError, NonFiniteOutputError, SgfpError
-from sgfp.graph import build_graph, degrees, kernel
+from sgfp.errors import (AllIsolatesError, InvariantBrokenError, LengthMismatchError,
+                         NonFiniteOutputError, SgfpError)
+from sgfp.graph import Graph, build_graph, degrees, kernel
 from sgfp.lp import HighCorrelationResult
 from sgfp.metrics import (
     correlation,
@@ -69,6 +70,8 @@ def test_gap_isolates_excluded():
     assert gap == singular_gap(path(3), [1, 2, 3])
     report = gap_report(g, [1, 2, 3, 999])
     assert report.excluded_isolates == 1
+    with pytest.raises(AllIsolatesError, match="no node has an edge"):
+        singular_gap(Graph([[], []]), [1, 2])
 
 
 def test_list_gap_constant_attributes():

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -88,14 +89,8 @@ def attach_pendant_path(g: Graph, at) -> Graph:
     reciprocal-degree sums, which forces the result to be anti-SGFP.
     """
     g.index_of(at)  # raises UnknownNodeError for unknown labels
-    fresh = []
-    counter = 0
     existing = set(g.labels)
-    while len(fresh) < 4:
-        cand = f"_pp{counter}"
-        counter += 1
-        if cand not in existing:
-            fresh.append(cand)
+    fresh = list(islice((c for c in map("_pp{}".format, count()) if c not in existing), 4))
     q, r, s, t = fresh
     edges = [(g.labels[i], g.labels[j]) for i, j in g.edges()]
     edges += [(at, q), (q, r), (r, s), (s, t)]
@@ -125,12 +120,9 @@ def perturb_to_positive_correlation(g: Graph, a: Sequence) -> list:
     dl = delta(g)
     i = min(range(n), key=lambda k: (-deg[k], k))
     j = min(range(n), key=lambda k: (deg[k], k))
-    if dl[i] > dl[j]:
-        # Half the strict bound n|gap| / (delta_i - delta_j): keeps the
-        # perturbed gap strictly negative even in float mode.
-        eps = min(1, (n * abs(gap)) / (2 * (dl[i] - dl[j])))
-    else:
-        eps = 1
+    # Half the strict bound n|gap| / (delta_i - delta_j): keeps the
+    # perturbed gap strictly negative even in float mode.
+    eps = min(1, (n * abs(gap)) / (2 * (dl[i] - dl[j]))) if dl[i] > dl[j] else 1
     out = list(a)
     out[i] = out[i] + eps
     out[j] = out[j] - eps

@@ -10,7 +10,7 @@ or constant attributes).
 import argparse
 import os
 import sys
-from dataclasses import astuple
+from operator import attrgetter
 
 from . import construct, experiments
 from .classify import DEGENERATE, classify, threshold_estimate
@@ -60,7 +60,8 @@ def cmd_census(args):
             print(f"warning: n={n}: {infeasible} of {args.samples} samples infeasible "
                   f"at epsilon={args.epsilon}", file=sys.stderr)
         records.append(row)
-    return experiments.csv_text(experiments.CENSUS_COLUMNS, map(astuple, records))
+    return experiments.csv_text(experiments.CENSUS_COLUMNS,
+                                map(attrgetter(*experiments.CENSUS_COLUMNS), records))
 
 
 def cmd_grow(args):
@@ -70,7 +71,8 @@ def cmd_grow(args):
 def cmd_rewire_experiment(args):
     graphs = [(path, read_edge_list(path)) for path in args.graphs]
     records = experiments.rewire_experiment(graphs, args.seed, epsilon=args.epsilon)
-    return experiments.csv_text(experiments.REWIRE_COLUMNS, map(astuple, records))
+    return experiments.csv_text(experiments.REWIRE_COLUMNS,
+                                map(attrgetter(*experiments.REWIRE_COLUMNS), records))
 
 
 def cmd_propown(args):

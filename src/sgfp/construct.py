@@ -31,7 +31,6 @@ def example_graph_fig1() -> tuple[Graph, list[int]]:
     return build_graph(edges), [a for a, _ in _FIG1_NODES]
 
 
-
 def example_graph_fig4() -> tuple[Graph, list[list[int]]]:
     """4-node anti-SGFP graph with three zero-correlation attribute samples."""
     g = build_graph([(1, 2), (2, 3), (2, 4), (3, 4)])
@@ -79,12 +78,8 @@ class GrowthState:
 def initial_growth_state() -> GrowthState:
     g, attrs = example_graph_fig1()
     # Indices: A=0 B=1 C=2 D=3 E=4 F=5 G=6 H=7.
-    return GrowthState(
-        graph=g, attrs=tuple(attrs),
-        two_chain_edge=(0, 1),
-        three_edges=((2, 3), (4, 5)),
-        k=0,
-    )
+    return GrowthState(graph=g, attrs=tuple(attrs), two_chain_edge=(0, 1),
+                       three_edges=((2, 3), (4, 5)), k=0)
 
 
 def _check_marker(g: Graph, attrs, edge: Edge, want: int) -> None:
@@ -125,13 +120,8 @@ def grow_step(state: GrowthState) -> GrowthState:
         adj[node] = tuple(sorted(new if j == old else j for j in adj[node]))
     adj += map(tuple, map(sorted, ((w2, v), (u, w1), (u1, v1, q), (p, u2, v2))))
     child = Graph._trusted(tuple(adj), g.labels + (w1, w2, p, q), g.m + 5, 0, None)
-    return GrowthState(
-        graph=child,
-        attrs=tuple(attrs + [2, 2, 3, 3]),
-        two_chain_edge=(w2, w1),
-        three_edges=((u1, p), (u2, q)),
-        k=state.k + 1,
-    )
+    return GrowthState(graph=child, attrs=tuple(attrs + [2, 2, 3, 3]), two_chain_edge=(w2, w1),
+                       three_edges=((u1, p), (u2, q)), k=state.k + 1)
 
 
 def growth_correlation(k: int) -> float:

@@ -16,8 +16,8 @@ import numpy as np
 from .classify import _affine_fit
 from .construct import initial_growth_state, grow_step
 from .errors import PreconditionViolatedError
-from .graph import Graph, Kernel, _from_keys, _kernel_of, kernel
-from .lp import _check_epsilon, _failing_witness
+from .graph import Graph, _from_keys, exact_correlation, kernel
+from .lp import _check_epsilon, _r_high
 from .metrics import correlation, r_d_delta, singular_gap
 from .randgen import _sample_blocks, configuration_rewire, mix
 
@@ -41,10 +41,10 @@ def _census_chunk(args: tuple[int, float, Sequence[int]]) -> list[tuple[bool, fl
     The draws' degrees and y = L * delta are computed as arrays, and all
     three results are functions of a draw's sorted (degree, y) pairs:
     draws with the same pairs share one memo entry, kept for this call
-    only, and only a miss builds a kernel. At most `_CHUNK` seeds are
-    sampled at once.
+    only. At most `_CHUNK` seeds are sampled at once.
     """
     n, epsilon, seeds = args
+    ratio = epsilon.as_integer_ratio()
     memo: dict = {}
     out = []
     blocks = (adj for i in range(0, len(seeds), _CHUNK)
@@ -59,17 +59,19 @@ def _census_chunk(args: tuple[int, float, Sequence[int]]) -> list[tuple[bool, fl
             key = tuple(sorted(zip(d, ys)))
             row = memo.get(key)
             if row is None:
-                row = memo[key] = _census_row(_kernel_of(d, lcm, ys), epsilon)
+                row = memo[key] = _census_row(d, lcm, ys, epsilon, ratio)
             out.append(row)
     return out
 
 
-def _census_row(k: Kernel, epsilon: float) -> tuple[bool, float, float]:
-    """(is_pro, r_high, r_ddelta) of one draw's kernel; r_high is NaN when
-    the LP is infeasible at `epsilon`."""
-    res = _failing_witness(k, epsilon)
-    return (_affine_fit(k.deg, k.y)[0] is not None,
-            float("nan") if res is None else res.r_high, k.r_ddelta)
+def _census_row(deg: Sequence[int], big_l: int, y: Sequence[int], epsilon: float,
+                ratio: tuple[int, int]) -> tuple[bool, float, float]:
+    """(is_pro, r_high, r_ddelta) of one connected draw from its degrees,
+    their lcm L and y = L * delta; r_high is NaN when the LP is infeasible
+    at `epsilon`, whose as_integer_ratio() is `ratio`."""
+    res = _r_high(deg, y, big_l, epsilon, ratio=ratio)
+    return (_affine_fit(deg, y)[0] is not None,
+            float("nan") if res is None else res[0], exact_correlation(deg, y, 1, big_l))
 
 
 _CHUNK = 256  # samples per task sent to a worker process
@@ -107,24 +109,15 @@ def _census(n: int, samples: int, seed: int, epsilon: float = 0.001,
     else:
         results = _census_chunk((n, epsilon, seeds))
 
-    pro_rh, anti_rh, pro_rdd, anti_rdd = [], [], [], []
-    for is_pro, r_high, r_dd in results:
-        if is_pro:
-            pro_rh.append(r_high)
-            pro_rdd.append(r_dd)
-        else:
-            anti_rh.append(r_high)
-            anti_rdd.append(r_dd)
+    def _mean(pro, column):
+        xs = [row[column] for row in results if row[0] == pro and row[column] == row[column]]
+        return sum(xs) / len(xs) if xs else None  # NaN dropped
 
-    def _mean(xs):
-        xs = [x for x in xs if x == x]  # drop NaN
-        return sum(xs) / len(xs) if xs else None
-
+    pro_count = sum(row[0] for row in results)
     record = CensusRecord(
-        n=n, samples=samples, pro_count=len(pro_rdd),
-        pro_proportion=len(pro_rdd) / samples,
-        mean_r_high_pro=_mean(pro_rh), mean_r_high_anti=_mean(anti_rh),
-        mean_r_ddelta_pro=_mean(pro_rdd), mean_r_ddelta_anti=_mean(anti_rdd),
+        n=n, samples=samples, pro_count=pro_count, pro_proportion=pro_count / samples,
+        mean_r_high_pro=_mean(True, 1), mean_r_high_anti=_mean(False, 1),
+        mean_r_ddelta_pro=_mean(True, 2), mean_r_ddelta_anti=_mean(False, 2),
         base_seed=seed,
     )
     return record, sum(r_high != r_high for _, r_high, _ in results)
@@ -194,8 +187,8 @@ def r_high_loose(g: Graph, epsilon: float) -> Optional[float]:
     k = kernel(g)
     if len(set(k.deg)) <= 1 or 0 in k.deg:
         return None
-    res = _failing_witness(k, epsilon)
-    return None if res is None else res.r_high
+    res = _r_high(k.deg, k.y, k.lcm, epsilon, k.delta)
+    return None if res is None else res[0]
 
 
 def rewire_experiment(graphs: Sequence[tuple[str, Graph]], seed: int,
@@ -215,10 +208,6 @@ def rewire_experiment(graphs: Sequence[tuple[str, Graph]], seed: int,
         rew = strip_isolates(configuration_rewire(g, rw_seed))
         rh1 = r_high_loose(rew, epsilon) if rew.n >= 2 else None
         rdd1 = r_d_delta(rew) if rew.n >= 2 else None
-        records.append(RewireRecord(
-            network_id=name,
-            r_high_original=rh0, r_ddelta_original=rdd0,
-            r_high_rewired=rh1, r_ddelta_rewired=rdd1,
-            seed=rw_seed,
-        ))
+        records.append(RewireRecord(network_id=name, r_high_original=rh0, r_ddelta_original=rdd0,
+                                    r_high_rewired=rh1, r_ddelta_rewired=rdd1, seed=rw_seed))
     return records

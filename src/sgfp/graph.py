@@ -111,7 +111,11 @@ def build_graph(edges: Iterable[tuple[NodeId, NodeId]],
     """
     if not isinstance(edges, (list, tuple)):
         edges = list(edges)
-    if set(map(len, edges)) - {2}:
+    try:  # a string of two characters is no pair
+        pairs = set(map(len, edges)) <= {2} and not {str, bytes} & set(map(type, edges))
+    except TypeError:  # no len()
+        pairs = False
+    if not pairs:
         raise PreconditionViolatedError("every edge must be a pair of labels")
     flat = list(chain.from_iterable(edges))
     labels = tuple(dict.fromkeys(flat if nodes is None else nodes))
@@ -240,19 +244,16 @@ def components(g: Graph) -> list[set[int]]:
     seen = [False] * g.n
     out: list[set[int]] = []
     for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = {start}
-        seen[start] = True
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in g.adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.add(v)
-                    stack.append(v)
-        out.append(comp)
+        if not seen[start]:
+            seen[start] = True
+            comp, stack = {start}, [start]
+            while stack:
+                for v in g.adj[stack.pop()]:
+                    if not seen[v]:
+                        seen[v] = True
+                        comp.add(v)
+                        stack.append(v)
+            out.append(comp)
     return out
 
 

@@ -170,15 +170,8 @@ def prop_own(g: Graph, labels: list[str]) -> list[Optional[Fraction]]:
     """
     if len(labels) != g.n:
         raise LengthMismatchError(g.n, len(labels))
-    out: list[Optional[Fraction]] = []
-    for i in range(g.n):
-        d = len(g.adj[i])
-        if d == 0:
-            out.append(None)
-            continue
-        same = sum(1 for j in g.adj[i] if labels[j] == labels[i])
-        out.append(Fraction(same, d))
-    return out
+    return [Fraction(sum(labels[j] == label for j in nb), len(nb)) if nb else None
+            for nb, label in zip(g.adj, labels)]
 
 
 def edge_list_from_string(text: str) -> Graph:

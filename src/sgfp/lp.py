@@ -20,9 +20,10 @@ when the optimum has lambda = 0), ending near a vertex of the feasible
 polytope as a simplex would. There is no size cap.
 
 The descent runs in exact integers from the graph's kernel at every size
-(:func:`_solve_exact`), so the witness, and so r_high, depend only on the
-multiset of (d_i, L delta_i) pairs, not on the node labels. Floats only
-save exact work: on larger graphs they choose where it starts
+(:func:`_solve_exact`), lambda / L and its bracket as integer pairs, so the
+witness, and r_high (:func:`_r_high`, with no float witness), depend only
+on the multiset of (d_i, L delta_i) pairs, not on the node labels. Floats
+only save exact work: on larger graphs they choose where it starts
 (:func:`_float_pair`), in the float-solve, exact-certify pattern of
 QSopt_ex (Applegate, Cook, Dash and Espinoza, 2007), and place the nodes
 far from the median (:func:`_filtered_pass`).
@@ -33,7 +34,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, compress
 from operator import itemgetter, mul
 from typing import Optional, Sequence
@@ -132,14 +132,16 @@ def _filtered_pass(deg: Sequence[int], y: Sequence[int], big_l: int, d: np.ndarr
 
 def _solve_exact(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: float,
                  arrays: Optional[tuple[np.ndarray, np.ndarray]] = None,
+                 ratio: Optional[tuple[int, int]] = None,
                  ) -> Optional[tuple[Sequence[int], int, dict[int, int], int]]:
     """The failing-correlation LP in exact arithmetic, on the kernel's integers.
 
     With y = L * delta the LP's row is y . a <= -epsilon * L, and
-    epsilon * L = e / s exactly (s > 0). The descent runs in
-    kappa = lambda / L = p / q, so c = q * d - p * y is an integer vector
-    whose median and tie set are exact, and the one-sided slopes of g are
-    decided by the sign of the integer s * (y . a) + e.
+    epsilon * L = e / s exactly (s > 0; `ratio` is (e / L, s) if the caller
+    has checked epsilon). The descent runs in kappa = lambda / L = p / q,
+    so c = q * d - p * y is an integer vector whose median and tie set are
+    exact, and the one-sided slopes of g are decided by the sign of the
+    integer s * (y . a) + e.
 
     With `arrays` = (d, delta) in numpy the descent starts at the slope of
     the pair from :func:`_float_pair`, if any, and floats decide what they
@@ -148,8 +150,10 @@ def _solve_exact(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: floa
     {-1, 1} off the tied nodes, 0 on them, and fill[i] / m there, in
     {-1, 0, 1} but for the two nodes of at most one partial swap.
     """
-    _check_epsilon(epsilon)
-    e, s = epsilon.as_integer_ratio()
+    if ratio is None:
+        _check_epsilon(epsilon)
+        ratio = epsilon.as_integer_ratio()
+    e, s = ratio
     e *= big_l
     n = len(deg)
     # Feasible iff the least y . a over {sum(a) = 0, box}, +1 on the n // 2
@@ -164,12 +168,16 @@ def _solve_exact(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: floa
     if gap > 0:
         return None
     pair = _float_pair(*arrays, epsilon) if arrays else None
-    kappa = Fraction(deg[pair[1]] - deg[pair[0]], y[pair[1]] - y[pair[0]]) if pair else 0
-    p, q = max(kappa, 0).as_integer_ratio()
+    num, w = (deg[pair[1]] - deg[pair[0]], y[pair[1]] - y[pair[0]]) if pair else (0, 1)
     # lo = -1 until a kappa >= 0 is known to lie below the optimum; a step
-    # from above that would leave kappa >= 0 stops at 0 instead.
-    lo, hi = Fraction(-1), math.inf
+    # from above that would leave kappa >= 0 stops at 0 instead. Bounds are
+    # integer pairs (p, q), q >= 0, and hi = (1, 0) stands for infinity.
+    lo, hi = (-1, 1), (1, 0)
     for _ in range(1000):
+        g = math.gcd(num, w) if w > 0 else -math.gcd(num, w)  # kappa = max(num / w, 0)
+        p, q = (num // g, w // g) if num * w > 0 else (0, 1)
+        if not lo[0] * q < p * lo[1] or not p * hi[1] < hi[0] * q:
+            break
         found = arrays and _filtered_pass(deg, y, big_l, *arrays, p, q)
         if not found:  # the exact pass
             c = [q * di - p * yi for di, yi in zip(deg, y)]
@@ -207,31 +215,27 @@ def _solve_exact(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: floa
             return a, m, dict(zip(up, vals)), m * ya + sum(map(mul, ys, vals))
         j = min((total + len(tie)) // 2, len(tie) - 1)
         if h_up > 0:
-            lo, piv = Fraction(p, q), up[j]
+            lo, piv = (p, q), up[j]
         else:
-            hi, piv = Fraction(p, q), up[-1 - j]
+            hi, piv = (p, q), up[-1 - j]
         # Pivot on the median node of the side g descends to; the line
         # through it is best at the weighted median of its slopes
         # (d_k - d_p) / (y_k - y_p), shifted by e. They are sorted by their
-        # floats, which are monotone; only floats tied with the median's are
-        # ordered exactly, over the lcm of their denominators.
+        # floats, which are monotone; only floats tied with the median's and
+        # not all equal are ordered exactly, over the lcm of their denominators.
         dp, yp = deg[piv], y[piv]
         lines = sorted([((dk - dp) / w, dk - dp, w) for dk, yk in zip(deg, y) if (w := yk - yp)])
         cum = list(accumulate(map(abs, map(itemgetter(2), lines))))
         need = -(-(s * cum[-1] + e) // (2 * s))  # the least cum with 2 s cum >= s W + e
         f, num, w = lines[min(bisect_left(cum, need), len(cum) - 1)]
         first, last = bisect_left(lines, (f,)), bisect_left(lines, (f, math.inf))
-        if last - first > 1:
+        if last - first > 1 and any(nk * w != num * wk for _, nk, wk in lines[first:last]):
             big_d = math.lcm(*map(itemgetter(2), lines[first:last]))
             cum_w = cum[first - 1] if first else 0
             for _, num, w in sorted(lines[first:last], key=lambda ln: ln[1] * (big_d // ln[2])):
                 cum_w += abs(w)
                 if cum_w >= need:
                     break
-        step = max(Fraction(num, w), Fraction(0))
-        if not lo < step < hi:
-            break
-        p, q = step.numerator, step.denominator
     raise InvariantBrokenError(f"exact two-row LP descent stalled at kappa={p}/{q}")
 
 
@@ -257,27 +261,42 @@ class HighCorrelationResult:
 _FLOAT_START_MIN_N = 60
 
 
+def _r_high(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: float,
+            delta: Optional[Sequence[float]] = None, ratio: Optional[tuple[int, int]] = None):
+    """(r_high, the result of :func:`_solve_exact`, m * (d . a)) for a kernel
+    with no isolates and two distinct degrees, or None when the LP is
+    infeasible at `epsilon`. `delta` defaults to y / L, and only large
+    graphs read it."""
+    n = len(deg)
+    arrays = None
+    if n >= _FLOAT_START_MIN_N:
+        arrays = (np.fromiter(deg, np.int64, n),
+                  np.fromiter(delta or (v / big_l for v in y), float, n))
+    found = _solve_exact(deg, y, big_l, epsilon, arrays, ratio)
+    if found is None:
+        return None
+    a, m, fill, _ = found
+    # m * (d . a), and m * m * |a|^2; a sums to 0.
+    da = m * (int(arrays[0] @ a) if arrays else sum(map(mul, deg, a)))
+    da += sum(deg[i] * v for i, v in fill.items())
+    aa = m * m * (n - len(fill)) + sum(v * v for v in fill.values())
+    sum_d = sum(deg)
+    r_high = _pearson(n, n * da, n * sum(map(mul, deg, deg)) - sum_d * sum_d, n * aa, 1, m)
+    return r_high, found, da
+
+
 def _failing_witness(k: Kernel, epsilon: float) -> Optional[HighCorrelationResult]:
     """The failing-correlation LP for a kernel with no isolates and at least
     two distinct degrees, or None when it is infeasible at `epsilon`."""
-    n = len(k.deg)
-    arrays = ((np.fromiter(k.deg, np.int64, n), np.fromiter(k.delta, float, n))
-              if n >= _FLOAT_START_MIN_N else None)
-    found = _solve_exact(k.deg, k.y, k.lcm, epsilon, arrays)
-    if found is None:
+    res = _r_high(k.deg, k.y, k.lcm, epsilon, k.delta)
+    if res is None:
         return None
-    a, m, fill, ya = found
-    witness = np.asarray(a, float).tolist() if arrays else list(map(float, a))
+    r_high, (a, m, fill, ya), da = res
+    witness = a.astype(float).tolist() if isinstance(a, np.ndarray) else list(map(float, a))
     for i, v in fill.items():
         witness[i] = v / m  # int / int division is correctly rounded
-    # m * (d . witness), and m * m * |witness|^2; the witness sums to 0.
-    da = m * (int(arrays[0] @ a) if arrays else sum(map(mul, k.deg, a)))
-    da += sum(k.deg[i] * v for i, v in fill.items())
-    aa = m * m * (n - len(fill)) + sum(v * v for v in fill.values())
-    sum_d = sum(k.deg)
-    r_high = _pearson(n, n * da, n * sum(map(mul, k.deg, k.deg)) - sum_d * sum_d, n * aa, 1, m)
     # ya < 0: a gap that rounds to -0.0 is reported as -5e-324 instead.
-    gap = ya / (k.lcm * m * n) or math.nextafter(0.0, -math.inf)
+    gap = ya / (k.lcm * m * len(k.deg)) or math.nextafter(0.0, -math.inf)
     return HighCorrelationResult(r_high=r_high, witness=witness, gap=gap,
                                  epsilon=epsilon, objective=da / m)
 

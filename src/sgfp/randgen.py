@@ -10,6 +10,8 @@ with the sample index, which makes batch generation order-independent.
 
 from __future__ import annotations
 
+import math
+from functools import partial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -20,6 +22,7 @@ from .graph import Graph, _arcs, _from_keys
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _BLOCK = 1 << 16  # draws per array: bounds the memory of one sampling step
+_FIRST_TRIES = 4  # tries per seed in the first round of rejection sampling
 
 
 def _mix64(z: int) -> int:
@@ -62,21 +65,27 @@ def _seeds(seeds: Sequence[int]) -> np.ndarray:
     return np.array([s & _MASK for s in seeds], dtype=np.uint64)
 
 
+_G, _M1, _M2, _S27, _S30, _S31 = map(np.uint64, (_GAMMA, 0xBF58476D1CE4E5B9,
+                                                 0x94D049BB133111EB, 27, 30, 31))
+
+
 def _draws(seeds: np.ndarray, start: int, count: int) -> np.ndarray:
     """Draws start + 1 .. start + count of each seed's stream, shape
     (len(seeds), count): what ``SplitMix64(seed).next_u64()`` returns on
-    those calls. Multiplication wraps mod 2**64."""
-    with np.errstate(over="ignore"):
-        z = seeds[:, None] + np.arange(start + 1, start + count + 1,
-                                       dtype=np.uint64) * np.uint64(_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    those calls. Multiplication wraps mod 2**64: callers ignore overflow."""
+    z = seeds[:, None] + np.arange(start + 1, start + count + 1, dtype=np.uint64) * _G
+    z = (z ^ (z >> _S30)) * _M1
+    z = (z ^ (z >> _S27)) * _M2
+    return z ^ (z >> _S31)
 
 
-def _below(z: np.ndarray, p: float) -> np.ndarray:
-    """``SplitMix64.random() < p`` for draws z."""
-    return (z >> np.uint64(11)) * (2.0 ** -53) < p
+def _below(p: float):
+    """``SplitMix64.random() < p`` as a function of uint64 draws z: (z >> 11)
+    2**-53 < p iff z < ceil(p 2**53) 2**11, a bound that no draw is below at
+    p = 0 and that uint64 cannot hold at p = 1, where every draw is below."""
+    if p == 1.0:
+        return partial(np.greater_equal, np.uint64(_MASK))
+    return partial(np.greater, np.uint64(math.ceil(p * 2.0 ** 53) << 11))
 
 
 def _check_gnp(n: int, p: float) -> None:
@@ -99,13 +108,13 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     rows = np.arange(n)
     offset = rows * n - rows * (rows + 1) // 2
     total = n * (n - 1) // 2
-    base = _seeds([seed])
+    base, below = _seeds([seed]), _below(p)
     ends = [np.zeros((0, 2), dtype=np.int64)]
-    for start in range(0, total, _BLOCK):
-        bits = _below(_draws(base, start, min(_BLOCK, total - start))[0], p)
-        k = start + np.flatnonzero(bits)
-        i = np.searchsorted(offset, k, side="right") - 1
-        ends.append(np.column_stack((i, k - offset[i] + i + 1)))
+    with np.errstate(over="ignore"):
+        for start in range(0, total, _BLOCK):
+            k = start + np.flatnonzero(below(_draws(base, start, min(_BLOCK, total - start))[0]))
+            i = np.searchsorted(offset, k, side="right") - 1
+            ends.append(np.column_stack((i, k - offset[i] + i + 1)))
     return _from_keys(n, _arcs(n, *np.concatenate(ends).T))
 
 
@@ -126,38 +135,40 @@ def _sample_blocks(n: int, p: float, seeds: Sequence[int],
     seed, in seed order, as (seeds, n, n) boolean arrays of a few seeds each.
 
     Try t of a seed is G(n, p) drawn from seed ``mix(seed, t)``. Every
-    pending seed draws a block of tries at once, two at first (at p = 1/2
-    one try is kept with probability 3/8 at n = 3, so one would leave most
-    seeds to another round); a seed keeps its first connected non-regular
-    try, and only the seeds still pending draw again, with twice the
-    tries. One array holds at most ``_BLOCK`` draws or one try's pairs.
+    pending seed draws a block of tries at once, ``_FIRST_TRIES`` (four) at
+    first: at p = 1/2 one try is kept with probability 3/8 at n = 3, so four
+    leave about one seed in seven to another round. A seed keeps its first
+    connected non-regular try, and only the seeds still pending draw again,
+    with twice the tries, so which try a seed keeps does not depend on the
+    round sizes. One array holds at most ``_BLOCK`` draws or one try's pairs.
     """
     if n < 3:
         raise PreconditionViolatedError("n must be >= 3")
     _check_gnp(n, p)
     rows, cols = np.nonzero(~np.tri(n, dtype=bool))  # pairs i < j in row order
-    per_block = max(1, _BLOCK // len(rows))
+    per_block, below = max(1, _BLOCK // len(rows)), _below(p)
     for first in range(0, len(seeds), per_block):
         base = _seeds(seeds[first:first + per_block])
         out = np.zeros((len(base), n, n), dtype=bool)
         pending = np.arange(len(base))
-        t, tries = 0, 2
-        while len(pending):
-            if t == max_tries:
-                raise ExhaustedTriesError(max_tries)
-            tries = max(1, min(tries, max_tries - t, per_block // len(pending)))
-            bits = _below(_draws(_draws(base[pending], t, tries).ravel(), 0, len(rows)), p)
-            adj = np.zeros((len(bits), n, n), dtype=bool)
-            adj[:, rows, cols] = bits
-            adj[:, cols, rows] = bits
-            deg = adj.sum(2)
-            ok = (deg.min(1) != deg.max(1)) & _connected(adj)
-            ok = ok.reshape(len(pending), tries)
-            hit = ok.any(1)
-            out[pending[hit]] = adj.reshape(len(pending), tries, n, n)[hit, ok[hit].argmax(1)]
-            pending = pending[~hit]
-            t += tries
-            tries *= 2
+        t, tries = 0, _FIRST_TRIES
+        with np.errstate(over="ignore"):
+            while len(pending):
+                if t == max_tries:
+                    raise ExhaustedTriesError(max_tries)
+                tries = max(1, min(tries, max_tries - t, per_block // len(pending)))
+                bits = below(_draws(_draws(base[pending], t, tries).ravel(), 0, len(rows)))
+                adj = np.zeros((len(bits), n, n), dtype=bool)
+                adj[:, rows, cols] = bits
+                adj[:, cols, rows] = bits
+                deg = adj.sum(2)
+                ok = (deg.min(1) != deg.max(1)) & _connected(adj)
+                ok = ok.reshape(len(pending), tries)
+                hit = ok.any(1)
+                out[pending[hit]] = adj.reshape(len(pending), tries, n, n)[hit, ok[hit].argmax(1)]
+                pending = pending[~hit]
+                t += tries
+                tries *= 2
         yield out
 
 
@@ -181,7 +192,8 @@ def configuration_rewire(g: Graph, seed: int) -> Graph:
 def _shuffle(items: list, seed: int) -> None:
     """``SplitMix64(seed).shuffle(items)``, its draws taken as one array."""
     m = len(items)
-    picks = _draws(_seeds([seed]), 0, max(m - 1, 0))[0] % np.arange(m, 1, -1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        picks = _draws(_seeds([seed]), 0, max(m - 1, 0))[0] % np.arange(m, 1, -1, dtype=np.uint64)
     for i, j in zip(range(m - 1, 0, -1), picks.tolist()):
         items[i], items[j] = items[j], items[i]
 

@@ -1,5 +1,7 @@
+import functools
 import random
 
+import numpy as np
 import pytest
 
 from sgfp.errors import ExhaustedTriesError
@@ -48,3 +50,35 @@ def preferential_attachment(n, seed, m=2):
 @pytest.fixture
 def graph_stream():
     return random_graphs
+
+
+@functools.lru_cache(maxsize=None)
+def every_signature(n):
+    """One (degrees, L, y = L * delta) per census signature on n <= 7 nodes:
+    the sorted (degree, y) pairs of every connected non-regular graph. Up
+    to relabelling, node 0's neighbours are 1..k, so the graphs enumerated
+    are every edge set on nodes 1..n-1 with node 0 joined to 1..k, k >= 1."""
+    rows, cols = 1 + np.array(np.nonzero(~np.tri(n - 1, dtype=bool)))  # pairs 0 < i < j
+    codes = np.arange(1 << len(rows))
+    bits = (codes[:, None] >> np.arange(len(rows)) & 1).astype(bool)
+    found = {}
+    for k in range(1, n):
+        adj = np.zeros((len(codes), n, n), dtype=bool)
+        adj[:, rows, cols] = adj[:, cols, rows] = bits
+        adj[:, 0, 1:k + 1] = adj[:, 1:k + 1, 0] = True
+        reach = adj[:, 0] | (np.arange(n) == 0)
+        for _ in range(n - 2):
+            reach |= (reach[:, None, :] @ adj)[:, 0]
+        deg = adj.sum(2)
+        keep = reach.all(1) & (deg.min(1) != deg.max(1))
+        adj, deg = adj[keep], deg[keep]
+        big_l = functools.reduce(np.lcm, deg.T)
+        y = (adj * (big_l[:, None] // deg)[:, None, :]).sum(2)
+        # Each sorted 12-bit key d * 512 + y (y <= 6 * 60), four to a float.
+        keys = np.sort(deg * 512 + y, axis=1)
+        radix = 4096 ** np.arange(4)
+        _, first = np.unique(keys[:, :4] @ radix[:min(n, 4)]
+                             + 1j * (keys[:, 4:] @ radix[:max(n - 4, 0)]), return_index=True)
+        for i in first.tolist():
+            found.setdefault(tuple(keys[i].tolist()), (deg[i].tolist(), int(big_l[i]), y[i].tolist()))
+    return tuple(found.values())

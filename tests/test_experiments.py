@@ -5,13 +5,15 @@ import pytest
 from sgfp.classify import PRO, classify
 from sgfp.errors import InfeasibleAtEpsilonError
 from sgfp.construct import path
-from sgfp.experiments import CensusRecord, census, r_high_loose, rewire_experiment, strip_isolates
-from sgfp.graph import Graph
-from sgfp.lp import max_failing_correlation
+from sgfp.classify import _affine_fit
+from sgfp.experiments import (CensusRecord, _census_row, census, r_high_loose, rewire_experiment,
+                              strip_isolates)
+from sgfp.graph import Graph, _kernel_of
+from sgfp.lp import _failing_witness, max_failing_correlation
 from sgfp.metrics import r_d_delta
 from sgfp.randgen import mix
 
-from conftest import reference_sample
+from conftest import every_signature, reference_sample
 
 
 class _SerialPool:
@@ -102,3 +104,15 @@ def test_r_high_loose_is_none_when_the_lp_is_infeasible():
     assert (record.network_id, record.r_high_original, record.r_high_rewired) == ("p5", None, None)
     assert record.r_ddelta_original == r_d_delta(g)
     assert record.seed == mix(0, 0)
+
+
+def test_census_row_equals_the_kernel_path_on_every_signature():
+    # The census computes a draw's row from (degrees, L, y) with no Kernel.
+    for n in range(3, 8):
+        for d, big_l, y in every_signature(n):
+            k = _kernel_of(d, big_l, y)
+            res = _failing_witness(k, 1e-3)
+            is_pro, r_high, r_dd = _census_row(d, big_l, y, 1e-3, (1e-3).as_integer_ratio())
+            assert is_pro == (_affine_fit(k.deg, k.y)[0] is not None)
+            assert r_high == res.r_high if res else r_high != r_high
+            assert r_dd == k.r_ddelta

@@ -63,7 +63,8 @@ def test_constructor_normalises_lists_and_names_a_looping_label():
 
 
 def test_build_graph_refuses_an_edge_that_is_not_a_pair():
-    for edges in ([(1, 2), (1, 2, 3)], [(1,)], [(1, 2), ()]):
+    for edges in ([(1, 2), (1, 2, 3)], [(1,)], [(1, 2), ()], [1, 2], [(1, 2), 3], ["ab", "cd"],
+                  [(1, 2), b"ab"]):
         with pytest.raises(PreconditionViolatedError, match="pair"):
             build_graph(edges)
 

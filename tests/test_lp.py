@@ -17,11 +17,12 @@ from sgfp.errors import (
 )
 from sgfp.graph import Graph, _kernel_of, build_graph, degrees, delta, exact_correlation, kernel
 from sgfp import lp
-from sgfp.lp import _failing_witness, _float_pair, _int_fill, _solve_exact, max_failing_correlation
+from sgfp.lp import (_failing_witness, _float_pair, _int_fill, _r_high, _solve_exact,
+                    max_failing_correlation)
 from sgfp.metrics import correlation
 from sgfp.randgen import sample_connected_nonregular
 
-from conftest import preferential_attachment, random_graphs
+from conftest import every_signature, preferential_attachment, random_graphs
 
 
 def _arrays(g):
@@ -65,6 +66,29 @@ def _assert_close(ours, ref):
 @functools.cache
 def _criterion_5_stream():
     return list(random_graphs(201, 1000, n_range=(4, 10)))
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.5, 1.0])
+def test_r_high_without_a_witness_equals_the_witness_path(eps):
+    # As the census calls it: no delta, no Kernel, epsilon checked by the
+    # caller. Its r_high is also the correlation of the degrees with the
+    # witness, computed again from the witness's integers.
+    kernels = [kernel(g) for g in _criterion_5_stream()]
+    kernels += [_kernel_of(*sig) for n in range(3, 8) for sig in every_signature(n)]
+    infeasible = 0
+    for k in kernels:
+        res = _failing_witness(k, eps)
+        got = _r_high(list(k.deg), list(k.y), k.lcm, eps, ratio=eps.as_integer_ratio())
+        if res is None:
+            assert got is None
+            infeasible += 1
+            continue
+        r_high, (a, m, fill, _), _ = got
+        scaled = [fill.get(i, int(v) * m) for i, v in enumerate(a)]
+        assert r_high == res.r_high
+        assert [v / m for v in scaled] == res.witness
+        assert exact_correlation(k.deg, scaled, 1, m) == r_high
+    assert infeasible < len(kernels) // 2
 
 
 def test_solver_matches_highs_on_criterion_5_stream():

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from sgfp.errors import ExhaustedTriesError
 from sgfp.graph import build_graph, degrees, is_connected, is_regular
 from sgfp.randgen import (
     SplitMix64,
+    _below,
     _sample_blocks,
     _shuffle,
     configuration_rewire,
@@ -162,6 +164,36 @@ def test_batch_sampler_matches_reference_in_small_blocks(monkeypatch):
     monkeypatch.setattr(randgen, "_draws", draws)
     _batch_matches_reference(5, 0.3, [mix(31, i) for i in range(40)])
     assert max(sizes) <= 50
+
+
+@pytest.mark.parametrize("first", [1, 2, 4, 64])
+def test_batch_sampler_keeps_the_reference_try_whatever_the_first_round(monkeypatch, first):
+    monkeypatch.setattr(randgen, "_FIRST_TRIES", first)
+    _batch_matches_reference(3, 0.5, [mix(51, i) for i in range(200)])
+    _batch_matches_reference(6, 0.3, [mix(52, i) for i in range(100)])
+
+
+def test_below_is_the_float_comparison_in_integers():
+    # (z >> 11) 2**-53 < p, with z at and around the integer bound.
+    rng = random.Random(53)
+    ps = [0.0, 1.0, 0.5, 0.375, 12345 * 2.0 ** -53, 2.0 ** -53, 1 - 2.0 ** -53, 5e-324, 0.3]
+    for p in ps + [rng.random() for _ in range(300)]:
+        bound = math.ceil(p * 2 ** 53) << 11
+        z = [0, 2 ** 64 - 1] + [rng.getrandbits(64) for _ in range(100)]
+        z += [v for v in range(bound - 2049, bound + 2050, 1024) if 0 <= v < 2 ** 64]
+        got = _below(p)(np.array(z, dtype=np.uint64))
+        assert got.tolist() == [(v >> 11) * 2.0 ** -53 < p for v in z], p
+
+
+def test_generators_raise_no_overflow_warning_and_restore_the_error_state():
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gnp(40, 0.5, 2 ** 64 - 1)
+        _shuffle(list(range(100)), 2 ** 63 + 7)
+        for adj in _sample_blocks(6, 0.5, [2 ** 64 - 1, 5, -3]):
+            assert np.geterr() == before
+    assert np.geterr() == before
 
 
 def _first_accepted_try(n, p, seed):

@@ -5,24 +5,21 @@ attribute sample exactly when its reciprocal-degree sums are an affine
 function of its degrees with non-negative slope. The fit is checked by
 integer cross-multiplication on the graph's kernel (L * delta is an
 integer vector), so there is no tolerance anywhere in the decision path.
+The threshold of an anti graph is certified the same way: an integer
+witness, known only through three integer moments, fails and reaches the
+closed-form supremum to a relative 2**-60, checked in integers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .errors import (
-    DegenerateGraphError,
-    PreconditionViolatedError,
-    UnknownNodeError,
-)
-from .graph import Graph, build_graph, degrees, delta, is_connected, is_regular, kernel
+from .errors import DegenerateGraphError, InvariantBrokenError, PreconditionViolatedError
+from .graph import (Graph, _moments, _pearson, build_graph, degrees, delta, is_connected,
+                    is_regular, kernel)
 from .metrics import _json, correlation, singular_gap
 
 PRO = "ProSGFP"
@@ -131,36 +128,33 @@ def perturb_to_positive_correlation(g: Graph, a: Sequence) -> list:
 
 @dataclass
 class ThresholdEstimate:
-    """Conjectured supremum of failing correlations, with oracle validation.
-
-    ``oracle_max`` is -inf when the walk met no failing point (it has no
-    direction to walk when corr(d, delta) is +-1); JSON writes it as null.
-    """
+    """The failing-correlation supremum, one failing witness's correlation
+    and the certificate's verdict; see :func:`threshold_estimate`."""
 
     candidate_sup: float
     validated: bool
     oracle_max: float
 
     def to_json(self) -> str:
-        return _json({
-            "candidate_sup": self.candidate_sup,
-            "validated": self.validated,
-            "oracle_max": None if self.oracle_max == -math.inf else self.oracle_max,
-        })
+        return _json(vars(self))
 
 
 def threshold_estimate(g: Graph, grid: int = 256) -> ThresholdEstimate:
-    """Estimate the per-graph correlation threshold above which SGFP holds.
+    """The supremum of corr(d, a) over failing samples a, with a certificate.
 
-    The supremum of corr(d, a) over mean-zero failing samples is the
-    closed form sqrt(1 - r_{d,delta}^2): the angle between the centred
-    degree direction and the half-space of negative gap. For anti graphs
-    it is validated by an independent search: boundary points of the
-    projected degree direction, walked inward on a geometric grid of
-    `grid` angles (at least 2). Every walk point is a linear combination
-    of two fixed vectors, so the walk costs O(n + grid). For pro graphs
-    the affine certificate already proves that no positively-correlated
-    sample fails, so the supremum is 0.
+    For pro graphs the affine certificate already proves that no
+    positively-correlated sample fails, so the supremum is 0. For anti
+    graphs it is sqrt(1 - r_{d,delta}^2) = sqrt(m / (b c)), from the moments
+    a = n Sdy - Sd Sy, b = n Sdd - Sd^2 and c = n Syy - Sy^2 of the degrees
+    d and y = L * delta, and m = b c - a^2 > 0 (a > 0 too: Sdy / L - Sd is
+    the sum over edges of (d_i - d_j)^2 / (d_i d_j)). With d_c = n d - Sd
+    and y_c = n y - Sy, the witness w = K (c d_c - a y_c) - y_c has
+    y_c . w = -n c < 0, so its gap is negative; d_c . w = n (K m - a) and
+    |w|^2 = n c (K^2 m + 1) give its correlation without building it.
+    ``validated`` checks in integers that K m > a and that corr(d, w)^2
+    falls short of m / (b c) by a relative (m + 2 K m a - a^2) / (K^2 m^2 + m)
+    of at most 2**-60, which K = (a // m + 1) * 2**64 ensures. `grid` (at
+    least 2) is accepted for compatibility and does not change the result.
     """
     if grid < 2:
         raise PreconditionViolatedError("grid must be >= 2")
@@ -169,36 +163,14 @@ def threshold_estimate(g: Graph, grid: int = 256) -> ThresholdEstimate:
         raise DegenerateGraphError("graph must be connected and non-regular")
     if cls.kind == PRO:
         return ThresholdEstimate(candidate_sup=0.0, validated=True, oracle_max=0.0)
-
-    candidate = math.sqrt(max(0.0, 1.0 - cls.r_ddelta * cls.r_ddelta))
     k = kernel(g)
-    deg = np.array(k.deg, dtype=float)
-    dl = np.array(k.delta)
-    n = g.n
-    oracle_max = -math.inf
-    # Project the centred degree direction onto the non-positive-gap
-    # half-space and walk the boundary inward.
-    tau = deg - deg.mean()
-    tau /= np.linalg.norm(tau)
-    dc = dl - dl.mean()
-    dc_norm = np.linalg.norm(dc)
-    proj = tau - (float(dc @ tau) / (dc_norm ** 2)) * dc
-    pnorm = np.linalg.norm(proj)
-    if pnorm > 1e-14:
-        a_star = proj / pnorm
-        v = -dc / dc_norm  # orthogonal to a_star, pushes the gap negative
-        thetas = np.geomspace(1e-8, math.pi / 2, num=grid)
-        c, s = np.cos(thetas), np.sin(thetas)
-        # Walk point a = c*a_star + s*v: its gap and its Pearson correlation
-        # with the degrees follow from a few dot products of the two vectors.
-        gap = (c * float(dl @ a_star) + s * float(dl @ v)) / n
-        a_c, v_c = a_star - a_star.mean(), v - v.mean()
-        sxy = c * float(a_c @ tau) + s * float(v_c @ tau)  # tau is centred, |tau| = 1
-        syy = c * c * float(a_c @ a_c) + 2 * c * s * float(a_c @ v_c) + s * s * float(v_c @ v_c)
-        keep = (gap <= -1e-9) & (syy > 0)  # skip non-failing and constant samples
-        if keep.any():
-            oracle_max = float(np.max(sxy[keep] / np.sqrt(syy[keep])))
-
-    validated = (candidate - 1e-3 - 1e-12) <= oracle_max <= (candidate + 1e-12)
-    return ThresholdEstimate(candidate_sup=candidate, validated=validated,
-                             oracle_max=oracle_max)
+    a, b, c = _moments(k.deg, k.y)
+    m = b * c - a * a
+    if m <= 0:
+        raise InvariantBrokenError(f"anti graph with corr(d, delta) = {cls.r_ddelta}")
+    big_k = (a // m + 1) << 64
+    short = m + 2 * big_k * m * a - a * a
+    validated = big_k * m > a and 0 <= short <= (big_k * big_k * m * m + m) >> 60
+    return ThresholdEstimate(
+        candidate_sup=_pearson(1, m, b, c * m, 1, 1), validated=validated,
+        oracle_max=_pearson(1, big_k * m - a, b, c * (big_k * big_k * m + 1), 1, 1))

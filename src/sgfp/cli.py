@@ -116,7 +116,8 @@ COMMANDS = {
     "optimize": (cmd_optimize, "LP search for a failing attribute sample", [
         ("graph", {}), _EPSILON, ("--witness", _FLAG)]),
     "threshold": (cmd_threshold, "failing-correlation threshold estimate", [
-        ("graph", {}), ("--grid", {"type": int, "default": 256})]),
+        ("graph", {}), ("--grid", {"type": int, "default": 256,
+                                      "help": "at least 2; does not change the result"})]),
     "census": (cmd_census, "random-graph pro/anti census", [
         ("--nmin", {"type": int, "default": 3}), ("--nmax", {"type": int, "default": 10}),
         ("--samples", {"type": int, "default": 10000}), _SEED, _EPSILON,

@@ -181,11 +181,14 @@ def exact_correlation(x: Sequence[int], y: Sequence[int], sx: int = 1, sy: int =
     When a scaled moment leaves the float range (a large sy, say), the
     scale-free a / sqrt(b c) is evaluated in integers instead.
     """
-    n = len(x)
-    sum_x, sum_y = sum(x), sum(y)
-    return _pearson(n, n * sum(map(mul, x, y)) - sum_x * sum_y,
-                    n * sum(map(mul, x, x)) - sum_x * sum_x,
-                    n * sum(map(mul, y, y)) - sum_y * sum_y, sx, sy)
+    return _pearson(len(x), *_moments(x, y), sx, sy)
+
+
+def _moments(x: Sequence[int], y: Sequence[int]) -> tuple[int, int, int]:
+    """(a, b, c) = (n Sxy - Sx Sy, n Sxx - Sx^2, n Syy - Sy^2) of integer x, y."""
+    n, sum_x, sum_y = len(x), sum(x), sum(y)
+    return (n * sum(map(mul, x, y)) - sum_x * sum_y, n * sum(map(mul, x, x)) - sum_x * sum_x,
+            n * sum(map(mul, y, y)) - sum_y * sum_y)
 
 
 def _pearson(n: int, a: int, b: int, c: int, sx: int, sy: int) -> Optional[float]:

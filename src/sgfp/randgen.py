@@ -72,7 +72,7 @@ _G, _M1, _M2, _S27, _S30, _S31 = map(np.uint64, (_GAMMA, 0xBF58476D1CE4E5B9,
 def _draws(seeds: np.ndarray, start: int, count: int) -> np.ndarray:
     """Draws start + 1 .. start + count of each seed's stream, shape
     (len(seeds), count): what ``SplitMix64(seed).next_u64()`` returns on
-    those calls. Multiplication wraps mod 2**64: callers ignore overflow."""
+    those calls. numpy wraps uint64 array arithmetic mod 2**64 silently."""
     z = seeds[:, None] + np.arange(start + 1, start + count + 1, dtype=np.uint64) * _G
     z = (z ^ (z >> _S30)) * _M1
     z = (z ^ (z >> _S27)) * _M2
@@ -110,11 +110,10 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     total = n * (n - 1) // 2
     base, below = _seeds([seed]), _below(p)
     ends = [np.zeros((0, 2), dtype=np.int64)]
-    with np.errstate(over="ignore"):
-        for start in range(0, total, _BLOCK):
-            k = start + np.flatnonzero(below(_draws(base, start, min(_BLOCK, total - start))[0]))
-            i = np.searchsorted(offset, k, side="right") - 1
-            ends.append(np.column_stack((i, k - offset[i] + i + 1)))
+    for start in range(0, total, _BLOCK):
+        k = start + np.flatnonzero(below(_draws(base, start, min(_BLOCK, total - start))[0]))
+        i = np.searchsorted(offset, k, side="right") - 1
+        ends.append(np.column_stack((i, k - offset[i] + i + 1)))
     return _from_keys(n, _arcs(n, *np.concatenate(ends).T))
 
 
@@ -152,23 +151,22 @@ def _sample_blocks(n: int, p: float, seeds: Sequence[int],
         out = np.zeros((len(base), n, n), dtype=bool)
         pending = np.arange(len(base))
         t, tries = 0, _FIRST_TRIES
-        with np.errstate(over="ignore"):
-            while len(pending):
-                if t == max_tries:
-                    raise ExhaustedTriesError(max_tries)
-                tries = max(1, min(tries, max_tries - t, per_block // len(pending)))
-                bits = below(_draws(_draws(base[pending], t, tries).ravel(), 0, len(rows)))
-                adj = np.zeros((len(bits), n, n), dtype=bool)
-                adj[:, rows, cols] = bits
-                adj[:, cols, rows] = bits
-                deg = adj.sum(2)
-                ok = (deg.min(1) != deg.max(1)) & _connected(adj)
-                ok = ok.reshape(len(pending), tries)
-                hit = ok.any(1)
-                out[pending[hit]] = adj.reshape(len(pending), tries, n, n)[hit, ok[hit].argmax(1)]
-                pending = pending[~hit]
-                t += tries
-                tries *= 2
+        while len(pending):
+            if t == max_tries:
+                raise ExhaustedTriesError(max_tries)
+            tries = max(1, min(tries, max_tries - t, per_block // len(pending)))
+            bits = below(_draws(_draws(base[pending], t, tries).ravel(), 0, len(rows)))
+            adj = np.zeros((len(bits), n, n), dtype=bool)
+            adj[:, rows, cols] = bits
+            adj[:, cols, rows] = bits
+            deg = adj.sum(2)
+            ok = (deg.min(1) != deg.max(1)) & _connected(adj)
+            ok = ok.reshape(len(pending), tries)
+            hit = ok.any(1)
+            out[pending[hit]] = adj.reshape(len(pending), tries, n, n)[hit, ok[hit].argmax(1)]
+            pending = pending[~hit]
+            t += tries
+            tries *= 2
         yield out
 
 
@@ -192,8 +190,7 @@ def configuration_rewire(g: Graph, seed: int) -> Graph:
 def _shuffle(items: list, seed: int) -> None:
     """``SplitMix64(seed).shuffle(items)``, its draws taken as one array."""
     m = len(items)
-    with np.errstate(over="ignore"):
-        picks = _draws(_seeds([seed]), 0, max(m - 1, 0))[0] % np.arange(m, 1, -1, dtype=np.uint64)
+    picks = _draws(_seeds([seed]), 0, max(m - 1, 0))[0] % np.arange(m, 1, -1, dtype=np.uint64)
     for i, j in zip(range(m - 1, 0, -1), picks.tolist()):
         items[i], items[j] = items[j], items[i]
 

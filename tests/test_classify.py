@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from sgfp.classify import (
     DEGENERATE,
     PRO,
     ThresholdEstimate,
+    _affine_fit,
     attach_pendant_path,
     classify,
     perturb_to_positive_correlation,
@@ -24,7 +26,7 @@ from sgfp.graph import Graph, build_graph, degrees, delta, kernel
 from sgfp.metrics import correlation, r_d_delta, singular_gap
 from sgfp.randgen import mix, sample_connected_nonregular
 
-from conftest import preferential_attachment
+from conftest import every_signature, preferential_attachment
 
 
 def test_star_pro_with_witness():
@@ -202,23 +204,50 @@ def _criterion_6_anti_graphs(count):
             yield g
 
 
-def _assert_matches_reference(g, grid):
-    est, ref = threshold_estimate(g, grid=grid), _threshold_reference(g, grid)
-    assert est.candidate_sup == ref.candidate_sup
-    assert est.validated == ref.validated
-    if ref.oracle_max == -math.inf:
-        assert est.oracle_max == -math.inf
-    else:
-        assert abs(est.oracle_max - ref.oracle_max) <= 1e-12 * (1 + abs(ref.oracle_max))
+def _witness(g):
+    """The certificate's integer witness K (c d_c - a y_c) - y_c, built out."""
+    k = kernel(g)
+    n, sum_d, sum_y = g.n, sum(k.deg), sum(k.y)
+    d_c = [n * v - sum_d for v in k.deg]
+    y_c = [n * v - sum_y for v in k.y]
+    a = sum(map(mul, d_c, y_c)) // n
+    b = sum(v * v for v in d_c) // n
+    c = sum(v * v for v in y_c) // n
+    big_k = (a // (b * c - a * a) + 1) << 64
+    return [big_k * (c * u - a * v) - v for u, v in zip(d_c, y_c)]
 
 
-def test_threshold_walk_matches_per_angle_reference():
-    for g in _criterion_6_anti_graphs(200):
-        _assert_matches_reference(g, 64)
-    for g in (star(6), knee(5), path(4), path(5), path(7), path(12)):
-        for grid in (2, 64, 256):
-            _assert_matches_reference(g, grid)
+def _assert_certificate(g, grids):
+    for grid in grids:
+        est, ref = threshold_estimate(g, grid=grid), _threshold_reference(g, grid)
+        assert abs(est.candidate_sup - ref.candidate_sup) <= 1e-14
+        assert est.oracle_max >= ref.oracle_max - 1e-12
+        assert est.oracle_max <= est.candidate_sup + 1e-15
+        assert est.validated or not ref.validated
+    if classify(g).kind == ANTI:
+        w = _witness(g)
+        assert singular_gap(g, w) < 0
+        assert abs(correlation(list(degrees(g)), w) - est.oracle_max) <= 2e-16
 
 
-def test_threshold_walk_matches_reference_at_scale():
-    _assert_matches_reference(preferential_attachment(10_000, seed=7), 256)
+def test_threshold_certificate_agrees_with_the_walk():
+    for g in (*_criterion_6_anti_graphs(200), star(6), knee(5), path(4), path(5), path(7),
+              path(12)):
+        _assert_certificate(g, (2, 64, 256))
+
+
+def test_threshold_certificate_agrees_with_the_walk_at_scale():
+    _assert_certificate(preferential_attachment(10_000, seed=7), (256,))
+
+
+def test_every_signature_has_r_above_0_and_below_1_exactly_when_anti():
+    # a > 0 on every signature, and m > 0 exactly on the anti ones, so the
+    # certificate's InvariantBrokenError cannot be reached.
+    for n in range(3, 8):
+        for deg, _, y in every_signature(n):
+            sum_d, sum_y = sum(deg), sum(y)
+            a = n * sum(map(mul, deg, y)) - sum_d * sum_y
+            b = n * sum(v * v for v in deg) - sum_d * sum_d
+            c = n * sum(v * v for v in y) - sum_y * sum_y
+            assert a > 0
+            assert (b * c - a * a > 0) == (_affine_fit(deg, y)[0] is None)

@@ -134,10 +134,9 @@ def test_threshold_path5(tmp_path, capsys):
     assert abs(result["candidate_sup"] - 0.40824829) < 1e-6
 
 
-def test_threshold_without_oracle_point_writes_null(tmp_path, capsys, monkeypatch):
-    """At corr(d, delta) = +-1 the walk has no direction, so the oracle
-    finds no failing point; forcing a star (r = 1) down the anti branch
-    shows that -inf sentinel comes out as JSON null, not as an error."""
+def test_threshold_of_a_forced_anti_star_is_an_invariant_error(tmp_path, capsys, monkeypatch):
+    """A star has corr(d, delta) = 1, so no anti graph looks like it: forced
+    down the anti branch, the certificate reports the broken invariant."""
     classify_module = importlib.import_module("sgfp.classify")
 
     def anti(g):
@@ -146,9 +145,11 @@ def test_threshold_without_oracle_point_writes_null(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(classify_module, "classify", anti)
     graph = tmp_path / "g.edges"
     main(["gen", "star", "--n", "6", "--output", str(graph)])
-    assert main(["threshold", str(graph)]) == 0
-    result = json.loads(capsys.readouterr().out)
-    assert result == {"candidate_sup": 0.0, "validated": False, "oracle_max": None}
+    capsys.readouterr()
+    assert main(["threshold", str(graph)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_repeated_calls_share_no_state(tmp_path, capsys):

@@ -186,14 +186,17 @@ def test_below_is_the_float_comparison_in_integers():
 
 
 def test_generators_raise_no_overflow_warning_and_restore_the_error_state():
+    # uint64 arrays wrap silently, even where numpy raises on overflow.
     before = np.geterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        gnp(40, 0.5, 2 ** 64 - 1)
-        _shuffle(list(range(100)), 2 ** 63 + 7)
-        for adj in _sample_blocks(6, 0.5, [2 ** 64 - 1, 5, -3]):
-            assert np.geterr() == before
-    assert np.geterr() == before
+    for state in ({}, {"over": "raise"}):
+        with warnings.catch_warnings(), np.errstate(**state):
+            warnings.simplefilter("error")
+            inside = np.geterr()
+            gnp(40, 0.5, 2 ** 64 - 1)
+            _shuffle(list(range(100)), 2 ** 63 + 7)
+            for adj in _sample_blocks(6, 0.5, [2 ** 64 - 1, 5, -3]):
+                assert np.geterr() == inside
+        assert np.geterr() == before
 
 
 def _first_accepted_try(n, p, seed):

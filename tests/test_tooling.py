@@ -18,3 +18,19 @@ def test_no_assert_in_package_code():
              for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"), str(p)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_unused_import_in_package_code():
+    # Every name a module imports must be used as a name in it.
+    found = []
+    for p in SOURCES:
+        if p.name == "__init__.py":
+            continue
+        tree = ast.parse(p.read_text(encoding="utf-8"), str(p))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{p.name}:{node.lineno}:{name}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and getattr(node, "module", None) != "__future__"
+                  for name in ((a.asname or a.name).split(".")[0] for a in node.names)
+                  if name not in used]
+    assert found == []

@@ -18,8 +18,7 @@ from itertools import count, islice
 from typing import Optional, Sequence
 
 from .errors import DegenerateGraphError, InvariantBrokenError, PreconditionViolatedError
-from .graph import (Graph, _moments, _pearson, build_graph, degrees, delta, is_connected,
-                    is_regular, kernel)
+from .graph import Graph, _pearson, build_graph, degrees, delta, is_connected, is_regular, kernel
 from .metrics import _json, correlation, singular_gap
 
 PRO = "ProSGFP"
@@ -164,7 +163,7 @@ def threshold_estimate(g: Graph, grid: int = 256) -> ThresholdEstimate:
     if cls.kind == PRO:
         return ThresholdEstimate(candidate_sup=0.0, validated=True, oracle_max=0.0)
     k = kernel(g)
-    a, b, c = _moments(k.deg, k.y)
+    a, b, c = k.moments
     m = b * c - a * a
     if m <= 0:
         raise InvariantBrokenError(f"anti graph with corr(d, delta) = {cls.r_ddelta}")

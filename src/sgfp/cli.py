@@ -81,7 +81,17 @@ def cmd_propown(args):
     return node_values_text(g, [None if v is None else float(v) for v in values])
 
 
+#: The options each gen kind takes; it refuses any other that is given.
+_GEN_OPTIONS = {"gnp": "n p seed", "star": "n", "knee": "n", "path": "n", "fig1": "",
+                "fig4": "sample"}
+
+
 def cmd_gen(args):
+    for name, default in (("n", 8), ("p", 0.5), ("seed", 0), ("sample", 0)):
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif name not in _GEN_OPTIONS[args.kind].split():
+            raise UsageError(f"sgfp gen: argument --{name}: {args.kind} does not use it")
     if args.kind == "fig1":
         g, attrs = construct.example_graph_fig1()
     elif args.kind == "fig4":
@@ -128,10 +138,9 @@ COMMANDS = {
     "propown": (cmd_propown, "derive shared-label proportion attribute", [
         ("graph", {}), ("labels", {})]),
     "gen": (cmd_gen, "generate a named graph as an edge list", [
-        ("kind", {"choices": ["gnp", "star", "knee", "path", "fig1", "fig4"]}),
-        ("--n", {"type": int, "default": 8}), ("--p", {"type": float, "default": 0.5}), _SEED,
-        ("--sample", {"type": int, "default": 0, "choices": range(3),
-                      "help": "fig4 attribute sample index"}),
+        ("kind", {"choices": list(_GEN_OPTIONS)}),
+        ("--n", {"type": int}), ("--p", {"type": float}), ("--seed", {"type": int}),
+        ("--sample", {"type": int, "choices": range(3), "help": "fig4 attribute sample index"}),
         ("--attrs-output", {"help": "also write the attribute CSV here"})]),
 }
 

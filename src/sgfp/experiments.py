@@ -187,7 +187,7 @@ def r_high_loose(g: Graph, epsilon: float) -> Optional[float]:
     k = kernel(g)
     if len(set(k.deg)) <= 1 or 0 in k.deg:
         return None
-    res = _r_high(k.deg, k.y, k.lcm, epsilon, k.delta)
+    res = _r_high(k.deg, k.y, k.lcm, epsilon)
     return None if res is None else res[0]
 
 

@@ -3,8 +3,9 @@
 Node labels (strings or ints) are mapped to dense indices 0..n-1 in order
 of first appearance; that index order is the canonical node order used by
 every per-node sequence in this package (degrees, deltas, attributes).
-Exact per-graph quantities come from one integer :class:`Kernel`, cached
-on the graph on first use.
+Exact per-graph quantities come from one integer :class:`Kernel` (degrees,
+L and y = L * delta), cached on the graph on first use; its moments,
+r_{d,delta} and float delta are computed on first read, once each.
 
 Every graph the package builds from edges (:func:`build_graph`, the random
 generators, rewiring, isolate stripping) takes one path: the edges become
@@ -21,6 +22,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, repeat
 from operator import eq, mul
 from typing import Hashable, Iterable, Optional, Sequence
@@ -159,7 +161,7 @@ def _from_keys(n: int, keys: np.ndarray, labels: tuple[NodeId, ...] | None = Non
 
 def degrees(g: Graph) -> tuple[int, ...]:
     """Degree sequence in canonical node order."""
-    return tuple(len(a) for a in g.adj)
+    return tuple(map(len, g.adj))
 
 
 def delta(g: Graph) -> tuple[Fraction, ...]:
@@ -212,34 +214,42 @@ def _pearson(n: int, a: int, b: int, c: int, sx: int, sy: int) -> Optional[float
 
 @dataclass(frozen=True)
 class Kernel:
-    """Exact per-graph quantities, computed once by :func:`kernel`.
-
-    ``lcm`` is L, the lcm of the nonzero degrees; ``y`` = L * delta as
-    integers (0 at isolates); ``delta`` = y / L correctly rounded;
-    ``r_ddelta`` is taken over the non-isolated nodes.
+    """Exact per-graph integers, computed once by :func:`kernel`: ``lcm`` is L,
+    the lcm of the nonzero degrees, and ``y`` = L * delta (0 at isolates).
+    ``moments`` and ``r_ddelta``, over the non-isolated nodes, and ``delta``
+    = y / L correctly rounded are computed on first read, once each.
+    Equality and hashing compare the three fields only.
     """
 
     deg: tuple[int, ...]
     lcm: int
     y: tuple[int, ...]
-    delta: tuple[float, ...]
-    r_ddelta: Optional[float]
+
+    @cached_property
+    def moments(self) -> tuple[int, int, int]:
+        """:func:`_moments` of the degrees and y over the non-isolated nodes."""
+        deg, y = self.deg, self.y
+        if 0 in deg:
+            deg, y = [d for d in deg if d], [v for v, d in zip(y, deg) if d]
+        return _moments(deg, y)
+
+    @cached_property
+    def r_ddelta(self) -> Optional[float]:
+        return _pearson(len(self.deg) - self.deg.count(0), *self.moments, 1, self.lcm)
+
+    @cached_property
+    def delta(self) -> tuple[float, ...]:
+        return tuple(v / self.lcm for v in self.y)
 
 
 def kernel(g: Graph) -> Kernel:
     """The graph's :class:`Kernel`, computed once and cached on the graph."""
     if g._kernel is None:
         deg = degrees(g)
-        big_l = math.lcm(*{d for d in deg if d})
+        big_l = math.lcm(*set(deg).difference((0,)))
         w = [big_l // d if d else 0 for d in deg]
-        g._kernel = _kernel_of(deg, big_l, [sum(map(w.__getitem__, a)) for a in g.adj])
+        g._kernel = Kernel(deg, big_l, tuple([sum(map(w.__getitem__, a)) for a in g.adj]))
     return g._kernel
-
-
-def _kernel_of(deg: Sequence[int], big_l: int, y: Sequence[int]) -> Kernel:
-    """The :class:`Kernel` of degrees `deg`, their lcm L and y = L * delta."""
-    r = exact_correlation([d for d in deg if d], [v for v, d in zip(y, deg) if d], 1, big_l)
-    return Kernel(tuple(deg), big_l, tuple(y), tuple(v / big_l for v in y), r)
 
 
 def components(g: Graph) -> list[set[int]]:

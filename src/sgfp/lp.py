@@ -262,16 +262,14 @@ _FLOAT_START_MIN_N = 60
 
 
 def _r_high(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: float,
-            delta: Optional[Sequence[float]] = None, ratio: Optional[tuple[int, int]] = None):
+            ratio: Optional[tuple[int, int]] = None):
     """(r_high, the result of :func:`_solve_exact`, m * (d . a)) for a kernel
     with no isolates and two distinct degrees, or None when the LP is
-    infeasible at `epsilon`. `delta` defaults to y / L, and only large
-    graphs read it."""
+    infeasible at `epsilon`. Only large graphs build delta = y / L in floats."""
     n = len(deg)
     arrays = None
     if n >= _FLOAT_START_MIN_N:
-        arrays = (np.fromiter(deg, np.int64, n),
-                  np.fromiter(delta or (v / big_l for v in y), float, n))
+        arrays = (np.fromiter(deg, np.int64, n), np.fromiter((v / big_l for v in y), float, n))
     found = _solve_exact(deg, y, big_l, epsilon, arrays, ratio)
     if found is None:
         return None
@@ -288,7 +286,7 @@ def _r_high(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: float,
 def _failing_witness(k: Kernel, epsilon: float) -> Optional[HighCorrelationResult]:
     """The failing-correlation LP for a kernel with no isolates and at least
     two distinct degrees, or None when it is infeasible at `epsilon`."""
-    res = _r_high(k.deg, k.y, k.lcm, epsilon, k.delta)
+    res = _r_high(k.deg, k.y, k.lcm, epsilon)
     if res is None:
         return None
     r_high, (a, m, fill, ya), da = res

@@ -22,7 +22,7 @@ from sgfp.construct import (
     star,
 )
 from sgfp.experiments import census, r_high_loose, strip_isolates
-from sgfp.graph import degrees, delta
+from sgfp.graph import degrees
 from sgfp.lp import max_failing_correlation
 from sgfp.metrics import (
     correlation,

@@ -292,6 +292,10 @@ def test_analyze_skips_blank_attribute_rows(tmp_path, capsys):
     ["gen", "star", "--n", "5", "--attrs-output", "{attrs_out}", "--output", "{graph_out}"],
     ["gen", "fig1", "--attrs-output", "{attrs_out}", "--output", "{nodir}/g.edges"],
     ["gen", "fig4", "--attrs-output", "{nodir}/a.csv", "--output", "{graph_out}"],
+    ["gen", "star", "--p", "0.9"],
+    ["gen", "fig1", "--n", "5"],
+    ["gen", "gnp", "--sample", "1"],
+    ["gen", "path", "--seed", "3"],
 ])
 def test_bad_arguments_exit_1(tmp_path, capsys, argv):
     graph = tmp_path / "g.edges"

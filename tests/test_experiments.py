@@ -8,7 +8,7 @@ from sgfp.construct import path
 from sgfp.classify import _affine_fit
 from sgfp.experiments import (CensusRecord, _census_row, census, r_high_loose, rewire_experiment,
                               strip_isolates)
-from sgfp.graph import Graph, _kernel_of
+from sgfp.graph import Graph, Kernel
 from sgfp.lp import _failing_witness, max_failing_correlation
 from sgfp.metrics import r_d_delta
 from sgfp.randgen import mix
@@ -110,7 +110,7 @@ def test_census_row_equals_the_kernel_path_on_every_signature():
     # The census computes a draw's row from (degrees, L, y) with no Kernel.
     for n in range(3, 8):
         for d, big_l, y in every_signature(n):
-            k = _kernel_of(d, big_l, y)
+            k = Kernel(tuple(d), big_l, tuple(y))
             res = _failing_witness(k, 1e-3)
             is_pro, r_high, r_dd = _census_row(d, big_l, y, 1e-3, (1e-3).as_integer_ratio())
             assert is_pro == (_affine_fit(k.deg, k.y)[0] is not None)

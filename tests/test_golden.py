@@ -1,16 +1,31 @@
-"""Golden outputs: sha256 digests of CLI results recorded before the integer
-LP descent and the leaner sampler round replaced the code that made them.
-Any change to a census or rewiring figure, or to the CSV bytes, fails here."""
+"""Golden outputs: sha256 digests of CLI results recorded before the code
+that makes them was replaced (the census and rewiring CSVs before the integer
+LP descent and the leaner sampler round; the growth curve and the per-graph
+commands before the kernel computed its moments, r_{d,delta} and delta on
+first read). Any change to a figure, or to the output bytes, fails here."""
 
 import hashlib
+import random
+
+import pytest
 
 from sgfp.cli import main
 from sgfp.experiments import strip_isolates
-from sgfp.ingest import edge_list_text
+from sgfp.ingest import edge_list_text, node_values_text
 from sgfp.randgen import gnp, mix
+
+from conftest import preferential_attachment
 
 CENSUS_SHA256 = "c193031d97fdc80fcd0b5330aac883b47c4661cbe70435c49d02160b1c70cfb3"
 REWIRE_SHA256 = "1085e132eabcfb7a0cf52cce3b4f0bfb869a489450921b0d3b2d06584c7c2dce"
+GROW_SHA256 = "664805c596d44b5ab90e83dd3fc9ee662016f92a914dda9d3f1c1bed64aa20af"
+# On preferential_attachment(2500, seed=3), attributes random.Random(3).randint(-50, 50).
+PA_SHA256 = {
+    "classify": "5e15e8daa39a3ff79904a03549b8c0e7697b447adddd1918c3cc009746d824f4",
+    "analyze": "10527b8fd34ce84ac77a0b0f43ae3c0e30a99746a4608ae3a55435d16e5453dd",
+    "optimize": "647bfee41260e5ec23233d9eb4e2993e2ed85276577ca1d17df328b80d32ea0f",
+    "threshold": "643e134bcd57da2731388c76c6772e0c9664c894283c8a597ea6a83343f47f73",
+}
 
 
 def _digest(path):
@@ -36,3 +51,30 @@ def test_rewire_experiment_output_is_unchanged(tmp_path, monkeypatch):
         (tmp_path / names[-1]).write_text(edge_list_text(strip_isolates(gnp(n, p, mix(204, i)))))
     assert main(["rewire-experiment", *names, "--seed", "5", "--output", "rewire.csv"]) == 0
     assert _digest(tmp_path / "rewire.csv") == REWIRE_SHA256
+
+
+def test_grow_output_is_unchanged(tmp_path):
+    out = tmp_path / "grow.csv"
+    assert main(["grow", "150", "--output", str(out)]) == 0
+    assert _digest(out) == GROW_SHA256
+
+
+@pytest.fixture(scope="module")
+def pa_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pa")
+    g = preferential_attachment(2500, seed=3)
+    rng = random.Random(3)
+    (root / "g.edges").write_text(edge_list_text(g))
+    (root / "a.csv").write_text(node_values_text(g, [rng.randint(-50, 50) for _ in range(g.n)]))
+    return root
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("classify", []), ("analyze", ["{a}", "--per-node"]), ("optimize", ["--witness"]),
+    ("threshold", []),
+])
+def test_per_graph_command_output_is_unchanged(pa_files, command, extra):
+    out = pa_files / f"{command}.json"
+    argv = [command, str(pa_files / "g.edges"), *(a.format(a=pa_files / "a.csv") for a in extra)]
+    assert main([*argv, "--output", str(out)]) == 0
+    assert _digest(out) == PA_SHA256[command]

@@ -5,6 +5,7 @@ the kernel replaced. They are kept here only, as the oracle: every exact
 quantity must be equal, and every float bit-equal.
 """
 
+import importlib
 import math
 from fractions import Fraction
 
@@ -13,14 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgfp.classify import ANTI, DEGENERATE, PRO, classify
+from sgfp import graph
+from sgfp.classify import ANTI, DEGENERATE, PRO, classify, threshold_estimate
 from sgfp.errors import IsolatedNodeError, PreconditionViolatedError
-from sgfp.graph import build_graph, delta, is_connected, is_regular, kernel
+from sgfp.experiments import grow_table
+from sgfp.graph import (Graph, Kernel, _moments, build_graph, delta, exact_correlation,
+                        is_connected, is_regular, kernel)
+from sgfp.lp import max_failing_correlation
 from sgfp.metrics import (_as_ints, correlation, gap_report, list_gap, r_d_delta, second_order,
                           singular_gap, singular_gap_delta_form)
-from sgfp.randgen import SplitMix64, mix
+from sgfp.randgen import SplitMix64, configuration_rewire, mix
 
-from conftest import random_graphs
+from conftest import every_signature, preferential_attachment, random_graphs
 
 
 def ref_delta(g):
@@ -172,6 +177,59 @@ def test_isolated_node_attribute_is_ignored():
 def test_kernel_is_computed_once():
     g = build_graph([(0, 1), (1, 2)])
     assert kernel(g) is kernel(g)
+
+
+LAZY = {"moments", "r_ddelta", "delta"}
+
+
+def test_lazy_kernel_quantities_equal_their_definitions():
+    rewired = configuration_rewire(preferential_attachment(40, seed=1), 18)
+    assert not all(rewired.adj)  # isolates, as before strip_isolates
+    kernels = [Kernel(tuple(d), big_l, tuple(y)) for n in range(3, 8)
+               for d, big_l, y in every_signature(n)]
+    kernels += map(kernel, (rewired, Graph([[1], [0], []]),
+                            preferential_attachment(10_000, seed=7)))
+    for k in kernels:
+        active = [i for i, d in enumerate(k.deg) if d]
+        deg, y = [k.deg[i] for i in active], [k.y[i] for i in active]
+        assert k.moments == _moments(deg, y)
+        assert k.r_ddelta == exact_correlation(deg, y, 1, k.lcm)
+        assert k.delta == tuple(v / k.lcm for v in k.y)
+        assert LAZY <= set(vars(k)) and k == Kernel(k.deg, k.lcm, k.y)
+
+
+def test_kernel_quantities_wait_until_read(monkeypatch):
+    made = []
+
+    class Recorded(Kernel):
+        def __init__(self, *fields):
+            super().__init__(*fields)
+            made.append(self)
+
+    monkeypatch.setattr(graph, "Kernel", Recorded)
+    g = preferential_attachment(200, seed=2)  # large enough for the LP's float start
+    kernel(g)
+    grow_table(20)
+    max_failing_correlation(g)
+    assert len(made) == 1 + 21
+    assert all(LAZY.isdisjoint(vars(k)) for k in made)
+    assert classify(g).kind == ANTI
+    assert LAZY.intersection(vars(kernel(g))) == {"moments", "r_ddelta"}
+
+
+def test_threshold_sums_the_moments_once(monkeypatch):
+    calls = []
+
+    def counted(x, y):
+        calls.append(len(x))
+        return _moments(x, y)
+
+    # Also any copy of _moments imported into classify.
+    for module in (graph, importlib.import_module("sgfp.classify")):
+        monkeypatch.setattr(module, "_moments", counted, raising=False)
+    g = preferential_attachment(200, seed=2)
+    assert threshold_estimate(g).validated
+    assert calls == [200] and classify(g).kind == ANTI
 
 
 def as_fraction(v):

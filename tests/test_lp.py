@@ -15,7 +15,7 @@ from sgfp.errors import (
     InfeasibleAtEpsilonError,
     PreconditionViolatedError,
 )
-from sgfp.graph import Graph, _kernel_of, build_graph, degrees, delta, exact_correlation, kernel
+from sgfp.graph import Graph, Kernel, build_graph, degrees, delta, exact_correlation, kernel
 from sgfp import lp
 from sgfp.lp import (_failing_witness, _float_pair, _int_fill, _r_high, _solve_exact,
                     max_failing_correlation)
@@ -74,7 +74,8 @@ def test_r_high_without_a_witness_equals_the_witness_path(eps):
     # caller. Its r_high is also the correlation of the degrees with the
     # witness, computed again from the witness's integers.
     kernels = [kernel(g) for g in _criterion_5_stream()]
-    kernels += [_kernel_of(*sig) for n in range(3, 8) for sig in every_signature(n)]
+    kernels += [Kernel(tuple(d), big_l, tuple(y)) for n in range(3, 8)
+                for d, big_l, y in every_signature(n)]
     infeasible = 0
     for k in kernels:
         res = _failing_witness(k, eps)
@@ -113,7 +114,7 @@ def _degenerate_instances():
         n = rng.randint(1, 9)
         d = [rng.randint(1, 4) for _ in range(n)]
         y = [rng.choice([2, 3, 4, 6, 9, 12]) for _ in range(n)]
-        yield _kernel_of(d, 6, y), rng.choice([1e-6, 1e-3, 0.1, 0.5, 1.0])
+        yield Kernel(tuple(d), 6, tuple(y)), rng.choice([1e-6, 1e-3, 0.1, 0.5, 1.0])
 
 
 def test_solver_matches_highs_on_degenerate_instances():
@@ -396,7 +397,7 @@ def _float_defeating_kernels():
         big_l = rng.randrange(1 << 61, 1 << 64) | 1
         centres = [rng.randrange(big_l // 3, 3 * big_l) for _ in range(rng.randint(1, 4))]
         y = [rng.choice(centres) + rng.randrange(4) for _ in range(n)]
-        yield _kernel_of([rng.randint(1, 4) for _ in range(n)], big_l, y)
+        yield Kernel(tuple(rng.randint(1, 4) for _ in range(n)), big_l, tuple(y))
 
 
 def _overflowing_kernel():
@@ -405,7 +406,7 @@ def _overflowing_kernel():
     rng = random.Random(29)
     big_l = 3 << 1100
     y = [big_l // 2, big_l // 2 + 1] + [rng.randrange(big_l // 4, 2 * big_l) for _ in range(70)]
-    return _kernel_of([2, 3] + [rng.randint(1, 5) for _ in range(70)], big_l, y)
+    return Kernel((2, 3, *(rng.randint(1, 5) for _ in range(70))), big_l, tuple(y))
 
 
 def test_float_defeating_instances_match_reference(monkeypatch):

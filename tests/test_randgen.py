@@ -8,7 +8,7 @@ import pytest
 from sgfp import randgen
 from sgfp.classify import PRO, classify
 from sgfp.errors import ExhaustedTriesError
-from sgfp.graph import build_graph, degrees, is_connected, is_regular
+from sgfp.graph import degrees, is_connected, is_regular
 from sgfp.randgen import (
     SplitMix64,
     _below,

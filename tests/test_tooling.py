@@ -20,10 +20,10 @@ def test_no_assert_in_package_code():
     assert found == []
 
 
-def test_no_unused_import_in_package_code():
+def _unused_imports(paths):
     # Every name a module imports must be used as a name in it.
     found = []
-    for p in SOURCES:
+    for p in paths:
         if p.name == "__init__.py":
             continue
         tree = ast.parse(p.read_text(encoding="utf-8"), str(p))
@@ -33,4 +33,12 @@ def test_no_unused_import_in_package_code():
                   and getattr(node, "module", None) != "__future__"
                   for name in ((a.asname or a.name).split(".")[0] for a in node.names)
                   if name not in used]
-    assert found == []
+    return found
+
+
+def test_no_unused_import_in_package_code():
+    assert _unused_imports(SOURCES) == []
+
+
+def test_no_unused_import_in_tests():
+    assert _unused_imports(sorted(Path(__file__).parent.glob("*.py"))) == []

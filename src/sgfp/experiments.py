@@ -13,10 +13,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .classify import _affine_fit
 from .construct import initial_growth_state, grow_step
 from .errors import PreconditionViolatedError
-from .graph import Graph, _from_keys, exact_correlation, kernel
+from .graph import Graph, _from_keys, _moments, _pearson, kernel
 from .lp import _check_epsilon, _r_high
 from .metrics import correlation, r_d_delta, singular_gap
 from .randgen import _sample_blocks, configuration_rewire, mix
@@ -68,10 +67,12 @@ def _census_row(deg: Sequence[int], big_l: int, y: Sequence[int], epsilon: float
                 ratio: tuple[int, int]) -> tuple[bool, float, float]:
     """(is_pro, r_high, r_ddelta) of one connected draw from its degrees,
     their lcm L and y = L * delta; r_high is NaN when the LP is infeasible
-    at `epsilon`, whose as_integer_ratio() is `ratio`."""
+    at `epsilon`, whose as_integer_ratio() is `ratio`. It is pro (y affine
+    in d, slope > 0) when the moments of (d, y) have a > 0 and a * a = b * c."""
+    a, b, c = _moments(deg, y)
     res = _r_high(deg, y, big_l, epsilon, ratio=ratio)
-    return (_affine_fit(deg, y)[0] is not None,
-            float("nan") if res is None else res[0], exact_correlation(deg, y, 1, big_l))
+    return (a > 0 and a * a == b * c, float("nan") if res is None else res[0],
+            _pearson(len(deg), a, b, c, 1, big_l))
 
 
 _CHUNK = 256  # samples per task sent to a worker process

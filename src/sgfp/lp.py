@@ -19,14 +19,11 @@ toward the other until delta . a = -epsilon (or as far as the walk goes
 when the optimum has lambda = 0), ending near a vertex of the feasible
 polytope as a simplex would. There is no size cap.
 
-The descent runs in exact integers from the graph's kernel at every size
-(:func:`_solve_exact`), lambda / L and its bracket as integer pairs, so the
-witness, and r_high (:func:`_r_high`, with no float witness), depend only
-on the multiset of (d_i, L delta_i) pairs, not on the node labels. Floats
-only save exact work: on larger graphs they choose where it starts
-(:func:`_float_pair`), in the float-solve, exact-certify pattern of
-QSopt_ex (Applegate, Cook, Dash and Espinoza, 2007), and place the nodes
-far from the median (:func:`_filtered_pass`).
+The descent runs from lambda = 0 in the kernel's integers (:func:`_solve_exact`),
+so the witness and r_high depend only on the multiset of (d_i, L delta_i)
+pairs, not on the node labels. Floats only save exact work: on larger
+graphs they decide each pass, slope sign and slope step where a proven
+error bound allows (a static filter as in Shewchuk 1997).
 """
 
 from __future__ import annotations
@@ -61,55 +58,13 @@ def _int_fill(k: int, total: int) -> list[int]:
     return [1] * ones + [0] * zero + [-1] * (k - ones - zero)
 
 
-def _float_pair(d: np.ndarray, dl: np.ndarray, epsilon: float) -> Optional[tuple[int, int]]:
-    """Where the exact descent may start on a feasible LP: the pivot pair
-    (p, j) whose slope (d_j - d_p) / (delta_j - delta_p) is the last lambda
-    of the same descent in floats, or None when that stays at lambda = 0.
-    Its ties and slope signs are decided within float tolerances."""
-    n = len(d)
-    slack_tol = 1e-13 * dl.sum()  # d and delta are positive
-    lo, hi, lam, pair = 0.0, np.inf, 0.0, None
-    for _ in range(1000):
-        c = d - lam * dl
-        mu = np.partition(c, (n - 1) // 2)[(n - 1) // 2]
-        r = c - mu
-        tied = np.abs(r) <= 1e-11 * (d.max() + lam * dl.max())
-        a = np.sign(r)
-        a[tied] = 0.0
-        tie = np.flatnonzero(tied)
-        total = -int(a.sum())
-        up = tie[np.argsort(dl[tie], kind="stable")]  # maximizer at lambda+
-        fill = _int_fill(len(tie), total)
-        h = dl @ a + epsilon
-        h_up = h + dl[up] @ fill          # -(right slope of g)
-        h_down = h + dl[up[::-1]] @ fill  # -(left slope of g)
-        if h_up <= slack_tol and (lam == 0.0 or h_down >= -slack_tol):
-            break
-        j = min((total + len(tie)) // 2, len(tie) - 1)
-        if h_up > slack_tol:
-            lo, p = lam, up[j]
-        else:
-            hi, p = lam, up[::-1][j]
-        w = dl - dl[p]
-        off = np.flatnonzero(w)
-        slopes = (d[off] - d[p]) / w[off]
-        order = np.argsort(slopes)
-        cum = np.cumsum(np.abs(w[off])[order])
-        i = order[min(int(np.searchsorted(2 * cum, cum[-1] + epsilon)), len(cum) - 1)]
-        if not lo < slopes[i] < hi:
-            break
-        lam, pair = float(slopes[i]), (int(p), int(off[i]))
-    return pair
-
-
 def _filtered_pass(deg: Sequence[int], y: Sequence[int], big_l: int, d: np.ndarray,
                    dl: np.ndarray, p: int, q: int):
-    """The exact pass of :func:`_solve_exact` at kappa = p / q with the signs
-    as an int8 array, or None when floats cannot place the median. Each
-    float c / q = d - kappa L delta, and so their median, is within
-    4.01 u (d_max + kappa L delta_max) = err / 2 of the exact one, u = 2**-53
-    (a static filter as in Shewchuk 1997): nodes beyond 2 err from the float
-    median are decided in floats, the rest in integers."""
+    """The exact pass of :func:`_solve_exact` at kappa = p / q, signs in int8,
+    or None when floats cannot place the median. Each float c / q =
+    d - kappa L delta, and their median, is within 4.01 u (d_max + kappa L
+    delta_max) = err / 2 of the exact one (u = 2**-53): nodes beyond 2 err
+    from the float median are decided in floats, the rest in integers."""
     if (p * big_l).bit_length() > q.bit_length() + 960:  # lambda delta may overflow
         return None
     lam = p * big_l / q
@@ -125,9 +80,46 @@ def _filtered_pass(deg: Sequence[int], y: Sequence[int], big_l: int, d: np.ndarr
     c = [q * deg[i] - p * y[i] for i in band]
     mu = sorted(c)[rank]
     a = above.astype(np.int8) - below
-    a[band] = [(v > mu) - (v < mu) for v in c]
-    ya = sum(compress(y, (a > 0).tolist())) - sum(compress(y, (a < 0).tolist()))
-    return a, [i for i, v in zip(band, c) if v == mu], ya, -int(a.sum())
+    tie = [i for i, v in zip(band, c) if v == mu]
+    if len(tie) < len(band):
+        a[band] = [(v > mu) - (v < mu) for v in c]
+    return a, tie, -int(a.sum())
+
+
+def _filtered_step(deg: Sequence[int], y: Sequence[int], d: np.ndarray, dl: np.ndarray,
+                   piv: int, epsilon: float) -> Optional[tuple[int, int]]:
+    """The slope step of :func:`_solve_exact` at pivot `piv`: a line
+    (d_k - d_p, y_k - y_p) of the weighted median slope, or None when floats
+    cannot show one. Each float w_k = delta_k - delta_p is within E / 2 of
+    (y_k - y_p) / L, E = 2**-50 delta_max; if |w_k| > 2 E the float slope
+    lambda_k is within 8 E |lambda_k| / |w_k| of the exact one, else y_k
+    must equal y_p (the line is left out). Lines whose intervals meet the
+    float median's must share its slope, and the weights below and not
+    above it straddle the target by n (E + 2**-50 W), a bound on float sums."""
+    big_e = 2.0 ** -50 * dl.max()
+    dp, yp = deg[piv], y[piv]
+    w = dl - dl[piv]
+    far = np.abs(w) > 2 * big_e
+    if any(y[k] != yp for k in np.flatnonzero(~far).tolist()):
+        return None
+    idx = np.flatnonzero(far)
+    w = w[idx]
+    aw = np.abs(w)
+    lam = (d[idx] - d[piv]) / w
+    err = np.abs(lam) / aw * (8 * big_e)
+    order = np.argsort(lam)
+    cum = np.cumsum(aw[order])
+    target = (cum[-1] + epsilon) / 2
+    i = order[min(int(np.searchsorted(cum, target)), len(cum) - 1)]
+    off, reach = lam - lam[i], err + err[i]
+    mid = np.abs(off) <= reach
+    w_above = aw @ (off > reach)
+    margin = len(dl) * (big_e + 2.0 ** -50 * cum[-1])
+    num, wi = deg[idx[i]] - dp, y[idx[i]] - yp
+    if (not cum[-1] - aw @ mid - w_above + margin < target <= cum[-1] - w_above - margin
+            or any((deg[j] - dp) * wi != num * (y[j] - yp) for j in idx[mid].tolist())):
+        return None
+    return num, wi
 
 
 def _solve_exact(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: float,
@@ -143,12 +135,10 @@ def _solve_exact(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: floa
     exact, and the one-sided slopes of g are decided by the sign of the
     integer s * (y . a) + e.
 
-    With `arrays` = (d, delta) in numpy the descent starts at the slope of
-    the pair from :func:`_float_pair`, if any, and floats decide what they
-    provably can. Every start gives the same witness. Returns None when the
-    LP is infeasible, else an optimal a as (a, m, fill, y . a * m): a_i in
-    {-1, 1} off the tied nodes, 0 on them, and fill[i] / m there, in
-    {-1, 0, 1} but for the two nodes of at most one partial swap.
+    With `arrays` = (d, delta) in numpy, floats decide what they provably can.
+    Returns None if the LP is infeasible, else an optimal a as (a, m, fill,
+    y . a * m): a_i in {-1, 1} off the tied nodes, 0 on them, and fill[i] / m
+    there, in {-1, 0, 1} but for the two nodes of at most one partial swap.
     """
     if ratio is None:
         _check_epsilon(epsilon)
@@ -156,23 +146,21 @@ def _solve_exact(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: floa
     e, s = ratio
     e *= big_l
     n = len(deg)
-    # Feasible iff the least y . a over {sum(a) = 0, box}, +1 on the n // 2
-    # smallest y and -1 on the n // 2 largest, reaches -e / s. In floats,
-    # that sum over L plus epsilon is off by less than (n + 3) u sum(delta).
+    # Feasible iff the least y . a over {sum(a) = 0, box} (+1 on the n // 2
+    # smallest y, -1 on the n // 2 largest) reaches -e / s. In floats, any
+    # y . a / L + epsilon with a in the box is off by less than tol.
     if arrays:
         dl = np.sort(arrays[1])
+        tol = 2.0 ** -50 * n * dl.sum()
         gap = dl[:n // 2].sum() - dl[n - n // 2:].sum() + epsilon
-    if not arrays or abs(gap) <= 2.0 ** -50 * n * dl.sum():
+    if not arrays or abs(gap) <= tol:
         y_sorted = sorted(y)
         gap = s * (sum(y_sorted[:n // 2]) - sum(y_sorted[n - n // 2:])) + e
     if gap > 0:
         return None
-    pair = _float_pair(*arrays, epsilon) if arrays else None
-    num, w = (deg[pair[1]] - deg[pair[0]], y[pair[1]] - y[pair[0]]) if pair else (0, 1)
-    # lo = -1 until a kappa >= 0 is known to lie below the optimum; a step
-    # from above that would leave kappa >= 0 stops at 0 instead. Bounds are
-    # integer pairs (p, q), q >= 0, and hi = (1, 0) stands for infinity.
-    lo, hi = (-1, 1), (1, 0)
+    # Bounds are integer pairs (p, q), q >= 0, and hi = (1, 0) is infinity;
+    # lo = -1 until a kappa >= 0 is known to lie below the optimum.
+    num, w, lo, hi = 0, 1, (-1, 1), (1, 0)
     for _ in range(1000):
         g = math.gcd(num, w) if w > 0 else -math.gcd(num, w)  # kappa = max(num / w, 0)
         p, q = (num // g, w // g) if num * w > 0 else (0, 1)
@@ -183,14 +171,22 @@ def _solve_exact(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: floa
             c = [q * di - p * yi for di, yi in zip(deg, y)]
             mu = sorted(c)[(n - 1) // 2]
             a = [(v > mu) - (v < mu) for v in c]
-            found = a, [i for i, v in enumerate(c) if v == mu], sum(map(mul, y, a)), -sum(a)
-        a, tie, ya, total = found
+            found = a, [i for i, v in enumerate(c) if v == mu], -sum(a)
+        a, tie, total = found
         up = sorted(tie, key=y.__getitem__)  # reversed: the maximizer at kappa-
-        ys = [y[i] for i in up]
-        vals = _int_fill(len(tie), total)
-        h_up = s * (ya + sum(map(mul, ys, vals))) + e
+        ys, vals = [y[i] for i in up], _int_fill(len(tie), total)
+        # h_up, h_down = -(right, left slope of g) * s L, in floats within
+        # tol * s L; y . a is summed exactly only when floats cannot decide.
+        if arrays:
+            t, v, f = arrays[1][up], np.array(vals), arrays[1] @ a + epsilon
+            h_up, h_down = f + t @ v, f + t[::-1] @ v
+        if not arrays or not (h_up > tol or p and max(h_up, h_down) < -tol):
+            ya = (sum(compress(y, (a > 0).tolist())) - sum(compress(y, (a < 0).tolist()))
+                  if isinstance(a, np.ndarray) else sum(map(mul, y, a)))
+            h_up = s * (ya + sum(map(mul, ys, vals))) + e
+            h_down = s * (ya + sum(map(mul, reversed(ys), vals))) + e
         # At kappa > 0 the left slope of g (from the kappa- maximizer) must be <= 0.
-        if h_up <= 0 and (p == 0 or s * (ya + sum(map(mul, reversed(ys), vals))) + e >= 0):
+        if h_up <= 0 and (p == 0 or h_down >= 0):
             # Any fill between the two is optimal. Swap the values of the
             # i-th lowest- and i-th highest-y tied nodes, outermost pair first,
             # until s * (y . a) + e rises to 0 (or as far as the walk goes);
@@ -220,9 +216,13 @@ def _solve_exact(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: floa
             hi, piv = (p, q), up[-1 - j]
         # Pivot on the median node of the side g descends to; the line
         # through it is best at the weighted median of its slopes
-        # (d_k - d_p) / (y_k - y_p), shifted by e. They are sorted by their
-        # floats, which are monotone; only floats tied with the median's and
-        # not all equal are ordered exactly, over the lcm of their denominators.
+        # (d_k - d_p) / (y_k - y_p), shifted by e. Unless floats show which,
+        # the slopes are sorted by their monotone floats, and those tied with
+        # the median's and not all equal by the lcm of their denominators.
+        found = arrays and _filtered_step(deg, y, *arrays, piv, epsilon)
+        if found:
+            num, w = found
+            continue
         dp, yp = deg[piv], y[piv]
         lines = sorted([((dk - dp) / w, dk - dp, w) for dk, yk in zip(deg, y) if (w := yk - yp)])
         cum = list(accumulate(map(abs, map(itemgetter(2), lines))))
@@ -256,9 +256,8 @@ class HighCorrelationResult:
         return _json(payload)
 
 
-# From this many nodes on, the exact descent starts from :func:`_float_pair`
-# and filters its passes; below, that costs more than it saves.
-_FLOAT_START_MIN_N = 60
+# From this many nodes on, floats filter the descent; below, numpy costs more.
+_FLOAT_MIN_N = 100
 
 
 def _r_high(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: float,
@@ -267,9 +266,8 @@ def _r_high(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: float,
     with no isolates and two distinct degrees, or None when the LP is
     infeasible at `epsilon`. Only large graphs build delta = y / L in floats."""
     n = len(deg)
-    arrays = None
-    if n >= _FLOAT_START_MIN_N:
-        arrays = (np.fromiter(deg, np.int64, n), np.fromiter((v / big_l for v in y), float, n))
+    arrays = ((np.fromiter(deg, np.int64, n), np.fromiter((v / big_l for v in y), float, n))
+              if n >= _FLOAT_MIN_N else None)
     found = _solve_exact(deg, y, big_l, epsilon, arrays, ratio)
     if found is None:
         return None

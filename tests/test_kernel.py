@@ -207,7 +207,7 @@ def test_kernel_quantities_wait_until_read(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(graph, "Kernel", Recorded)
-    g = preferential_attachment(200, seed=2)  # large enough for the LP's float start
+    g = preferential_attachment(200, seed=2)  # large enough for the LP's float filters
     kernel(g)
     grow_table(20)
     max_failing_correlation(g)

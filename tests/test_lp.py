@@ -4,7 +4,6 @@ import math
 import operator
 import random
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,8 +16,7 @@ from sgfp.errors import (
 )
 from sgfp.graph import Graph, Kernel, build_graph, degrees, delta, exact_correlation, kernel
 from sgfp import lp
-from sgfp.lp import (_failing_witness, _float_pair, _int_fill, _r_high, _solve_exact,
-                    max_failing_correlation)
+from sgfp.lp import _failing_witness, _int_fill, _r_high, _solve_exact, max_failing_correlation
 from sgfp.metrics import correlation
 from sgfp.randgen import sample_connected_nonregular
 
@@ -43,7 +41,7 @@ def _objective(k, eps):
     return res.objective
 
 
-@functools.cache  # one solve per instance, shared by the tests of both starts
+@functools.cache  # one solve per instance, shared by the tests of both descents
 def _highs(deg, delta, eps):
     """Reference optimum from scipy's HiGHS for degrees and deltas given as
     tuples, or None when infeasible."""
@@ -251,8 +249,8 @@ def test_determinism():
     assert a.r_high == b.r_high
 
 
-# --- the exact descent from its different starts: HiGHS, vertex
-# enumeration, the descent from kappa = 0 and the reference below ---------
+# --- the exact descent with and without its float filters: HiGHS, vertex
+# enumeration and the reference below -------------------------------------
 
 def _reference_exact(deg, y, big_l, epsilon):
     """The exact descent from kappa = 0 with no float in it: every pass
@@ -318,18 +316,12 @@ def _reference_exact(deg, y, big_l, epsilon):
 
 
 def _numpy(k):
-    """(d, delta) as numpy arrays: they turn on the float start and filter."""
+    """(d, delta) as numpy arrays: they turn on the float filters."""
     return np.array(k.deg), np.array(k.delta)
 
 
 def _solve(k, eps, filtered=False):
     return _solve_exact(k.deg, k.y, k.lcm, eps, _numpy(k) if filtered else None)
-
-
-def _solve_from(k, eps, pair):
-    """The filtered descent started at the slope of `pair` (None: kappa = 0)."""
-    with mock.patch.object(lp, "_float_pair", lambda *_: pair):
-        return _solve(k, eps, filtered=True)
 
 
 def _exact_witness(k, eps, filtered=False):
@@ -362,8 +354,7 @@ def _exact_objective(k, eps, filtered=False):
 
 
 def _assert_matches_reference(k, eps):
-    # From kappa = 0 with exact passes, and from the float pair with
-    # filtered passes.
+    # With exact passes and steps, and with filtered ones.
     want = _reference_exact(k.deg, k.y, k.lcm, eps)
     for filtered in (False, True):
         got = _solve(k, eps, filtered)
@@ -373,7 +364,7 @@ def _assert_matches_reference(k, eps):
 
 
 def test_exact_solver_matches_float_and_highs_on_criterion_5_stream():
-    # Both starts match HiGHS and return exactly the reference's witness.
+    # Both descents match HiGHS and return exactly the reference's witness.
     for g in _criterion_5_stream():
         k = kernel(g)
         for eps in (1e-3, 1e-6):
@@ -401,32 +392,37 @@ def _float_defeating_kernels():
 
 
 def _overflowing_kernel():
-    # lambda = kappa * L leaves the float range at the start kappa = 1 / 1
-    # of the pair (0, 1), so the filter must fall back to exact passes.
+    # lambda = kappa * L leaves the float range at kappa = 1 / 1, so the
+    # filtered pass there must fall back to the exact one.
     rng = random.Random(29)
     big_l = 3 << 1100
     y = [big_l // 2, big_l // 2 + 1] + [rng.randrange(big_l // 4, 2 * big_l) for _ in range(70)]
     return Kernel((2, 3, *(rng.randint(1, 5) for _ in range(70))), big_l, tuple(y))
 
 
-def test_float_defeating_instances_match_reference(monkeypatch):
-    passes = []
-    filtered_pass = lp._filtered_pass
+def _spy(monkeypatch, name):
+    """Record every result of lp.<name>; None is a fallback to exact work."""
+    results = []
+    real = getattr(lp, name)
 
     def spy(*args):
-        passes.append(filtered_pass(*args))
-        return passes[-1]
+        results.append(real(*args))
+        return results[-1]
 
-    monkeypatch.setattr(lp, "_filtered_pass", spy)
+    monkeypatch.setattr(lp, name, spy)
+    return results
+
+
+def test_float_defeating_instances_match_reference(monkeypatch):
     k = _overflowing_kernel()
+    assert lp._filtered_pass(k.deg, k.y, k.lcm, *_numpy(k), 1, 1) is None
     for eps in (1e-3, 0.1):
-        want = _reference_exact(k.deg, k.y, k.lcm, eps)
-        assert want is not None
-        assert _scaled(_solve_from(k, eps, (0, 1))) == _scaled(want)
-    assert None in passes  # a filtered pass fell back to the exact one
+        _assert_matches_reference(k, eps)
+    steps = _spy(monkeypatch, "_filtered_step")
     for k in _float_defeating_kernels():
         for eps in (1e-18, 1e-3, 0.5):
             _assert_matches_reference(k, eps)
+    assert None in steps  # a slope step fell back to the exact one
 
 
 def test_exact_solver_against_vertex_enumeration():
@@ -449,31 +445,100 @@ def test_exact_infeasibility_boundary():
             _solve_exact(k.deg, k.y, k.lcm, eps)
 
 
-def _start_cases():
+def _lines(deg, y, piv):
+    """The slope step's lines through the pivot as sorted (slope, weight)."""
+    return sorted((Fraction(dk - deg[piv], yk - y[piv]), abs(yk - y[piv]))
+                  for dk, yk in zip(deg, y) if yk != y[piv])
+
+
+def _weighted_median_slope(deg, y, big_l, piv, eps):
+    """The slope step's answer from Fractions: the least slope through the
+    pivot at which the cumulative weight |y_k - y_p| reaches (W + eps L) / 2."""
+    lines = _lines(deg, y, piv)
+    target = (sum(w for _, w in lines) + Fraction(eps) * big_l) / 2
+    cum = itertools.accumulate(w for _, w in lines)
+    return next((sl for (sl, _), c in zip(lines, cum) if c >= target), lines[-1][0])
+
+
+def _knife_edge_steps(rng):
+    # delta = y / L is inexact; eps = 0.5, and every eps that puts the target
+    # exactly on a cumulative weight, where only the margin keeps the float
+    # sums from deciding wrongly.
+    for _ in range(1500):
+        n, big_l = rng.randint(3, 16), rng.choice([6, 12, 60, 3 << 20, 15 << 30])
+        y = [rng.randint(1, rng.choice([big_l // 3, 2 * big_l, 6 * big_l])) for _ in range(n)]
+        deg, piv = [rng.randint(1, 8) for _ in range(n)], rng.randrange(n)
+        lines = _lines(deg, y, piv)
+        total = sum(w for _, w in lines)
+        yield deg, big_l, y, piv, 0.5
+        for c in itertools.accumulate(w for _, w in lines):
+            eps = Fraction(2 * c - total, big_l)
+            if eps > 0 and eps.denominator & (eps.denominator - 1) == 0:  # a float exactly
+                yield deg, big_l, y, piv, float(eps)
+
+
+def _near_reversals(rng):
+    # Slopes 1 / w and 2 / (2 w + 1) through the pivot differ by a relative
+    # 1 / (2 w), far below float resolution, so their floats may swap; the
+    # target falls between them. Only the slopes' error bounds catch that.
+    for _ in range(200):
+        big_l = rng.randrange(1 << 61, 1 << 62) | 1
+        yp, w = rng.randrange(big_l // 2, big_l), rng.randrange(big_l // 8, big_l // 4)
+        y = [yp, yp + w, yp + 2 * w + 1, *[yp + 3 * w + rng.randrange(w)] * 3, yp + w // 5]
+        eps = Fraction(2 * sum(y[3:6]) + w - sum(y[1:]), big_l)  # 2 W_low + w - W, over L
+        yield [10, 11, 12, 5, 5, 5, 19], big_l, y, 0, float(eps)
+
+
+def test_filtered_step_is_the_exact_weighted_median():
+    rng = random.Random(31)
+    decided = 0
+    for deg, big_l, y, piv, eps in itertools.chain(_knife_edge_steps(rng), _near_reversals(rng)):
+        dl = np.array([v / big_l for v in y])
+        got = lp._filtered_step(deg, y, np.array(deg), dl, piv, eps)
+        if got is not None:
+            decided += 1
+            assert Fraction(*got) == _weighted_median_slope(deg, y, big_l, piv, eps)
+    assert decided > 1000
+
+
+def _descent_cases():
     yield from random_graphs(201, 300, n_range=(4, 10))
     for n in (30, 200, 1000, 10_000):
         yield preferential_attachment(n, seed=n)
 
 
 @pytest.mark.parametrize("eps", [1e-3, 0.5, 1.0])  # dyadic: the dual optimum may be an interval
-def test_every_start_gives_the_same_witness(eps):
-    # Starts: kappa = 0 with exact passes; with filtered passes, the float
-    # descent's pair and breakpoints (d_j - d_p) / (y_j - y_p) of sampled
-    # pairs, below and above the optimum.
-    rng = random.Random(17)
-    for g in _start_cases():
+def test_filtered_descent_gives_the_exact_witness(eps):
+    for g in _descent_cases():
         k = kernel(g)
         want = _solve(k, eps)
-        if want is None:
-            continue
-        want = _scaled(want)
-        pairs = [_float_pair(*_numpy(k), eps)]
-        while len(pairs) < 4:
-            p, j = rng.randrange(g.n), rng.randrange(g.n)
-            if k.y[p] != k.y[j]:
-                pairs.append((p, j))
-        for pair in pairs:
-            assert _scaled(_solve_from(k, eps, pair)) == want
+        got = _solve(k, eps, filtered=True)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert _scaled(got) == _scaled(want)
+
+
+@pytest.mark.parametrize("n", [200, 1000, 10_000])
+def test_large_lps_need_no_exact_pass_or_slope_step(monkeypatch, n):
+    # A fallback would still give the right witness, only 6-10 times slower.
+    passes, steps = _spy(monkeypatch, "_filtered_pass"), _spy(monkeypatch, "_filtered_step")
+    k = kernel(preferential_attachment(n, seed=n))
+    for eps in (1e-3, 0.5, 1.0):
+        assert _r_high(k.deg, k.y, k.lcm, eps) is not None
+    assert passes and steps
+    assert None not in passes and None not in steps
+
+
+def test_refused_filters_fall_back_to_the_exact_witness(monkeypatch):
+    # When every filtered pass and slope step refuses, the descent on arrays
+    # runs the exact ones and must give the same results.
+    ks = [kernel(preferential_attachment(n, seed=n)) for n in (200, 1000)]
+    want = [_failing_witness(k, eps) for k in ks for eps in (1e-3, 0.5)]
+    monkeypatch.setattr(lp, "_filtered_pass", lambda *args: None)
+    monkeypatch.setattr(lp, "_filtered_step", lambda *args: None)
+    assert [_failing_witness(k, eps) for k in ks for eps in (1e-3, 0.5)] == want
+    for k in ks:
+        _assert_matches_reference(k, 1e-3)
 
 
 def _relabel(g, rng):

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import math
 from pathlib import Path
 
 import sgfp
@@ -42,3 +43,18 @@ def test_no_unused_import_in_package_code():
 
 def test_no_unused_import_in_tests():
     assert _unused_imports(sorted(Path(__file__).parent.glob("*.py"))) == []
+
+
+def test_lp_float_literals_are_zero_or_powers_of_two():
+    # The LP's float decisions rest on error bounds in powers of two; a
+    # decimal tolerance such as 1e-13 would decide without a proof. A
+    # parameter's default (epsilon = 0.001) is the LP's data, not a bound.
+    lp = next(p for p in SOURCES if p.name == "lp.py")
+    tree = ast.parse(lp.read_text(encoding="utf-8"), str(lp))
+    defaults = {id(v) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                for v in f.args.defaults + f.args.kw_defaults}
+    found = [f"lp.py:{node.lineno}:{node.value!r}" for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and type(node.value) is float
+             and id(node) not in defaults and node.value != 0.0
+             and math.frexp(node.value)[0] != 0.5]
+    assert found == []

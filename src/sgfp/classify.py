@@ -138,7 +138,7 @@ class ThresholdEstimate:
         return _json(vars(self))
 
 
-def threshold_estimate(g: Graph, grid: int = 256) -> ThresholdEstimate:
+def threshold_estimate(g: Graph) -> ThresholdEstimate:
     """The supremum of corr(d, a) over failing samples a, with a certificate.
 
     For pro graphs the affine certificate already proves that no
@@ -152,11 +152,8 @@ def threshold_estimate(g: Graph, grid: int = 256) -> ThresholdEstimate:
     |w|^2 = n c (K^2 m + 1) give its correlation without building it.
     ``validated`` checks in integers that K m > a and that corr(d, w)^2
     falls short of m / (b c) by a relative (m + 2 K m a - a^2) / (K^2 m^2 + m)
-    of at most 2**-60, which K = (a // m + 1) * 2**64 ensures. `grid` (at
-    least 2) is accepted for compatibility and does not change the result.
+    of at most 2**-60, which K = (a // m + 1) * 2**64 ensures.
     """
-    if grid < 2:
-        raise PreconditionViolatedError("grid must be >= 2")
     cls = classify(g)
     if cls.kind == DEGENERATE:
         raise DegenerateGraphError("graph must be connected and non-regular")

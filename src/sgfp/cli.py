@@ -47,7 +47,10 @@ def cmd_optimize(args):
 
 
 def cmd_threshold(args):
-    return threshold_estimate(read_edge_list(args.graph), grid=args.grid).to_json() + "\n"
+    g = read_edge_list(args.graph)
+    if args.grid < 2:  # --grid is kept for compatibility; it changes nothing
+        raise PreconditionViolatedError("grid must be >= 2")
+    return threshold_estimate(g).to_json() + "\n"
 
 
 def cmd_census(args):
@@ -55,7 +58,7 @@ def cmd_census(args):
         raise PreconditionViolatedError("nmin must be <= nmax")
     records = []
     for n in range(args.nmin, args.nmax + 1):
-        row, infeasible = experiments._census(n, args.samples, args.seed, args.epsilon, args.jobs)
+        row, infeasible = experiments.census(n, args.samples, args.seed, args.epsilon, args.jobs)
         if infeasible:
             print(f"warning: n={n}: {infeasible} of {args.samples} samples infeasible "
                   f"at epsilon={args.epsilon}", file=sys.stderr)

@@ -43,7 +43,6 @@ def _census_chunk(args: tuple[int, float, Sequence[int]]) -> list[tuple[bool, fl
     only. At most `_CHUNK` seeds are sampled at once.
     """
     n, epsilon, seeds = args
-    ratio = epsilon.as_integer_ratio()
     memo: dict = {}
     out = []
     blocks = (adj for i in range(0, len(seeds), _CHUNK)
@@ -58,19 +57,19 @@ def _census_chunk(args: tuple[int, float, Sequence[int]]) -> list[tuple[bool, fl
             key = tuple(sorted(zip(d, ys)))
             row = memo.get(key)
             if row is None:
-                row = memo[key] = _census_row(d, lcm, ys, epsilon, ratio)
+                row = memo[key] = _census_row(d, lcm, ys, epsilon)
             out.append(row)
     return out
 
 
-def _census_row(deg: Sequence[int], big_l: int, y: Sequence[int], epsilon: float,
-                ratio: tuple[int, int]) -> tuple[bool, float, float]:
+def _census_row(deg: Sequence[int], big_l: int, y: Sequence[int],
+                epsilon: float) -> tuple[bool, float, float]:
     """(is_pro, r_high, r_ddelta) of one connected draw from its degrees,
     their lcm L and y = L * delta; r_high is NaN when the LP is infeasible
-    at `epsilon`, whose as_integer_ratio() is `ratio`. It is pro (y affine
-    in d, slope > 0) when the moments of (d, y) have a > 0 and a * a = b * c."""
+    at `epsilon`. It is pro (y affine in d, slope > 0) when the moments of
+    (d, y) have a > 0 and a * a = b * c."""
     a, b, c = _moments(deg, y)
-    res = _r_high(deg, y, big_l, epsilon, ratio=ratio)
+    res = _r_high(deg, y, big_l, epsilon)
     return (a > 0 and a * a == b * c, float("nan") if res is None else res[0],
             _pearson(len(deg), a, b, c, 1, big_l))
 
@@ -80,20 +79,15 @@ _INT64_MAX_N = 43  # the largest n with y <= (n - 1) * lcm(1..n-1) < 2**63
 
 
 def census(n: int, samples: int, seed: int, epsilon: float = 0.001,
-           jobs: int = 1) -> CensusRecord:
-    """Classify and optimize `samples` connected non-regular G(n, 1/2) draws.
+           jobs: int = 1) -> tuple[CensusRecord, int]:
+    """Classify and optimize `samples` connected non-regular G(n, 1/2) draws;
+    also returns the number of draws whose LP is infeasible at `epsilon`
+    (their r_high is left out of the means).
 
     Deterministic for a fixed seed regardless of `jobs`: every sample uses
     its own derived seed and results reduce in sample order. At most one
     worker process runs per chunk of samples.
     """
-    return _census(n, samples, seed, epsilon, jobs)[0]
-
-
-def _census(n: int, samples: int, seed: int, epsilon: float = 0.001,
-            jobs: int = 1) -> tuple[CensusRecord, int]:
-    """:func:`census` and the number of draws whose LP is infeasible at
-    `epsilon` (their r_high is left out of the means)."""
     if samples < 1:
         raise PreconditionViolatedError("samples must be >= 1")
     if jobs < 1:
@@ -206,7 +200,7 @@ def rewire_experiment(graphs: Sequence[tuple[str, Graph]], seed: int,
         rh0 = r_high_loose(g0, epsilon)
         rdd0 = r_d_delta(g0)
         rw_seed = mix(seed, index)
-        rew = strip_isolates(configuration_rewire(g, rw_seed))
+        rew = strip_isolates(configuration_rewire(g, rw_seed)[0])
         rh1 = r_high_loose(rew, epsilon) if rew.n >= 2 else None
         rdd1 = r_d_delta(rew) if rew.n >= 2 else None
         records.append(RewireRecord(network_id=name, r_high_original=rh0, r_ddelta_original=rdd0,

@@ -124,26 +124,22 @@ def _filtered_step(deg: Sequence[int], y: Sequence[int], d: np.ndarray, dl: np.n
 
 def _solve_exact(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: float,
                  arrays: Optional[tuple[np.ndarray, np.ndarray]] = None,
-                 ratio: Optional[tuple[int, int]] = None,
                  ) -> Optional[tuple[Sequence[int], int, dict[int, int], int]]:
     """The failing-correlation LP in exact arithmetic, on the kernel's integers.
 
     With y = L * delta the LP's row is y . a <= -epsilon * L, and
-    epsilon * L = e / s exactly (s > 0; `ratio` is (e / L, s) if the caller
-    has checked epsilon). The descent runs in kappa = lambda / L = p / q,
-    so c = q * d - p * y is an integer vector whose median and tie set are
-    exact, and the one-sided slopes of g are decided by the sign of the
-    integer s * (y . a) + e.
+    epsilon * L = e / s exactly (s > 0). The descent runs in
+    kappa = lambda / L = p / q, so c = q * d - p * y is an integer vector
+    whose median and tie set are exact, and the one-sided slopes of g are
+    decided by the sign of the integer s * (y . a) + e.
 
     With `arrays` = (d, delta) in numpy, floats decide what they provably can.
     Returns None if the LP is infeasible, else an optimal a as (a, m, fill,
     y . a * m): a_i in {-1, 1} off the tied nodes, 0 on them, and fill[i] / m
     there, in {-1, 0, 1} but for the two nodes of at most one partial swap.
     """
-    if ratio is None:
-        _check_epsilon(epsilon)
-        ratio = epsilon.as_integer_ratio()
-    e, s = ratio
+    _check_epsilon(epsilon)
+    e, s = epsilon.as_integer_ratio()
     e *= big_l
     n = len(deg)
     # Feasible iff the least y . a over {sum(a) = 0, box} (+1 on the n // 2
@@ -260,15 +256,14 @@ class HighCorrelationResult:
 _FLOAT_MIN_N = 100
 
 
-def _r_high(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: float,
-            ratio: Optional[tuple[int, int]] = None):
+def _r_high(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: float):
     """(r_high, the result of :func:`_solve_exact`, m * (d . a)) for a kernel
     with no isolates and two distinct degrees, or None when the LP is
     infeasible at `epsilon`. Only large graphs build delta = y / L in floats."""
     n = len(deg)
     arrays = ((np.fromiter(deg, np.int64, n), np.fromiter((v / big_l for v in y), float, n))
               if n >= _FLOAT_MIN_N else None)
-    found = _solve_exact(deg, y, big_l, epsilon, arrays, ratio)
+    found = _solve_exact(deg, y, big_l, epsilon, arrays)
     if found is None:
         return None
     a, m, fill, _ = found

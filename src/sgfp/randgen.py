@@ -176,17 +176,6 @@ def sample_connected_nonregular(n: int, p: float, seed: int,
     return _graph_of(next(_sample_blocks(n, p, [seed], max_tries))[0])
 
 
-def configuration_rewire(g: Graph, seed: int) -> Graph:
-    """Stub-matching rewire of g's degree sequence, dropping collisions.
-
-    Self-loops and parallel edges produced by the matching are discarded,
-    so rewired degrees may fall below the originals and the result may
-    contain isolates.
-    """
-    grew, _ = configuration_rewire_with_stats(g, seed)
-    return grew
-
-
 def _shuffle(items: list, seed: int) -> None:
     """``SplitMix64(seed).shuffle(items)``, its draws taken as one array."""
     m = len(items)
@@ -195,8 +184,14 @@ def _shuffle(items: list, seed: int) -> None:
         items[i], items[j] = items[j], items[i]
 
 
-def configuration_rewire_with_stats(g: Graph, seed: int) -> tuple[Graph, int]:
-    """Like :func:`configuration_rewire`, also returning dropped pair count."""
+def configuration_rewire(g: Graph, seed: int) -> tuple[Graph, int]:
+    """Stub-matching rewire of g's degree sequence, dropping collisions, and
+    the number of matched pairs dropped.
+
+    Self-loops and parallel edges produced by the matching are discarded,
+    so rewired degrees may fall below the originals and the result may
+    contain isolates.
+    """
     stubs = np.repeat(np.arange(g.n), np.fromiter(map(len, g.adj), np.int64, g.n)).tolist()
     _shuffle(stubs, seed)
     pairs = np.array(stubs[:len(stubs) // 2 * 2], dtype=np.int64).reshape(-1, 2)

@@ -218,8 +218,9 @@ def _witness(g):
 
 
 def _assert_certificate(g, grids):
+    est = threshold_estimate(g)
     for grid in grids:
-        est, ref = threshold_estimate(g, grid=grid), _threshold_reference(g, grid)
+        ref = _threshold_reference(g, grid)
         assert abs(est.candidate_sup - ref.candidate_sup) <= 1e-14
         assert est.oracle_max >= ref.oracle_max - 1e-12
         assert est.oracle_max <= est.candidate_sup + 1e-15

@@ -386,7 +386,6 @@ def _recorder(module, name, calls, result=None):
 
 @pytest.mark.parametrize("argv, module, name, expected", [
     (["optimize", "{graph}"], "sgfp.cli", "max_failing_correlation", {"epsilon": 0.001}),
-    (["threshold", "{graph}"], "sgfp.cli", "threshold_estimate", {"grid": 256}),
     (["rewire-experiment", "{graph}"], "sgfp.experiments", "rewire_experiment",
      {"seed": 0, "epsilon": 0.001}),
     (["gen", "gnp"], "sgfp.cli", "gnp", {"n": 8, "p": 0.5, "seed": 0}),
@@ -407,8 +406,8 @@ def test_census_defaults(monkeypatch, capsys):
     experiments = importlib.import_module("sgfp.experiments")
     record = experiments.CensusRecord(3, 1, 1, 1.0, None, None, None, None, 0)
     calls = []
-    monkeypatch.setattr(experiments, "_census",
-                        _recorder(experiments, "_census", calls, (record, 0)))
+    monkeypatch.setattr(experiments, "census",
+                        _recorder(experiments, "census", calls, (record, 0)))
     assert main(["census"]) == 0
     assert [c["n"] for c in calls] == list(range(3, 11))
     for call in calls:

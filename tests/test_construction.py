@@ -18,7 +18,7 @@ from sgfp.experiments import strip_isolates
 from sgfp.graph import Graph, build_graph
 from sgfp.ingest import edge_list_from_string
 from sgfp.randgen import (SplitMix64, _graph_of, _sample_blocks, _shuffle,
-                          configuration_rewire_with_stats, gnp, mix)
+                          configuration_rewire, gnp, mix)
 
 from conftest import preferential_attachment, random_graphs
 
@@ -137,7 +137,7 @@ def test_rewire_matches_reference_for_200_seeds():
     graphs = [preferential_attachment(60, 3), *random_graphs(17, 3, (4, 12))]
     for seed in range(200):
         g = graphs[seed % len(graphs)]
-        (got, dropped), (want, want_dropped) = (configuration_rewire_with_stats(g, seed),
+        (got, dropped), (want, want_dropped) = (configuration_rewire(g, seed),
                                                ref_rewire(g, seed))
         assert_same(got, want)
         assert dropped == want_dropped

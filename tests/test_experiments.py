@@ -53,6 +53,7 @@ def test_census_is_deterministic_across_jobs():
 def _census_without_memo(n, samples, seed, epsilon):
     """Census reference: classify and solve every draw, with no memo."""
     rows = {True: ([], []), False: ([], [])}
+    infeasible = 0
     for i in range(samples):
         g = reference_sample(n, 0.5, mix(mix(seed, n), i))
         cls = classify(g)
@@ -60,6 +61,7 @@ def _census_without_memo(n, samples, seed, epsilon):
             r_high = max_failing_correlation(g, epsilon).r_high
         except InfeasibleAtEpsilonError:
             r_high = None
+            infeasible += 1
         rh, rdd = rows[cls.kind == PRO]
         if r_high is not None:
             rh.append(r_high)
@@ -71,7 +73,7 @@ def _census_without_memo(n, samples, seed, epsilon):
     pro = len(rows[True][1])
     return CensusRecord(n, samples, pro, pro / samples,
                         mean(rows[True][0]), mean(rows[False][0]),
-                        mean(rows[True][1]), mean(rows[False][1]), seed)
+                        mean(rows[True][1]), mean(rows[False][1]), seed), infeasible
 
 
 @pytest.mark.parametrize("epsilon", [1e-3, 0.9])  # 0.9 leaves some draws infeasible
@@ -112,7 +114,7 @@ def test_census_row_equals_the_kernel_path_on_every_signature():
         for d, big_l, y in every_signature(n):
             k = Kernel(tuple(d), big_l, tuple(y))
             res = _failing_witness(k, 1e-3)
-            is_pro, r_high, r_dd = _census_row(d, big_l, y, 1e-3, (1e-3).as_integer_ratio())
+            is_pro, r_high, r_dd = _census_row(d, big_l, y, 1e-3)
             assert is_pro == (_affine_fit(k.deg, k.y)[0] is not None)
             assert r_high == res.r_high if res else r_high != r_high
             assert r_dd == k.r_ddelta

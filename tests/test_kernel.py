@@ -183,7 +183,7 @@ LAZY = {"moments", "r_ddelta", "delta"}
 
 
 def test_lazy_kernel_quantities_equal_their_definitions():
-    rewired = configuration_rewire(preferential_attachment(40, seed=1), 18)
+    rewired, _ = configuration_rewire(preferential_attachment(40, seed=1), 18)
     assert not all(rewired.adj)  # isolates, as before strip_isolates
     kernels = [Kernel(tuple(d), big_l, tuple(y)) for n in range(3, 8)
                for d, big_l, y in every_signature(n)]

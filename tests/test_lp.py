@@ -68,8 +68,7 @@ def _criterion_5_stream():
 
 @pytest.mark.parametrize("eps", [1e-3, 0.5, 1.0])
 def test_r_high_without_a_witness_equals_the_witness_path(eps):
-    # As the census calls it: no delta, no Kernel, epsilon checked by the
-    # caller. Its r_high is also the correlation of the degrees with the
+    # As the census calls it: no delta, no Kernel. Its r_high is also the correlation of the degrees with the
     # witness, computed again from the witness's integers.
     kernels = [kernel(g) for g in _criterion_5_stream()]
     kernels += [Kernel(tuple(d), big_l, tuple(y)) for n in range(3, 8)
@@ -77,7 +76,7 @@ def test_r_high_without_a_witness_equals_the_witness_path(eps):
     infeasible = 0
     for k in kernels:
         res = _failing_witness(k, eps)
-        got = _r_high(list(k.deg), list(k.y), k.lcm, eps, ratio=eps.as_integer_ratio())
+        got = _r_high(list(k.deg), list(k.y), k.lcm, eps)
         if res is None:
             assert got is None
             infeasible += 1

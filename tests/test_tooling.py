@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 import math
 from pathlib import Path
 
@@ -21,12 +22,18 @@ def test_no_assert_in_package_code():
     assert found == []
 
 
+def test_every_submodule_is_the_package_attribute_of_its_name():
+    # A package-root name that shadows a submodule (a function `classify`
+    # over the module `sgfp.classify`) would make a test patch the wrong object.
+    for p in SOURCES:
+        if p.stem != "__init__":
+            assert importlib.import_module(f"sgfp.{p.stem}") is getattr(sgfp, p.stem), p.stem
+
+
 def _unused_imports(paths):
     # Every name a module imports must be used as a name in it.
     found = []
     for p in paths:
-        if p.name == "__init__.py":
-            continue
         tree = ast.parse(p.read_text(encoding="utf-8"), str(p))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found += [f"{p.name}:{node.lineno}:{name}" for node in ast.walk(tree)

@@ -18,9 +18,9 @@ class IsolatedNodeError(SgfpError):
 
 
 class UnknownNodeError(SgfpError):
-    def __init__(self, node):
+    def __init__(self, node, problem="unknown node"):
         self.node = node
-        super().__init__(f"unknown node {node!r}")
+        super().__init__(f"{problem} {node!r}")
 
 
 class LengthMismatchError(SgfpError):

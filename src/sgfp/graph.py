@@ -7,23 +7,24 @@ Exact per-graph quantities come from one integer :class:`Kernel` (degrees,
 L and y = L * delta), cached on the graph on first use; its moments,
 r_{d,delta} and float delta are computed on first read, once each.
 
-Every graph the package builds from edges (:func:`build_graph`, the random
-generators, rewiring, isolate stripping) takes one path: the edges become
-sorted, distinct directed keys i*n + j in numpy (:func:`_arcs`), and
-:func:`_from_keys` slices them into neighbour tuples, which
-:meth:`Graph._trusted` takes as they are; so does the growth step. The
-public ``Graph(adj, labels)`` trusts nothing: it sorts and de-duplicates
-every neighbour list and checks, in O(n + m), every promise of the class.
+Every graph the package builds from edges (:func:`build_graph` and the
+edge-list reader, through one label core; the random generators, rewiring,
+isolate stripping) takes one path: the edges become sorted, distinct keys
+i*n + j in numpy (:func:`_arcs`), and :func:`_from_keys` slices them into
+neighbour tuples, which :meth:`Graph._trusted` takes as they are, as does the
+growth step. The public ``Graph(adj, labels)`` trusts nothing: it sorts and
+de-duplicates every neighbour list and checks every promise in O(n + m).
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, count
 from operator import eq, mul
 from typing import Hashable, Iterable, Optional, Sequence
 
@@ -111,29 +112,32 @@ def build_graph(edges: Iterable[tuple[NodeId, NodeId]],
     The first bad edge decides the error: a self-loop, else its first
     unknown endpoint.
     """
-    if not isinstance(edges, (list, tuple)):
-        edges = list(edges)
+    edges = edges if isinstance(edges, (list, tuple)) else list(edges)
     try:  # a string of two characters is no pair
         pairs = set(map(len, edges)) <= {2} and not {str, bytes} & set(map(type, edges))
     except TypeError:  # no len()
         pairs = False
     if not pairs:
         raise PreconditionViolatedError("every edge must be a pair of labels")
-    flat = list(chain.from_iterable(edges))
-    labels = tuple(dict.fromkeys(flat if nodes is None else nodes))
-    n = len(labels)
-    index = dict(zip(labels, range(n)))
-    ends = list(map(index.get, flat, repeat(-1)))
+    return _label_graph(list(chain.from_iterable(edges)), nodes)
+
+
+def _label_graph(flat: list, nodes: Sequence[NodeId] | None = None) -> Graph:
+    """:func:`build_graph` of the edges flat[2k]--flat[2k + 1], for the edge-list reader too."""
+    labels = () if nodes is None else tuple(dict.fromkeys(nodes))
+    # One hash pass: a label first seen gets the next free index.
+    index = defaultdict(count(len(labels)).__next__, zip(labels, count()))
+    ends = list(map(index.__getitem__, flat))
+    index.default_factory = None  # from here on an unknown label raises KeyError
+    n = len(index) if nodes is None else len(labels)
     heads, tails = ends[::2], ends[1::2]
-    # A self-loop, or two unknown labels (index -1), or one unknown label.
-    if True in map(eq, heads, tails) or (nodes is not None and -1 in ends):
-        k = next(k for k, (i, j) in enumerate(zip(heads, tails)) if i == j or min(i, j) < 0)
-        (u, v), i, j = edges[k], heads[k], tails[k]
-        if u == v or min(i, j) >= 0:
-            raise SelfLoopError(u)
-        raise UnknownNodeError(u if i < 0 else v)
+    if True in map(eq, heads, tails) or len(index) > n:  # a self-loop, or a label not in nodes
+        k = next(k for k, (i, j) in enumerate(zip(heads, tails)) if i == j or max(i, j) >= n)
+        u, v = flat[2 * k:2 * k + 2]
+        raise (SelfLoopError(u) if heads[k] == tails[k] else
+               UnknownNodeError(u if heads[k] >= n else v))
     keys = _arcs(n, heads, tails)
-    return _from_keys(n, keys, labels, len(edges) - len(keys) // 2, index)
+    return _from_keys(n, keys, tuple(index), len(heads) - len(keys) // 2, index)
 
 
 def _arcs(n: int, heads, tails) -> np.ndarray:

@@ -19,7 +19,10 @@ import math
 import re
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import compress
 from typing import Callable, Iterator, Optional, Sequence, TextIO, Union
+
+import numpy as np
 
 from .errors import (
     DuplicateRowError,
@@ -29,11 +32,15 @@ from .errors import (
     PreconditionViolatedError,
     UnknownNodeError,
 )
-from .graph import Graph, build_graph
+from .graph import Graph, _label_graph
 
 Source = Union[str, TextIO]
 
 NA = "NA"
+
+# The code points str.split takes for whitespace; take(mode="clip") maps all above U+3000 to False.
+_SPACE = np.bincount([*range(9, 14), *range(28, 33), 0x85, 0xA0, 0x1680, *range(0x2000, 0x200B),
+                      0x2028, 0x2029, 0x202F, 0x205F, 0x3000], minlength=0x3002).astype(bool)
 
 
 @contextmanager
@@ -59,22 +66,27 @@ def opened(target: Source, mode: str = "r") -> Iterator[TextIO]:
 def read_edge_list(source: Source) -> Graph:
     """Parse an edge-list file into a graph; labels stay strings.
 
-    The text is read once and split on newlines only (a text-mode file has
-    already turned every line ending into one), then each line on
-    whitespace. A line that is not a comment must hold two labels, else
-    :class:`ParseError` names the first such line.
+    The labels are split once, and one numpy pass over the code points
+    counts them per line (only a newline ends a line). A line whose first
+    label starts with '#' is a comment; any other with labels must hold
+    two, else :class:`ParseError` names the first that does not.
     """
     with opened(source) as fh:
         text = fh.read()
-    lines = text.split("\n")
-    rows = list(filter(None, map(str.split, lines)))
-    if "#" in text:
-        rows = [r for r in rows if not r[0].startswith("#")]
-    if set(map(len, rows)) - {2}:
-        for lineno, parts in enumerate(map(str.split, lines), start=1):
-            if parts and not parts[0].startswith("#") and len(parts) != 2:
-                raise ParseError(lineno, f"expected two labels, got {len(parts)}")
-    return build_graph(rows)
+    labels = text.split()
+    # A leading newline numbers the lines from 1 and puts a blank before every label.
+    code = np.frombuffer(("\n" + text).encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    space = _SPACE.take(code, mode="clip")
+    before = (space[:-1] > space[1:]).nonzero()[0]  # the blank before each label
+    counts = np.bincount((code == 10).nonzero()[0].searchsorted(before, "right"))  # labels per line
+    ok = counts & ~2 == 0  # no label or two
+    # Whether each line's first label (on a blank line, the next line's) starts with '#'.
+    if "#" in text and (comment := code[before[counts.cumsum() - counts] + 1] == 35).any():
+        ok |= comment
+        labels = list(compress(labels, np.repeat(~comment, counts).tolist()))
+    if not ok.all():
+        raise ParseError(int(ok.argmin()), f"expected two labels, got {counts[ok.argmin()]}")
+    return _label_graph(labels)
 
 
 def edge_list_text(g: Graph) -> str:
@@ -126,9 +138,8 @@ def _read_node_table(source: Source, g: Graph, column: str,
             if idx in values:
                 raise DuplicateRowError(node)
             values[idx] = parse(lineno, row[1].strip())
-    missing = [g.labels[i] for i in range(g.n) if i not in values]
-    if missing:
-        raise UnknownNodeError(missing[0])
+    if len(values) < g.n:
+        raise UnknownNodeError(g.labels[min(set(range(g.n)) - values.keys())], "no row for node")
     return [values[i] for i in range(g.n)]
 
 

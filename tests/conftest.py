@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from sgfp.errors import ExhaustedTriesError
+from sgfp.errors import ExhaustedTriesError, ParseError
 from sgfp.graph import build_graph, is_connected, is_regular
 from sgfp.randgen import SplitMix64, mix, sample_connected_nonregular
 
@@ -25,6 +25,21 @@ def reference_sample(n, p, seed, max_tries=10000):
     raise ExhaustedTriesError(max_tries)
 
 
+def reference_read_edge_list(text):
+    """The per-line edge-list reader: split the text on newlines, each line
+    on whitespace; skip blank lines and lines whose first label starts with
+    '#'; every other line must hold two labels."""
+    lines = text.split("\n")
+    rows = list(filter(None, map(str.split, lines)))
+    if "#" in text:
+        rows = [r for r in rows if not r[0].startswith("#")]
+    if set(map(len, rows)) - {2}:
+        for lineno, parts in enumerate(map(str.split, lines), start=1):
+            if parts and not parts[0].startswith("#") and len(parts) != 2:
+                raise ParseError(lineno, f"expected two labels, got {len(parts)}")
+    return build_graph(rows)
+
+
 def random_graphs(base_seed, count, n_range=(4, 10), p=0.5):
     """Seeded stream of connected non-regular graphs for property tests."""
     lo, hi = n_range
@@ -33,8 +48,8 @@ def random_graphs(base_seed, count, n_range=(4, 10), p=0.5):
         yield sample_connected_nonregular(n, p, mix(base_seed, i))
 
 
-def preferential_attachment(n, seed, m=2):
-    """Seeded sparse connected graph with heavy-tailed degrees."""
+def preferential_attachment_edges(n, seed, m=2):
+    """The edges of preferential_attachment(n, seed, m), in generation order."""
     rng = random.Random(seed)
     edges, ends = [], []
     for v in range(m, n):
@@ -44,7 +59,12 @@ def preferential_attachment(n, seed, m=2):
         for u in sorted(chosen):
             edges.append((v, u))
             ends += [u, v]
-    return build_graph(edges)
+    return edges
+
+
+def preferential_attachment(n, seed, m=2):
+    """Seeded sparse connected graph with heavy-tailed degrees."""
+    return build_graph(preferential_attachment_edges(n, seed, m))
 
 
 @pytest.fixture

@@ -248,6 +248,15 @@ def test_analyze_malformed_attribute_file_exits_1(tmp_path, capsys, text, messag
     assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize("command, column", [("analyze", "value"), ("propown", "label")])
+def test_node_table_without_a_row_for_a_node_exits_1(tmp_path, capsys, command, column):
+    graph, path = tmp_path / "path3.edges", tmp_path / "ab.csv"
+    graph.write_text("a b\nb c\n")
+    path.write_text(f"node,{column}\na,1\nb,2\n")
+    assert main([command, str(graph), str(path)]) == 1
+    assert capsys.readouterr().err == "error: no row for node 'c'\n"
+
+
 def test_analyze_skips_blank_attribute_rows(tmp_path, capsys):
     graph, attrs = tmp_path / "g.edges", tmp_path / "a.csv"
     graph.write_text("1 2\n2 3\n3 4\n")

@@ -2,7 +2,8 @@
 that makes them was replaced (the census and rewiring CSVs before the integer
 LP descent and the leaner sampler round; the growth curve and the per-graph
 commands before the kernel computed its moments, r_{d,delta} and delta on
-first read). Any change to a figure, or to the output bytes, fails here."""
+first read; the messy edge file before the one-pass edge-list reader). Any
+change to a figure, or to the output bytes, fails here."""
 
 import hashlib
 import random
@@ -14,7 +15,7 @@ from sgfp.experiments import strip_isolates
 from sgfp.ingest import edge_list_text, node_values_text
 from sgfp.randgen import gnp, mix
 
-from conftest import preferential_attachment
+from conftest import preferential_attachment, preferential_attachment_edges
 
 CENSUS_SHA256 = "c193031d97fdc80fcd0b5330aac883b47c4661cbe70435c49d02160b1c70cfb3"
 REWIRE_SHA256 = "1085e132eabcfb7a0cf52cce3b4f0bfb869a489450921b0d3b2d06584c7c2dce"
@@ -25,6 +26,12 @@ PA_SHA256 = {
     "analyze": "10527b8fd34ce84ac77a0b0f43ae3c0e30a99746a4608ae3a55435d16e5453dd",
     "optimize": "647bfee41260e5ec23233d9eb4e2993e2ed85276577ca1d17df328b80d32ea0f",
     "threshold": "643e134bcd57da2731388c76c6772e0c9664c894283c8a597ea6a83343f47f73",
+}
+# On messy_edge_text(2500, seed=11), attributes random.Random(11).randint(-50, 50)
+# in sorted label order.
+MESSY_SHA256 = {
+    "classify": "0cb6a12b9562c3a2be35b8c7d26a1e50b3e94b837d723aa58fa2a772b63711fe",
+    "analyze": "26da4556a7137a5adfc1b87d422448fad107a194428046f06fddaba108dfc033",
 }
 
 
@@ -78,3 +85,49 @@ def test_per_graph_command_output_is_unchanged(pa_files, command, extra):
     argv = [command, str(pa_files / "g.edges"), *(a.format(a=pa_files / "a.csv") for a in extra)]
     assert main([*argv, "--output", str(out)]) == 0
     assert _digest(out) == PA_SHA256[command]
+
+
+def messy_edge_text(n, seed):
+    """preferential_attachment_edges(n, seed) in generation order under
+    shuffled string labels, with CRLF line ends, tabs and runs of blanks
+    between labels, comment lines (some indented, some holding three
+    labels), blank lines, and duplicate or reversed copies of earlier edges."""
+    rng = random.Random(seed)
+    names = [f"v{k}" for k in range(n)]
+    rng.shuffle(names)
+    edges = preferential_attachment_edges(n, seed)
+    lines = ["# messy edge list", ""]
+    for k, (u, v) in enumerate(edges):
+        if rng.random() < 0.5:
+            u, v = v, u
+        gap, tail = rng.choice([" ", "\t", "  ", " \t "]), rng.choice(["", " ", "\t"])
+        lines.append(f"{names[u]}{gap}{names[v]}{tail}")
+        roll = rng.random()
+        if roll < 0.03:
+            lines.append(rng.choice(["# a b c", "  #note", "\t# x y", "#"]))
+        elif roll < 0.05:
+            lines.append(rng.choice(["", "  ", "\t"]))
+        elif roll < 0.10:
+            a, b = edges[rng.randrange(k + 1)]
+            lines.append(names[b] + "\t" + names[a] if roll < 0.08 else f" {names[a]} {names[b]}")
+    return "\r\n".join(lines) + "\r\n"
+
+
+@pytest.fixture(scope="module")
+def messy_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("messy")
+    (root / "g.edges").write_bytes(messy_edge_text(2500, seed=11).encode())
+    rng = random.Random(11)
+    labels = sorted(f"v{k}" for k in range(2500))
+    (root / "a.csv").write_text("node,value\n" + "".join(
+        f"{label},{rng.randint(-50, 50)}\n" for label in labels))
+    return root
+
+
+@pytest.mark.parametrize("command, extra", [("classify", []), ("analyze", ["{a}", "--per-node"])])
+def test_messy_edge_file_output_is_unchanged(messy_files, command, extra):
+    out = messy_files / f"{command}.json"
+    argv = [command, str(messy_files / "g.edges"),
+            *(a.format(a=messy_files / "a.csv") for a in extra)]
+    assert main([*argv, "--output", str(out)]) == 0
+    assert _digest(out) == MESSY_SHA256[command]

@@ -1,13 +1,18 @@
 import io
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgfp.construct import example_graph_fig1, path, star
-from sgfp.errors import DuplicateRowError, LengthMismatchError, ParseError, UnknownNodeError
+from sgfp.errors import (DuplicateRowError, LengthMismatchError, ParseError, SgfpError,
+                         UnknownNodeError)
 from sgfp.graph import build_graph, degrees
 from sgfp.metrics import singular_gap
 from sgfp.ingest import (
+    _SPACE,
     edge_list_from_string,
     prop_own,
     read_attributes,
@@ -15,6 +20,8 @@ from sgfp.ingest import (
     read_labels,
     write_graph,
 )
+
+from conftest import reference_read_edge_list
 
 
 def test_read_edge_list_basic():
@@ -56,6 +63,43 @@ def test_line_breaks_other_than_newline_do_not_end_a_line():
     with pytest.raises(ParseError) as info:
         edge_list_from_string("# a\u2028b c\na b c\n")
     assert info.value.line_number == 2
+
+
+def test_whitespace_table_is_str_isspace():
+    want = {c for c in range(0x110000) if chr(c).isspace()}
+    assert set(np.flatnonzero(_SPACE).tolist()) == want
+    assert max(want) < len(_SPACE) - 1  # the last entry, for every code point above, is False
+
+
+def read_outcome(read, text):
+    try:
+        g = read(text)
+    except SgfpError as exc:
+        return type(exc), getattr(exc, "line_number", None), str(exc)
+    return g.labels, g.adj, g.m, g.duplicates_collapsed
+
+
+# Every break str.split knows, of which only "\n" ends a line, and labels that
+# repeat (so edges come duplicated, reversed and as self-loops), start with
+# '#', or hold non-ASCII characters, some above U+FFFF.
+BLANKS = " \t\r\x0b\x1c\x85\xa0\u2028\u3000"
+blanks, gaps = st.text(BLANKS, max_size=2), st.text(BLANKS, min_size=1, max_size=2)
+edge_labels = st.sampled_from(["a", "b", "c", "é", "中", "a#", "#", "#b", "\U0001d400"])
+any_lines = st.builds(lambda lead, words: lead + "".join(map("".join, words)),
+                      blanks, st.lists(st.tuples(edge_labels, gaps), max_size=4))
+pair_lines = st.builds(lambda lead, u, gap, v, tail: lead + u + gap + v + tail,
+                       blanks, edge_labels, gaps, edge_labels, blanks)
+edge_texts = st.one_of(
+    st.lists(any_lines, max_size=12).map("\n".join),
+    st.lists(pair_lines, max_size=12).map("\n".join),  # mostly graphs
+    st.text("ab#é中\U0001d400\n" + BLANKS, max_size=40),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(edge_texts)
+def test_read_edge_list_matches_the_per_line_reader(text):
+    assert read_outcome(edge_list_from_string, text) == read_outcome(reference_read_edge_list, text)
 
 
 def test_byte_order_mark_leaves_no_phantom_node(tmp_path):

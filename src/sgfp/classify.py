@@ -2,9 +2,9 @@
 
 A connected non-regular graph admits no positively-correlated failing
 attribute sample exactly when its reciprocal-degree sums are an affine
-function of its degrees with non-negative slope. The fit is checked by
-integer cross-multiplication on the graph's kernel (L * delta is an
-integer vector), so there is no tolerance anywhere in the decision path.
+function of its degrees with non-negative slope. The fit is checked on
+the integer moments of the graph's kernel (L * delta is an integer
+vector), so there is no tolerance anywhere in the decision path.
 The threshold of an anti graph is certified the same way: an integer
 witness, known only through three integer moments, fails and reaches the
 closed-form supremum to a relative 2**-60, checked in integers.
@@ -46,7 +46,8 @@ def classify(g: Graph) -> Classification:
 
     Regular or disconnected graphs are degenerate. Otherwise the graph is
     pro-SGFP iff delta_i = x*d_i + z holds exactly for all nodes with some
-    x >= 0 (the fitted x is then necessarily positive).
+    x > 0: y = L * delta is affine in d iff its moments have a * a = b * c,
+    with slope a / b = x L > 0 (the census's pro test).
     """
     if g.n == 0:
         return Classification(DEGENERATE, None, "empty graph")
@@ -55,27 +56,15 @@ def classify(g: Graph) -> Classification:
     if is_regular(g):
         return Classification(DEGENERATE, None, "graph is regular")
     k = kernel(g)
-    slope, reason = _affine_fit(k.deg, k.y)
-    if slope is None:
-        return Classification(ANTI, None, reason, k.r_ddelta)
-    dy, dd = slope
-    x = Fraction(dy, k.lcm * dd)
+    a, b, c = k.moments
+    if a * a != b * c:
+        return Classification(ANTI, None, "reciprocal-degree sums are not an affine function "
+                                          "of degree", k.r_ddelta)
+    if a <= 0:
+        return Classification(ANTI, None, "affine fit has non-positive slope", k.r_ddelta)
+    x = Fraction(a, b * k.lcm)
     z = Fraction(k.y[0], k.lcm) - x * k.deg[0]
-    return Classification(PRO, (x, z), reason, k.r_ddelta)
-
-
-def _affine_fit(deg: Sequence[int], y: Sequence[int]) -> tuple[Optional[tuple[int, int]], str]:
-    """The pro test on integer degrees and y = L * delta (two distinct
-    degrees at least): ((dy, dd), reason) when y is exactly an affine
-    function of the degrees with slope dy / dd > 0, else (None, reason)."""
-    # Line through node 0 and a node j of another degree.
-    j = next(i for i, d in enumerate(deg) if d != deg[0])
-    dy, dd = y[j] - y[0], deg[j] - deg[0]
-    if dy * dd <= 0:
-        return None, "affine fit has non-positive slope"
-    if any((yi - y[0]) * dd != dy * (di - deg[0]) for di, yi in zip(deg, y)):
-        return None, "reciprocal-degree sums are not an affine function of degree"
-    return (dy, dd), "delta = x*d + z exactly with x > 0"
+    return Classification(PRO, (x, z), "delta = x*d + z exactly with x > 0", k.r_ddelta)
 
 
 def attach_pendant_path(g: Graph, at) -> Graph:

@@ -6,8 +6,8 @@ degree-3/attribute-3 nodes by replacing two marked disjoint edges among
 attribute-3/degree-3 nodes with a connected pair of new nodes. Both gadgets
 leave every pre-existing node's degree, attribute, and friend-attribute
 mean untouched, so the (gap * node count) product is invariant. A step
-re-sorts only the ten neighbour lists it touches and builds the child on the
-trusted constructor; the child computes its kernel on first use.
+edits the parent's edge arrays and builds the child through :func:`_arcs`
+and :func:`_from_keys`; the child computes its kernel on first use.
 """
 
 from __future__ import annotations
@@ -15,8 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvariantBrokenError, PreconditionViolatedError, TooSmallError
-from .graph import Graph, build_graph
+from .graph import Graph, _arcs, _from_keys, _sources, build_graph
 
 Edge = tuple[int, int]
 
@@ -84,10 +86,11 @@ def initial_growth_state() -> GrowthState:
 
 def _check_marker(g: Graph, attrs, edge: Edge, want: int) -> None:
     u, v = edge
-    if v not in g.adj[u]:
+    start, end = g.ptr[u:u + 2].tolist()
+    if v not in g.nbr[start:end].tolist():
         raise InvariantBrokenError(f"marker edge {edge} missing")
     for node in edge:
-        if len(g.adj[node]) != want or attrs[node] != want:
+        if g.ptr[node + 1] - g.ptr[node] != want or attrs[node] != want:
             raise InvariantBrokenError(
                 f"marker node {node} is not a degree-{want}/attribute-{want} node")
 
@@ -111,15 +114,16 @@ def grow_step(state: GrowthState) -> GrowthState:
     if not {w1, w2, p, q}.isdisjoint(g.labels):
         raise InvariantBrokenError(f"labels {n}..{n + 3} of the new nodes are in use")
 
-    # Only the six marker endpoints change: subdivide u-v twice
-    # (u - w2 - w1 - v) and replace u1-v1, u2-v2 by u1, v1 - p - q - u2, v2.
-    # That adds 5 edges; the ten touched neighbour lists are sorted again.
-    adj = list(g.adj)
-    for node, old, new in ((u, v, w2), (v, u, w1), (u1, v1, p), (v1, u1, p),
-                           (u2, v2, q), (v2, u2, q)):
-        adj[node] = tuple(sorted(new if j == old else j for j in adj[node]))
-    adj += map(tuple, map(sorted, ((w2, v), (u, w1), (u1, v1, q), (p, u2, v2))))
-    child = Graph._trusted(tuple(adj), g.labels + (w1, w2, p, q), g.m + 5, 0, None)
+    # Replace u-v, u1-v1, u2-v2 by u-w2, u1-p, u2-q and append five edges:
+    # the chain u - w2 - w1 - v and the pair u1, v1 - p - q - u2, v2.
+    src = _sources(g)
+    upper = src < g.nbr
+    heads, tails = src[upper], g.nbr[upper]  # the edges i < j, sorted by i*n + j
+    at = np.searchsorted(heads * n + tails, [min(e) * n + max(e) for e in ((u, v), e1, e2)])
+    heads[at], tails[at] = (u, u1, u2), (w2, p, q)
+    keys = _arcs(n + 4, np.concatenate((heads, (w2, w1, v1, p, q))),
+                 np.concatenate((tails, (w1, v, p, q, v2))))
+    child = _from_keys(n + 4, keys, g.labels + (w1, w2, p, q))
     return GrowthState(graph=child, attrs=tuple(attrs + [2, 2, 3, 3]), two_chain_edge=(w2, w1),
                        three_edges=((u1, p), (u2, q)), k=state.k + 1)
 

@@ -8,14 +8,13 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, fields
-from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .construct import initial_growth_state, grow_step
 from .errors import PreconditionViolatedError
-from .graph import Graph, _from_keys, _moments, _pearson, kernel
+from .graph import Graph, _from_keys, _moments, _pearson, _sources, kernel
 from .lp import _check_epsilon, _r_high
 from .metrics import correlation, r_d_delta, singular_gap
 from .randgen import _sample_blocks, configuration_rewire, mix
@@ -161,15 +160,13 @@ REWIRE_COLUMNS = [f.name for f in fields(RewireRecord)]
 def strip_isolates(g: Graph) -> Graph:
     """Drop degree-0 nodes, keeping canonical order of the remainder; `g`
     itself when it has none."""
-    if all(g.adj):
+    deg = g.ptr[1:] - g.ptr[:-1]
+    if deg.all():
         return g
-    deg = np.fromiter(map(len, g.adj), np.int64, g.n)
     keep = np.flatnonzero(deg)
     # Renumbering is monotone, so the keys of the kept arcs stay sorted.
     rank = np.cumsum(deg > 0) - 1
-    src = np.repeat(np.arange(len(keep)), deg[keep])
-    dst = rank[np.fromiter(chain.from_iterable(g.adj), np.int64, 2 * g.m)]
-    return _from_keys(len(keep), src * len(keep) + dst,
+    return _from_keys(len(keep), rank[_sources(g)] * len(keep) + rank[g.nbr],
                       tuple(map(g.labels.__getitem__, keep.tolist())))
 
 

@@ -7,13 +7,12 @@ Exact per-graph quantities come from one integer :class:`Kernel` (degrees,
 L and y = L * delta), cached on the graph on first use; its moments,
 r_{d,delta} and float delta are computed on first read, once each.
 
-Every graph the package builds from edges (:func:`build_graph` and the
-edge-list reader, through one label core; the random generators, rewiring,
-isolate stripping) takes one path: the edges become sorted, distinct keys
-i*n + j in numpy (:func:`_arcs`), and :func:`_from_keys` slices them into
-neighbour tuples, which :meth:`Graph._trusted` takes as they are, as does the
-growth step. The public ``Graph(adj, labels)`` trusts nothing: it sorts and
-de-duplicates every neighbour list and checks every promise in O(n + m).
+A graph is two read-only int64 arrays in compressed sparse rows: node i's
+sorted neighbours are ``nbr[ptr[i]:ptr[i + 1]]``. :func:`_from_keys` cuts
+every graph from the sorted, distinct keys i*n + j of its arcs (:func:`_arcs`):
+the label core of :func:`build_graph` and the edge-list reader, the random
+generators, rewiring, isolate stripping, growth, and ``Graph(adj, labels)``
+once it has checked every promise in O(n + m). ``adj`` is built on first read.
 """
 
 from __future__ import annotations
@@ -39,11 +38,9 @@ class Graph:
     """Immutable simple undirected graph.
 
     No self-loops, no parallel edges; adjacency is symmetric and each
-    neighbor tuple is sorted. ``duplicates_collapsed`` counts input edges
+    node's neighbours are sorted. ``duplicates_collapsed`` counts input edges
     that were dropped as duplicates during construction. Labels are unique.
     """
-
-    __slots__ = ("n", "m", "adj", "labels", "duplicates_collapsed", "_index", "_kernel")
 
     def __init__(self, adj: Sequence[Iterable[int]], labels: Sequence[NodeId] | None = None,
                  duplicates_collapsed: int = 0):
@@ -51,34 +48,28 @@ class Graph:
             sets = [set(map(operator.index, a)) for a in adj]
         except TypeError:
             raise PreconditionViolatedError("neighbours must be integers") from None
-        self.n = n = len(sets)
-        self.labels: tuple[NodeId, ...] = tuple(range(n)) if labels is None else tuple(labels)
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
-        if len(self._index) != n:
+        n = len(sets)
+        labels = tuple(range(n)) if labels is None else tuple(labels)
+        index = {lab: i for i, lab in enumerate(labels)}
+        if len(index) != n:
             raise PreconditionViolatedError("node labels must be unique")
         nodes = set(range(n))
         for i, s in enumerate(sets):
             if i in s:
-                raise SelfLoopError(self.labels[i])
+                raise SelfLoopError(labels[i])
             if not s <= nodes:
                 raise PreconditionViolatedError(f"node {i} has a neighbour outside 0..{n - 1}")
             if any(i not in sets[j] for j in s):
                 raise PreconditionViolatedError(f"node {i} has a neighbour not adjacent to it")
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in sets)
-        self.m = sum(map(len, sets)) // 2
-        self.duplicates_collapsed = duplicates_collapsed
-        self._kernel: Optional[Kernel] = None
+        heads = np.repeat(np.arange(n), list(map(len, sets)))
+        keys = _arcs(n, heads, list(chain.from_iterable(sets)))
+        vars(self).update(vars(_from_keys(n, keys, labels, duplicates_collapsed, index)))
 
-    @classmethod
-    def _trusted(cls, adj: tuple[tuple[int, ...], ...], labels: tuple[NodeId, ...], m: int,
-                 duplicates_collapsed: int, index: Optional[dict]) -> Graph:
-        """A graph of `adj` and `labels` taken as they are: symmetric, sorted,
-        distinct neighbour tuples with no self-loop, m edges, unique labels.
-        `index` maps each label to its node, or is None to build it on demand."""
-        g = object.__new__(cls)
-        g.adj, g.n, g.m, g.labels = adj, len(adj), m, labels
-        g.duplicates_collapsed, g._kernel, g._index = duplicates_collapsed, None, index
-        return g
+    @cached_property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """Each node's sorted neighbours as a tuple of Python ints, built on first read."""
+        ends, nbr = self.ptr.tolist(), tuple(self.nbr.tolist())
+        return tuple(map(nbr.__getitem__, map(slice, ends[:-1], ends[1:])))
 
     def index_of(self, label: NodeId) -> int:
         if self._index is None:
@@ -89,16 +80,20 @@ class Graph:
             raise UnknownNodeError(label) from None
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.n) for j in self.adj[i] if i < j]
+        """The edges as pairs (i, j) of Python ints with i < j, in (i, j) order."""
+        src = _sources(self)
+        upper = src < self.nbr
+        return list(zip(src[upper].tolist(), self.nbr[upper].tolist()))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.adj == other.adj and self.labels == other.labels
+        return (isinstance(other, Graph) and self.labels == other.labels
+                and np.array_equal(self.ptr, other.ptr) and np.array_equal(self.nbr, other.nbr))
 
     def __hash__(self):
-        return hash((self.adj, self.labels))
+        return hash((self.labels, self.ptr.tobytes(), self.nbr.tobytes()))
 
 
 def build_graph(edges: Iterable[tuple[NodeId, NodeId]],
@@ -152,20 +147,39 @@ def _arcs(n: int, heads, tails) -> np.ndarray:
 
 def _from_keys(n: int, keys: np.ndarray, labels: tuple[NodeId, ...] | None = None,
                duplicates_collapsed: int = 0, index: Optional[dict] = None) -> Graph:
-    """The graph on n nodes whose directed edges are the sorted, distinct
-    keys i*n + j of a symmetric relation with no self-loop (see :func:`_arcs`).
-    `labels` default to 0..n-1."""
-    src, dst = np.divmod(keys, max(n, 1))
-    ends = np.bincount(src, minlength=n).cumsum().tolist()
-    dst = tuple(dst.tolist())
-    adj = tuple(map(dst.__getitem__, map(slice, [0, *ends[:-1]], ends)))
-    return Graph._trusted(adj, tuple(range(n)) if labels is None else labels,
-                          len(keys) // 2, duplicates_collapsed, index)
+    """The graph on n nodes whose arcs are the sorted, distinct int64 keys i*n + j
+    of a symmetric relation with no self-loop (see :func:`_arcs`). `labels`
+    default to 0..n-1; an `index` of None is built on demand."""
+    src, nbr = np.divmod(keys, max(n, 1))
+    ptr = np.concatenate(((0,), np.bincount(src, minlength=n).cumsum()))
+    ptr.flags.writeable = nbr.flags.writeable = False
+    g = object.__new__(Graph)
+    g.n, g.m, g.ptr, g.nbr = n, len(keys) // 2, ptr, nbr
+    g.labels = tuple(range(n)) if labels is None else labels
+    g.duplicates_collapsed, g._index, g._kernel = duplicates_collapsed, index, None
+    return g
+
+
+def _sources(g: Graph) -> np.ndarray:
+    """The node each of g's arcs leaves: i repeated deg(i) times, in node order."""
+    return np.repeat(np.arange(g.n), g.ptr[1:] - g.ptr[:-1])
+
+
+def _neighbour_sums(g: Graph, values: Sequence[int], top: Optional[int] = None) -> list[int]:
+    """Per node, the sum of the integers `values` (one per node, none above `top`
+    in absolute value, by default their largest) over its neighbours, 0 at
+    isolates: in int64 when n * top fits, else in Python ints."""
+    top = max(map(abs, values), default=0) if top is None else top
+    arcs = np.array(values, np.int64 if top * g.n < 2 ** 63 else object)[g.nbr]
+    # The 0 keeps every start in range; an isolate's empty segment gets its start's value.
+    sums = np.add.reduceat(np.concatenate((arcs, (0,))), g.ptr[:-1])
+    sums[g.ptr[:-1] == g.ptr[1:]] = 0
+    return sums.tolist()
 
 
 def degrees(g: Graph) -> tuple[int, ...]:
     """Degree sequence in canonical node order."""
-    return tuple(map(len, g.adj))
+    return tuple((g.ptr[1:] - g.ptr[:-1]).tolist())
 
 
 def delta(g: Graph) -> tuple[Fraction, ...]:
@@ -249,33 +263,30 @@ class Kernel:
 def kernel(g: Graph) -> Kernel:
     """The graph's :class:`Kernel`, computed once and cached on the graph."""
     if g._kernel is None:
-        deg = degrees(g)
-        big_l = math.lcm(*set(deg).difference((0,)))
-        w = [big_l // d if d else 0 for d in deg]
-        g._kernel = Kernel(deg, big_l, tuple([sum(map(w.__getitem__, a)) for a in g.adj]))
+        deg = g.ptr[1:] - g.ptr[:-1]
+        degs = deg.tolist()
+        ds = list(set(degs))  # the distinct degrees
+        big_l = math.lcm(*filter(None, ds))
+        w = np.zeros(max(ds, default=0) + 1, object)  # L // d by degree d, 0 at d = 0
+        w[ds] = [big_l // d if d else 0 for d in ds]
+        g._kernel = Kernel(tuple(degs), big_l, tuple(_neighbour_sums(g, w[deg], big_l)))
     return g._kernel
 
 
-def components(g: Graph) -> list[set[int]]:
-    """Connected components as sets of dense node indices."""
-    seen = [False] * g.n
-    out: list[set[int]] = []
-    for start in range(g.n):
-        if not seen[start]:
-            seen[start] = True
-            comp, stack = {start}, [start]
-            while stack:
-                for v in g.adj[stack.pop()]:
-                    if not seen[v]:
-                        seen[v] = True
-                        comp.add(v)
-                        stack.append(v)
-            out.append(comp)
-    return out
-
-
 def is_connected(g: Graph) -> bool:
-    return g.n > 0 and len(components(g)) == 1
+    """Whether g has nodes and one component. Every root (at first, every
+    node) hooks to the least root across an arc out of its tree, then every
+    node jumps to its root, until no root moves (Shiloach and Vishkin, 1982)."""
+    src, root = _sources(g), np.arange(g.n)
+    while np.count_nonzero(root):  # until every node's root is node 0
+        hooked = root.copy()
+        np.minimum.at(hooked, root[src], root[g.nbr])
+        if not np.count_nonzero(hooked != root):
+            return False
+        root = hooked
+        while np.count_nonzero(root != (jumped := root[root])):
+            root = jumped
+    return g.n > 0
 
 
 def is_regular(g: Graph) -> bool:

@@ -92,7 +92,7 @@ def read_edge_list(source: Source) -> Graph:
 def edge_list_text(g: Graph) -> str:
     """The canonical normal form: sorted edges, one per line. An edge list has
     no line for a node without edges, so a graph with isolated nodes raises."""
-    isolated = sum(not a for a in g.adj)
+    isolated = g.n - np.count_nonzero(g.ptr[1:] - g.ptr[:-1])
     if isolated:
         raise PreconditionViolatedError(
             f"an edge list cannot hold the graph's {isolated} isolated node(s)")

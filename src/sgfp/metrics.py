@@ -27,7 +27,7 @@ from .errors import (
     NonFiniteOutputError,
     PreconditionViolatedError,
 )
-from .graph import Graph, Kernel, exact_correlation, kernel
+from .graph import Graph, Kernel, _neighbour_sums, exact_correlation, kernel
 
 # Attribute entries may be None only at isolated nodes (undefined marker).
 AttributeSample = Sequence
@@ -105,12 +105,11 @@ def _prepare(g: Graph, a: AttributeSample) -> tuple[Kernel, int, Sequence[int], 
     return (k, np, *_as_ints(a if np == g.n else [v if d else 0 for v, d in zip(a, k.deg)]))
 
 
-def _gap(g: Graph, k: Kernel, np: int, ints: Sequence[int], s: int) -> tuple[int, int]:
+def _gap(k: Kernel, np: int, ints: Sequence[int], s: int, sums: Sequence[int]) -> tuple[int, int]:
     """The gap as (numerator, denominator L * np * s), in the delta form;
-    raises :class:`InvariantBrokenError` when the friend form disagrees.
-    Both forms share the denominator, so their numerators are compared."""
-    friend = ints.__getitem__  # every friend is active
-    friends = sum(k.lcm // d * sum(map(friend, nb)) for d, nb in zip(k.deg, g.adj) if d)
+    raises :class:`InvariantBrokenError` when the friend form (the friend
+    sums weighted by L / d, over the same denominator) has another numerator."""
+    friends = sum(k.lcm // d * t for d, t in zip(k.deg, sums) if d)
     weighted = sum(map(mul, k.y, ints))
     base, den = k.lcm * sum(ints), k.lcm * np * s
     if friends != weighted:
@@ -124,16 +123,14 @@ def _list_gap(k: Kernel, np: int, ints: Sequence[int], s: int) -> tuple[int, int
     return sum(map(mul, k.deg, ints)) * np - sum(ints) * dsum, dsum * np * s
 
 
-def _second_order(g: Graph, k: Kernel, ints: Sequence[int], s: int, exact: bool) -> list:
-    friend = ints.__getitem__
-    return [_quotient(sum(map(friend, nb)), d * s, exact) if d else None
-            for d, nb in zip(k.deg, g.adj)]
+def _second_order(k: Kernel, sums: Sequence[int], s: int, exact: bool) -> list:
+    return [_quotient(t, d * s, exact) if d else None for d, t in zip(k.deg, sums)]
 
 
 def second_order(g: Graph, a: AttributeSample) -> list:
     """Per-node mean of friends' attributes; None at isolated nodes."""
     k, _, ints, s, exact = _prepare(g, a)
-    return _second_order(g, k, ints, s, exact)
+    return _second_order(k, _neighbour_sums(g, ints), s, exact)
 
 
 def singular_gap(g: Graph, a: AttributeSample):
@@ -143,7 +140,7 @@ def singular_gap(g: Graph, a: AttributeSample):
     integers, against the per-node friend means.
     """
     k, np, ints, s, exact = _prepare(g, a)
-    return _quotient(*_gap(g, k, np, ints, s), exact)
+    return _quotient(*_gap(k, np, ints, s, _neighbour_sums(g, ints)), exact)
 
 
 def singular_gap_delta_form(g: Graph, a: AttributeSample):
@@ -224,14 +221,15 @@ def gap_report(g: Graph, a: AttributeSample, per_node: bool = True) -> GapReport
     """
     k, np, ints, s, exact = _prepare(g, a)
     active = ints if np == g.n else [v for v, d in zip(ints, k.deg) if d]
+    sums = _neighbour_sums(g, ints)
     return GapReport(
         n=g.n,
         m=g.m,
-        singular_gap=_quotient(*_gap(g, k, np, ints, s), False),
+        singular_gap=_quotient(*_gap(k, np, ints, s, sums), False),
         list_gap=_quotient(*_list_gap(k, np, ints, s), False),
         r_da=exact_correlation([d for d in k.deg if d], active, 1, s),
         r_ddelta=k.r_ddelta,
         excluded_isolates=g.n - np,
-        s=_second_order(g, k, ints, s, exact) if per_node else [],
+        s=_second_order(k, sums, s, exact) if per_node else [],
         delta=list(k.delta) if per_node else [],
     )

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ExhaustedTriesError, PreconditionViolatedError
-from .graph import Graph, _arcs, _from_keys
+from .graph import Graph, _arcs, _from_keys, _sources
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -192,7 +192,7 @@ def configuration_rewire(g: Graph, seed: int) -> tuple[Graph, int]:
     so rewired degrees may fall below the originals and the result may
     contain isolates.
     """
-    stubs = np.repeat(np.arange(g.n), np.fromiter(map(len, g.adj), np.int64, g.n)).tolist()
+    stubs = _sources(g).tolist()
     _shuffle(stubs, seed)
     pairs = np.array(stubs[:len(stubs) // 2 * 2], dtype=np.int64).reshape(-1, 2)
     keys = _arcs(g.n, *pairs[pairs[:, 0] != pairs[:, 1]].T)

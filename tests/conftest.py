@@ -1,11 +1,12 @@
 import functools
+import math
 import random
 
 import numpy as np
 import pytest
 
 from sgfp.errors import ExhaustedTriesError, ParseError
-from sgfp.graph import build_graph, is_connected, is_regular
+from sgfp.graph import Kernel, build_graph, is_regular
 from sgfp.randgen import SplitMix64, mix, sample_connected_nonregular
 
 
@@ -16,11 +17,54 @@ def reference_gnp(n, p, seed):
     return build_graph(edges, nodes=list(range(n)))
 
 
+def components(g):
+    """Connected components as sets of dense node indices, by depth-first
+    search over the neighbour tuples."""
+    seen = [False] * g.n
+    out = []
+    for start in range(g.n):
+        if not seen[start]:
+            seen[start] = True
+            comp, stack = {start}, [start]
+            while stack:
+                for v in g.adj[stack.pop()]:
+                    if not seen[v]:
+                        seen[v] = True
+                        comp.add(v)
+                        stack.append(v)
+            out.append(comp)
+    return out
+
+
+def reference_is_connected(g):
+    return g.n > 0 and len(components(g)) == 1
+
+
+def reference_kernel(g):
+    """The Kernel by one Python loop over the neighbour tuples."""
+    deg = tuple(map(len, g.adj))
+    big_l = math.lcm(*set(deg).difference((0,)))
+    w = [big_l // d if d else 0 for d in deg]
+    return Kernel(deg, big_l, tuple([sum(map(w.__getitem__, a)) for a in g.adj]))
+
+
+def affine_fit(deg, y):
+    """The pro test on integer degrees and y = L * delta (two distinct
+    degrees at least), by the line through node 0 and the first node j of
+    another degree: (dy, dd) when y is exactly an affine function of the
+    degrees with slope dy / dd > 0, else None."""
+    j = next(i for i, d in enumerate(deg) if d != deg[0])
+    dy, dd = y[j] - y[0], deg[j] - deg[0]
+    if dy * dd <= 0 or any((yi - y[0]) * dd != dy * (di - deg[0]) for di, yi in zip(deg, y)):
+        return None
+    return dy, dd
+
+
 def reference_sample(n, p, seed, max_tries=10000):
     """The first connected non-regular reference_gnp(n, p, mix(seed, t))."""
     for t in range(max_tries):
         g = reference_gnp(n, p, mix(seed, t))
-        if is_connected(g) and not is_regular(g):
+        if reference_is_connected(g) and not is_regular(g):
             return g
     raise ExhaustedTriesError(max_tries)
 
@@ -72,12 +116,23 @@ def graph_stream():
     return random_graphs
 
 
-@functools.lru_cache(maxsize=None)
 def every_signature(n):
     """One (degrees, L, y = L * delta) per census signature on n <= 7 nodes:
-    the sorted (degree, y) pairs of every connected non-regular graph. Up
-    to relabelling, node 0's neighbours are 1..k, so the graphs enumerated
-    are every edge set on nodes 1..n-1 with node 0 joined to 1..k, k >= 1."""
+    the sorted (degree, y) pairs of every connected non-regular graph."""
+    return tuple(row[:3] for row in _signatures(n))
+
+
+def signature_graphs(n):
+    """One connected non-regular graph on nodes 0..n-1 per census signature,
+    the graph whose (degrees, L, y) :func:`every_signature` lists."""
+    return [build_graph(edges, nodes=range(n)) for *_, edges in _signatures(n)]
+
+
+@functools.lru_cache(maxsize=None)
+def _signatures(n):
+    """(degrees, L, y, edges) per census signature. Up to relabelling, node
+    0's neighbours are 1..k, so the graphs enumerated are every edge set on
+    nodes 1..n-1 with node 0 joined to 1..k, k >= 1."""
     rows, cols = 1 + np.array(np.nonzero(~np.tri(n - 1, dtype=bool)))  # pairs 0 < i < j
     codes = np.arange(1 << len(rows))
     bits = (codes[:, None] >> np.arange(len(rows)) & 1).astype(bool)
@@ -100,5 +155,7 @@ def every_signature(n):
         _, first = np.unique(keys[:, :4] @ radix[:min(n, 4)]
                              + 1j * (keys[:, 4:] @ radix[:max(n - 4, 0)]), return_index=True)
         for i in first.tolist():
-            found.setdefault(tuple(keys[i].tolist()), (deg[i].tolist(), int(big_l[i]), y[i].tolist()))
+            edges = np.argwhere(np.triu(adj[i])).tolist()
+            found.setdefault(tuple(keys[i].tolist()),
+                             (deg[i].tolist(), int(big_l[i]), y[i].tolist(), edges))
     return tuple(found.values())

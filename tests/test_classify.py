@@ -10,7 +10,6 @@ from sgfp.classify import (
     DEGENERATE,
     PRO,
     ThresholdEstimate,
-    _affine_fit,
     attach_pendant_path,
     classify,
     perturb_to_positive_correlation,
@@ -26,7 +25,7 @@ from sgfp.graph import Graph, build_graph, degrees, delta, kernel
 from sgfp.metrics import correlation, r_d_delta, singular_gap
 from sgfp.randgen import mix, sample_connected_nonregular
 
-from conftest import every_signature, preferential_attachment
+from conftest import affine_fit, every_signature, preferential_attachment
 
 
 def test_star_pro_with_witness():
@@ -251,4 +250,4 @@ def test_every_signature_has_r_above_0_and_below_1_exactly_when_anti():
             b = n * sum(v * v for v in deg) - sum_d * sum_d
             c = n * sum(v * v for v in y) - sum_y * sum_y
             assert a > 0
-            assert (b * c - a * a > 0) == (_affine_fit(deg, y)[0] is None)
+            assert (b * c - a * a > 0) == (affine_fit(deg, y) is None)

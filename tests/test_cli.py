@@ -81,6 +81,17 @@ def test_classify_regular_exits_2(tmp_path):
     assert main(["classify", str(graph)]) == 2
 
 
+def test_classify_names_a_non_affine_anti_graph(tmp_path, capsys):
+    # The line through node 0 and node 1 has slope <= 0, but no line fits at all.
+    graph = tmp_path / "g.edges"
+    graph.write_text("0 1\n0 2\n0 3\n1 3\n1 5\n2 4\n3 5\n")
+    assert main(["classify", str(graph)]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert (result["kind"], result["reason"]) == (
+        "AntiSGFP", "reciprocal-degree sums are not an affine function of degree")
+    assert result["r_ddelta"] == pytest.approx(0.7348469228349535, rel=1e-15)
+
+
 def test_parse_error_exits_1(tmp_path, capsys):
     graph = tmp_path / "g.edges"
     graph.write_text("1 2 3 4\n")

@@ -5,7 +5,6 @@ import pytest
 from sgfp.classify import PRO, classify
 from sgfp.errors import InfeasibleAtEpsilonError
 from sgfp.construct import path
-from sgfp.classify import _affine_fit
 from sgfp.experiments import (CensusRecord, _census_row, census, r_high_loose, rewire_experiment,
                               strip_isolates)
 from sgfp.graph import Graph, Kernel
@@ -13,7 +12,7 @@ from sgfp.lp import _failing_witness, max_failing_correlation
 from sgfp.metrics import r_d_delta
 from sgfp.randgen import mix
 
-from conftest import every_signature, reference_sample
+from conftest import affine_fit, every_signature, reference_sample
 
 
 class _SerialPool:
@@ -115,6 +114,6 @@ def test_census_row_equals_the_kernel_path_on_every_signature():
             k = Kernel(tuple(d), big_l, tuple(y))
             res = _failing_witness(k, 1e-3)
             is_pro, r_high, r_dd = _census_row(d, big_l, y, 1e-3)
-            assert is_pro == (_affine_fit(k.deg, k.y)[0] is not None)
+            assert is_pro == (affine_fit(k.deg, k.y) is not None)
             assert r_high == res.r_high if res else r_high != r_high
             assert r_dd == k.r_ddelta

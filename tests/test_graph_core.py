@@ -8,13 +8,14 @@ from sgfp.errors import (IsolatedNodeError, PreconditionViolatedError, SgfpError
 from sgfp.graph import (
     Graph,
     build_graph,
-    components,
     degrees,
     delta,
     is_connected,
     is_regular,
 )
 from sgfp.construct import example_graph_fig1, path, star
+
+from conftest import components
 
 
 def test_build_path3():

@@ -46,8 +46,8 @@ def classify(g: Graph) -> Classification:
 
     Regular or disconnected graphs are degenerate. Otherwise the graph is
     pro-SGFP iff delta_i = x*d_i + z holds exactly for all nodes with some
-    x > 0: y = L * delta is affine in d iff its moments have a * a = b * c,
-    with slope a / b = x L > 0 (the census's pro test).
+    x > 0: y = L * delta is affine in d iff its moments have a * a = b * c
+    (the census's pro test), with slope a / b = x L > 0 (a > 0: see :func:`threshold_estimate`).
     """
     if g.n == 0:
         return Classification(DEGENERATE, None, "empty graph")
@@ -60,8 +60,6 @@ def classify(g: Graph) -> Classification:
     if a * a != b * c:
         return Classification(ANTI, None, "reciprocal-degree sums are not an affine function "
                                           "of degree", k.r_ddelta)
-    if a <= 0:
-        return Classification(ANTI, None, "affine fit has non-positive slope", k.r_ddelta)
     x = Fraction(a, b * k.lcm)
     z = Fraction(k.y[0], k.lcm) - x * k.deg[0]
     return Classification(PRO, (x, z), "delta = x*d + z exactly with x > 0", k.r_ddelta)

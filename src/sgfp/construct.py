@@ -90,7 +90,7 @@ def _check_marker(g: Graph, attrs, edge: Edge, want: int) -> None:
     if v not in g.nbr[start:end].tolist():
         raise InvariantBrokenError(f"marker edge {edge} missing")
     for node in edge:
-        if g.ptr[node + 1] - g.ptr[node] != want or attrs[node] != want:
+        if g.deg[node] != want or attrs[node] != want:
             raise InvariantBrokenError(
                 f"marker node {node} is not a degree-{want}/attribute-{want} node")
 

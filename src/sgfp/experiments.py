@@ -16,7 +16,7 @@ from .construct import initial_growth_state, grow_step
 from .errors import PreconditionViolatedError
 from .graph import Graph, _from_keys, _moments, _pearson, _sources, kernel
 from .lp import _check_epsilon, _r_high
-from .metrics import correlation, r_d_delta, singular_gap
+from .metrics import correlation, singular_gap
 from .randgen import _sample_blocks, configuration_rewire, mix
 
 
@@ -65,11 +65,11 @@ def _census_row(deg: Sequence[int], big_l: int, y: Sequence[int],
                 epsilon: float) -> tuple[bool, float, float]:
     """(is_pro, r_high, r_ddelta) of one connected draw from its degrees,
     their lcm L and y = L * delta; r_high is NaN when the LP is infeasible
-    at `epsilon`. It is pro (y affine in d, slope > 0) when the moments of
-    (d, y) have a > 0 and a * a = b * c."""
+    at `epsilon`. It is pro (y affine in d) when the moments of (d, y) have
+    a * a = b * c, as a > 0 makes the slope positive (see :func:`classify`)."""
     a, b, c = _moments(deg, y)
     res = _r_high(deg, y, big_l, epsilon)
-    return (a > 0 and a * a == b * c, float("nan") if res is None else res[0],
+    return (a * a == b * c, float("nan") if res is None else res[0],
             _pearson(len(deg), a, b, c, 1, big_l))
 
 
@@ -160,26 +160,25 @@ REWIRE_COLUMNS = [f.name for f in fields(RewireRecord)]
 def strip_isolates(g: Graph) -> Graph:
     """Drop degree-0 nodes, keeping canonical order of the remainder; `g`
     itself when it has none."""
-    deg = g.ptr[1:] - g.ptr[:-1]
-    if deg.all():
+    if g.deg.all():
         return g
-    keep = np.flatnonzero(deg)
+    keep = np.flatnonzero(g.deg)
     # Renumbering is monotone, so the keys of the kept arcs stay sorted.
-    rank = np.cumsum(deg > 0) - 1
+    rank = np.cumsum(g.deg > 0) - 1
     return _from_keys(len(keep), rank[_sources(g)] * len(keep) + rank[g.nbr],
                       tuple(map(g.labels.__getitem__, keep.tolist())))
 
 
 def r_high_loose(g: Graph, epsilon: float) -> Optional[float]:
-    """Failing-correlation LP without the connectivity requirement.
-
-    Isolates must already be stripped. Returns None for regular graphs or
-    when the LP is infeasible at the given slack.
+    """Failing-correlation LP without the connectivity requirement, over the
+    nodes with edges (as in :attr:`Kernel.moments`). Returns None when their
+    degrees are all equal or when the LP is infeasible at the given slack.
     """
     k = kernel(g)
-    if len(set(k.deg)) <= 1 or 0 in k.deg:
+    deg, y = k.active()
+    if len(set(deg)) <= 1:
         return None
-    res = _r_high(k.deg, k.y, k.lcm, epsilon)
+    res = _r_high(deg, y, k.lcm, epsilon)
     return None if res is None else res[0]
 
 
@@ -187,19 +186,16 @@ def rewire_experiment(graphs: Sequence[tuple[str, Graph]], seed: int,
                       epsilon: float = 0.001) -> list[RewireRecord]:
     """Compare failing-correlation bounds before and after rewiring.
 
-    Each input graph is rewired once with the configuration model; isolates
-    produced by dropped collisions are disregarded in the rewired metrics.
+    Each input graph is rewired once with the configuration model; both
+    graphs' metrics disregard isolates, as dropped collisions may leave some.
     """
     _check_epsilon(epsilon)
     records = []
     for index, (name, g) in enumerate(graphs):
-        g0 = strip_isolates(g)
-        rh0 = r_high_loose(g0, epsilon)
-        rdd0 = r_d_delta(g0)
         rw_seed = mix(seed, index)
-        rew = strip_isolates(configuration_rewire(g, rw_seed)[0])
-        rh1 = r_high_loose(rew, epsilon) if rew.n >= 2 else None
-        rdd1 = r_d_delta(rew) if rew.n >= 2 else None
-        records.append(RewireRecord(network_id=name, r_high_original=rh0, r_ddelta_original=rdd0,
-                                    r_high_rewired=rh1, r_ddelta_rewired=rdd1, seed=rw_seed))
+        rew = configuration_rewire(g, rw_seed)[0]
+        records.append(RewireRecord(network_id=name, r_high_original=r_high_loose(g, epsilon),
+                                    r_ddelta_original=kernel(g).r_ddelta,
+                                    r_high_rewired=r_high_loose(rew, epsilon),
+                                    r_ddelta_rewired=kernel(rew).r_ddelta, seed=rw_seed))
     return records

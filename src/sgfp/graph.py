@@ -7,8 +7,8 @@ Exact per-graph quantities come from one integer :class:`Kernel` (degrees,
 L and y = L * delta), cached on the graph on first use; its moments,
 r_{d,delta} and float delta are computed on first read, once each.
 
-A graph is two read-only int64 arrays in compressed sparse rows: node i's
-sorted neighbours are ``nbr[ptr[i]:ptr[i + 1]]``. :func:`_from_keys` cuts
+A graph is read-only int64 arrays in compressed sparse rows: node i's degree
+``deg[i]`` and sorted neighbours ``nbr[ptr[i]:ptr[i + 1]]``. :func:`_from_keys` cuts
 every graph from the sorted, distinct keys i*n + j of its arcs (:func:`_arcs`):
 the label core of :func:`build_graph` and the edge-list reader, the random
 generators, rewiring, isolate stripping, growth, and ``Graph(adj, labels)``
@@ -23,7 +23,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, count
+from itertools import chain, compress, count
 from operator import eq, mul
 from typing import Hashable, Iterable, Optional, Sequence
 
@@ -151,10 +151,11 @@ def _from_keys(n: int, keys: np.ndarray, labels: tuple[NodeId, ...] | None = Non
     of a symmetric relation with no self-loop (see :func:`_arcs`). `labels`
     default to 0..n-1; an `index` of None is built on demand."""
     src, nbr = np.divmod(keys, max(n, 1))
-    ptr = np.concatenate(((0,), np.bincount(src, minlength=n).cumsum()))
-    ptr.flags.writeable = nbr.flags.writeable = False
+    deg = np.bincount(src, minlength=n)
+    ptr = np.concatenate(((0,), deg.cumsum()))
+    ptr.flags.writeable = nbr.flags.writeable = deg.flags.writeable = False
     g = object.__new__(Graph)
-    g.n, g.m, g.ptr, g.nbr = n, len(keys) // 2, ptr, nbr
+    g.n, g.m, g.ptr, g.nbr, g.deg = n, len(keys) // 2, ptr, nbr, deg
     g.labels = tuple(range(n)) if labels is None else labels
     g.duplicates_collapsed, g._index, g._kernel = duplicates_collapsed, index, None
     return g
@@ -162,7 +163,7 @@ def _from_keys(n: int, keys: np.ndarray, labels: tuple[NodeId, ...] | None = Non
 
 def _sources(g: Graph) -> np.ndarray:
     """The node each of g's arcs leaves: i repeated deg(i) times, in node order."""
-    return np.repeat(np.arange(g.n), g.ptr[1:] - g.ptr[:-1])
+    return np.repeat(np.arange(g.n), g.deg)
 
 
 def _neighbour_sums(g: Graph, values: Sequence[int], top: Optional[int] = None) -> list[int]:
@@ -173,13 +174,13 @@ def _neighbour_sums(g: Graph, values: Sequence[int], top: Optional[int] = None) 
     arcs = np.array(values, np.int64 if top * g.n < 2 ** 63 else object)[g.nbr]
     # The 0 keeps every start in range; an isolate's empty segment gets its start's value.
     sums = np.add.reduceat(np.concatenate((arcs, (0,))), g.ptr[:-1])
-    sums[g.ptr[:-1] == g.ptr[1:]] = 0
+    sums[g.deg == 0] = 0
     return sums.tolist()
 
 
 def degrees(g: Graph) -> tuple[int, ...]:
     """Degree sequence in canonical node order."""
-    return tuple((g.ptr[1:] - g.ptr[:-1]).tolist())
+    return tuple(g.deg.tolist())
 
 
 def delta(g: Graph) -> tuple[Fraction, ...]:
@@ -243,13 +244,14 @@ class Kernel:
     lcm: int
     y: tuple[int, ...]
 
+    def active(self) -> tuple[list[int], list[int]]:
+        """The degrees and y of the non-isolated nodes, in node order."""
+        return list(compress(self.deg, self.deg)), list(compress(self.y, self.deg))
+
     @cached_property
     def moments(self) -> tuple[int, int, int]:
         """:func:`_moments` of the degrees and y over the non-isolated nodes."""
-        deg, y = self.deg, self.y
-        if 0 in deg:
-            deg, y = [d for d in deg if d], [v for v, d in zip(y, deg) if d]
-        return _moments(deg, y)
+        return _moments(*self.active())
 
     @cached_property
     def r_ddelta(self) -> Optional[float]:
@@ -263,13 +265,12 @@ class Kernel:
 def kernel(g: Graph) -> Kernel:
     """The graph's :class:`Kernel`, computed once and cached on the graph."""
     if g._kernel is None:
-        deg = g.ptr[1:] - g.ptr[:-1]
-        degs = deg.tolist()
+        degs = g.deg.tolist()
         ds = list(set(degs))  # the distinct degrees
         big_l = math.lcm(*filter(None, ds))
         w = np.zeros(max(ds, default=0) + 1, object)  # L // d by degree d, 0 at d = 0
         w[ds] = [big_l // d if d else 0 for d in ds]
-        g._kernel = Kernel(tuple(degs), big_l, tuple(_neighbour_sums(g, w[deg], big_l)))
+        g._kernel = Kernel(tuple(degs), big_l, tuple(_neighbour_sums(g, w[g.deg], big_l)))
     return g._kernel
 
 
@@ -291,5 +292,4 @@ def is_connected(g: Graph) -> bool:
 
 def is_regular(g: Graph) -> bool:
     """True iff all degrees in the whole graph are equal."""
-    deg = degrees(g)
-    return len(set(deg)) <= 1
+    return len(set(g.deg.tolist())) <= 1

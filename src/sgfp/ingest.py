@@ -17,6 +17,7 @@ import csv
 import io
 import math
 import re
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import compress
@@ -90,16 +91,20 @@ def read_edge_list(source: Source) -> Graph:
 
 
 def edge_list_text(g: Graph) -> str:
-    """The canonical normal form: sorted edges, one per line. An edge list has
-    no line for a node without edges, so a graph with isolated nodes raises."""
-    isolated = g.n - np.count_nonzero(g.ptr[1:] - g.ptr[:-1])
+    """The canonical normal form: sorted edges, one per line. Raises unless it
+    reads back as g, labels as strings: no node is isolated, each label is one
+    distinct token, and no line opens with '#' or, first, with a byte-order mark."""
+    isolated = g.n - np.count_nonzero(g.deg)
     if isolated:
         raise PreconditionViolatedError(
             f"an edge list cannot hold the graph's {isolated} isolated node(s)")
-    lines = sorted(
-        tuple(sorted((str(g.labels[i]), str(g.labels[j]))))
-        for i, j in g.edges()
-    )
+    names = list(map(str, g.labels))
+    lines = sorted(tuple(sorted((names[i], names[j]))) for i, j in g.edges())
+    bad = [s for s, k in Counter(names).items() if k > 1 or s.split() != [s]]
+    bad += [u for u, _ in lines if u.startswith("#")]
+    bad += [u for u, _ in lines[:1] if u.startswith("\ufeff")]
+    if bad:
+        raise PreconditionViolatedError(f"node label {bad[0]!r} would not read back")
     return "".join(f"{u} {v}\n" for u, v in lines)
 
 
@@ -157,7 +162,7 @@ def read_attributes(source: Source, g: Graph, rational: bool = False) -> list:
                     value = int(raw)
                 # Fraction(raw) builds 10**|exponent| exactly: refuse huge ones.
                 elif abs(int(raw.lower().partition("e")[2] or 0)) > 400:
-                    raise ValueError(raw)
+                    raise ParseError(lineno, f"exponent of {raw!r} is beyond +-400")
                 else:
                     value = Fraction(raw)
         except ValueError:

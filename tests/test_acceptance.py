@@ -2,8 +2,8 @@
 
 Each test covers one acceptance criterion and prints a single PASS line
 when its assertions hold. Run with `pytest -s tests/test_acceptance.py`
-to see the lines; the full run takes a few minutes because of the
-10,000-sample census and the LP batches.
+to see the lines; the run takes about 4 s on a 2-core host, most of it in
+the property suite, the LP batches and the 10,000-sample census.
 """
 
 import math

@@ -25,7 +25,7 @@ from sgfp.graph import Graph, build_graph, degrees, delta, kernel
 from sgfp.metrics import correlation, r_d_delta, singular_gap
 from sgfp.randgen import mix, sample_connected_nonregular
 
-from conftest import affine_fit, every_signature, preferential_attachment
+from conftest import affine_fit, every_signature, preferential_attachment, random_graphs
 
 
 def test_star_pro_with_witness():
@@ -251,3 +251,14 @@ def test_every_signature_has_r_above_0_and_below_1_exactly_when_anti():
             c = n * sum(v * v for v in y) - sum_y * sum_y
             assert a > 0
             assert (b * c - a * a > 0) == (affine_fit(deg, y) is None)
+
+
+def test_a_is_positive_on_the_criterion_5_stream():
+    # As on every census signature (above): a = n L sum over edges of
+    # (d_i - d_j)^2 / (d_i d_j) > 0 on a connected non-regular graph, so
+    # classify and the census test pro by a * a = b * c alone.
+    stream = list(random_graphs(201, 1000, n_range=(4, 10)))
+    assert min(kernel(g).moments[0] for g in stream) > 0
+    assert {classify(g).reason for g in stream} == {
+        "delta = x*d + z exactly with x > 0",
+        "reciprocal-degree sums are not an affine function of degree"}

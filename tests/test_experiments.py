@@ -1,18 +1,19 @@
 import concurrent.futures
 
+import numpy as np
 import pytest
 
 from sgfp.classify import PRO, classify
 from sgfp.errors import InfeasibleAtEpsilonError
 from sgfp.construct import path
-from sgfp.experiments import (CensusRecord, _census_row, census, r_high_loose, rewire_experiment,
-                              strip_isolates)
-from sgfp.graph import Graph, Kernel
-from sgfp.lp import _failing_witness, max_failing_correlation
+from sgfp.experiments import (CensusRecord, RewireRecord, _census_row, census, r_high_loose,
+                              rewire_experiment, strip_isolates)
+from sgfp.graph import Graph, Kernel, build_graph, kernel
+from sgfp.lp import _failing_witness, _r_high, max_failing_correlation
 from sgfp.metrics import r_d_delta
-from sgfp.randgen import mix
+from sgfp.randgen import configuration_rewire, gnp, mix
 
-from conftest import affine_fit, every_signature, reference_sample
+from conftest import affine_fit, every_signature, preferential_attachment, reference_sample
 
 
 class _SerialPool:
@@ -117,3 +118,78 @@ def test_census_row_equals_the_kernel_path_on_every_signature():
             assert is_pro == (affine_fit(k.deg, k.y) is not None)
             assert r_high == res.r_high if res else r_high != r_high
             assert r_dd == k.r_ddelta
+
+
+def reference_r_high_loose(g, epsilon):
+    """r_high_loose as it was: on a graph with no isolates, None when regular."""
+    k = kernel(g)
+    assert 0 not in k.deg
+    if len(set(k.deg)) <= 1:
+        return None
+    res = _r_high(k.deg, k.y, k.lcm, epsilon)
+    return None if res is None else res[0]
+
+
+def reference_rewire_experiment(graphs, seed, epsilon=0.001):
+    """The rewiring study by the recipe it replaced: strip both graphs'
+    isolates, take r_d_delta of the stripped copies, and leave a rewired
+    graph of fewer than two nodes without metrics."""
+    records = []
+    for index, (name, g) in enumerate(graphs):
+        g0 = strip_isolates(g)
+        rw_seed = mix(seed, index)
+        rew = strip_isolates(configuration_rewire(g, rw_seed)[0])
+        records.append(RewireRecord(
+            network_id=name, r_high_original=reference_r_high_loose(g0, epsilon),
+            r_ddelta_original=r_d_delta(g0),
+            r_high_rewired=reference_r_high_loose(rew, epsilon) if rew.n >= 2 else None,
+            r_ddelta_rewired=r_d_delta(rew) if rew.n >= 2 else None, seed=rw_seed))
+    return records
+
+
+_BASE = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("b", "d")]
+WITH_ISOLATES = [
+    build_graph(_BASE, nodes=["x", *"abcde"]),  # an isolate at the start
+    build_graph(_BASE, nodes=["a", "b", "x", "c", "d", "e"]),  # in the middle
+    build_graph(_BASE, nodes=[*"abcde", "x"]),  # at the end
+    build_graph(_BASE, nodes=["x", "a", "b", "y", "c", "d", "e", "z"]),
+    build_graph([("a", "b")], nodes=["x", "a", "y", "b", "z"]),  # one edge
+    build_graph([], nodes=range(4)),  # no edges at all
+    *(gnp(12 + i, 0.15, mix(204, i)) for i in range(20)),
+]
+
+
+def _rewired_with_isolates(g, count):
+    """The first `count` rewires of g, by seeds 0, 1, ..., that leave isolates."""
+    rewired = (configuration_rewire(g, seed)[0] for seed in range(10 * count))
+    return [h for h in rewired if not h.deg.all()][:count]
+
+
+def test_r_high_loose_equals_it_on_the_stripped_graph():
+    graphs = [g for g in WITH_ISOLATES if not g.deg.all()]
+    large = _rewired_with_isolates(preferential_attachment(150, 3), 3)  # the float-filtered LP
+    graphs += _rewired_with_isolates(build_graph(_BASE), 2) + large
+    assert len(graphs) > 15 and len(large) == 3
+    for g in graphs:
+        for epsilon in (1e-3, 0.5):
+            want = reference_r_high_loose(strip_isolates(g), epsilon)
+            got = r_high_loose(g, epsilon)
+            assert got == want and (got is None) == (want is None)
+    assert r_high_loose(WITH_ISOLATES[0], 1e-3) is not None
+    assert r_high_loose(WITH_ISOLATES[4], 1e-3) is None and r_high_loose(WITH_ISOLATES[5], 1e-3) is None
+
+
+def test_rewire_experiment_equals_the_stripping_recipe():
+    # A triangle's rewire keeps no edge when its six stubs pair into three loops (1 in 15).
+    triangles = [build_graph([(0, 1), (1, 2), (2, 0)])] * 10
+    graphs = [(str(i), g) for i, g in enumerate([*WITH_ISOLATES, *triangles, path(3), path(6),
+                                                 preferential_attachment(150, 3)])]
+    no_edges = lost_nodes = 0
+    for seed in range(8):
+        records = rewire_experiment(graphs, seed)
+        assert records == reference_rewire_experiment(graphs, seed)
+        for (_, g), record in zip(graphs, records):
+            rew = configuration_rewire(g, record.seed)[0]
+            no_edges += g.m > 0 and rew.m == 0
+            lost_nodes += rew.m > 0 and np.count_nonzero(rew.deg) < np.count_nonzero(g.deg)
+    assert no_edges and lost_nodes

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgfp.construct import example_graph_fig1, path, star
-from sgfp.errors import (DuplicateRowError, LengthMismatchError, ParseError, SgfpError,
-                         UnknownNodeError)
+from sgfp.errors import (DuplicateRowError, LengthMismatchError, ParseError,
+                         PreconditionViolatedError, SelfLoopError, SgfpError, UnknownNodeError)
 from sgfp.graph import build_graph, degrees
 from sgfp.metrics import singular_gap
 from sgfp.ingest import (
@@ -119,6 +119,48 @@ def test_round_trip_canonical_form():
     write_graph(g2, buf2)
     assert buf2.getvalue() == first
     assert first == "a b\na c\nb c\n"
+
+
+def _contents(g):
+    """g's node count and its edges as sorted pairs of their labels' texts."""
+    return g.n, sorted(tuple(sorted((str(g.labels[i]), str(g.labels[j])))) for i, j in g.edges())
+
+
+def _read_back(text, tmp_path):
+    """The contents of `text` read from a file, or the error that refuses it."""
+    (tmp_path / "g.edges").write_text(text, encoding="utf-8")
+    try:
+        return _contents(read_edge_list(str(tmp_path / "g.edges")))
+    except SgfpError as exc:
+        return type(exc)
+
+
+def test_written_edge_lists_read_back(tmp_path):
+    # '#' inside a label, or in a label that is not first on its line, is no comment.
+    g = build_graph([("b#", "a"), ("a", 3), (3, "!x"), ("!x", "#c"), ("\ufeffz", "a")])
+    buf = io.StringIO()
+    write_graph(g, buf)
+    assert buf.getvalue() == "!x #c\n!x 3\n3 a\na b#\na \ufeffz\n"
+    assert _read_back(buf.getvalue(), tmp_path) == _contents(g)
+
+
+@pytest.mark.parametrize("edges, read_back", [
+    ([("#a", "b"), ("b", "c")], (2, [("b", "c")])),  # the first line is a comment
+    ([("a b", "c")], ParseError),  # a label holding whitespace
+    ([((1, 2), "c")], ParseError),  # written "(1, 2)"
+    ([("", "c"), ("c", "d")], ParseError),
+    ([(1, "1")], SelfLoopError),  # two labels written alike
+    ([(1, "a"), ("a", "1")], (2, [("1", "a")])),
+    ([("\ufeffa", "\ufeffb")], (2, [("a", "\ufeffb")])),  # a file's leading mark is dropped
+])
+def test_edge_lists_that_would_not_read_back_are_refused(edges, read_back, tmp_path):
+    g = build_graph(edges)
+    unchecked = "".join(f"{u} {v}\n" for u, v in _contents(g)[1])  # the writer without checks
+    assert _read_back(unchecked, tmp_path) == read_back != _contents(g)
+    target = tmp_path / "out.edges"
+    with pytest.raises(PreconditionViolatedError, match="would not read back"):
+        write_graph(g, str(target))
+    assert not target.exists()
 
 
 def test_byte_order_mark_is_dropped(tmp_path):
@@ -243,3 +285,13 @@ def test_read_attributes_rational_rejects(raw):
     with pytest.raises(ParseError) as info:
         read_attributes(io.StringIO(f"node,value\n1,1\n2,{raw}\n"), g, rational=True)
     assert info.value.line_number == 3
+
+
+def test_read_attributes_rational_names_the_exponent_limit():
+    g = edge_list_from_string("1 2\n")
+    text = "node,value\n1,1e-400\n2,1e-401\n"
+    assert read_attributes(io.StringIO(text), g) == [0.0, 0.0]
+    with pytest.raises(ParseError, match=r"^line 3: exponent of '1e-401' is beyond \+-400$"):
+        read_attributes(io.StringIO(text), g, rational=True)
+    text = "node,value\n1,1e-400\n2,0\n"
+    assert read_attributes(io.StringIO(text), g, rational=True) == [Fraction(1, 10 ** 400), 0]

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from sgfp.classify import classify, threshold_estimate
-from sgfp.construct import path
+from sgfp.construct import grow_step, initial_growth_state, path
 from sgfp.experiments import grow_table, rewire_experiment, strip_isolates
 from sgfp.graph import Graph, Kernel, build_graph, degrees, is_connected, kernel
+from sgfp.ingest import edge_list_from_string
 from sgfp.lp import max_failing_correlation
 from sgfp.randgen import SplitMix64, configuration_rewire, gnp, mix, sample_connected_nonregular
 
@@ -157,3 +158,39 @@ def test_arrays_are_read_only():
         g.nbr[0] = 3
     with pytest.raises(ValueError):
         g.ptr[1] = 0
+
+
+# One graph per construction path; those marked with isolates must have some.
+CONSTRUCTIONS = {
+    "build_graph": lambda: build_graph([(0, 1), (1, 2), (3, 4)], nodes=range(6)),
+    "read_edge_list": lambda: edge_list_from_string("a b\nb c\n# c d\nc a\nc d\n"),
+    "Graph(adj)": lambda: Graph([[1, 2], [0], [0], []], "wxyz"),
+    "gnp": lambda: gnp(30, 0.1, 5),
+    "sample_connected_nonregular": lambda: sample_connected_nonregular(9, 0.5, 3),
+    "configuration_rewire": lambda: configuration_rewire(preferential_attachment(60, 1), 11)[0],
+    "strip_isolates": lambda: strip_isolates(gnp(30, 0.1, 5)),
+    "grow_step": lambda: grow_step(grow_step(initial_growth_state())).graph,
+    "n = 0": lambda: Graph([]),
+    "n = 0, from edges": lambda: build_graph([]),
+    "n = 1": lambda: Graph([[]]),
+    "n = 1, gnp": lambda: gnp(1, 0.5, 0),
+}
+
+
+@pytest.mark.parametrize("name", CONSTRUCTIONS)
+def test_degree_array_is_the_read_only_difference_of_ptr(name):
+    g = CONSTRUCTIONS[name]()
+    assert g.deg.dtype == np.int64 and g.deg.shape == (g.n,)
+    assert np.array_equal(g.deg, np.diff(g.ptr))
+    assert degrees(g) == tuple(map(len, g.adj))
+    assert not g.deg.flags.writeable
+    if g.n:
+        with pytest.raises(ValueError):
+            g.deg[0] = 5
+    copied = pickle.loads(pickle.dumps(g))
+    assert copied == g and np.array_equal(copied.deg, g.deg)
+
+
+def test_the_construction_paths_cover_isolates():
+    for name in ("build_graph", "Graph(adj)", "gnp", "configuration_rewire", "n = 1"):
+        assert not CONSTRUCTIONS[name]().deg.all(), name

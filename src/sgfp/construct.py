@@ -12,13 +12,12 @@ and :func:`_from_keys`; the child computes its kernel on first use.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvariantBrokenError, PreconditionViolatedError, TooSmallError
-from .graph import Graph, _arcs, _from_keys, _sources, build_graph
+from .graph import Graph, _arcs, _from_keys, _pearson, _sources, build_graph
 
 Edge = tuple[int, int]
 
@@ -131,10 +130,9 @@ def grow_step(state: GrowthState) -> GrowthState:
 def growth_correlation(k: int) -> float:
     """Closed-form degree-attribute correlation after k growth steps.
 
-    Evaluated in exact integers up to the final square root: each moment is
-    n**2 times its population value, summed from n * v - sum(v) over the
-    seed's nodes and the 2k triple-2 and 2k triple-3 nodes, then divided by
-    n**2 as one correctly rounded int/int division.
+    The moments are weighted sums, in exact integers, over the seed's nodes
+    and the 2k triple-2 and 2k triple-3 nodes; :func:`_pearson` turns them
+    into the correlation, as it does every other correlation of the package.
     """
     if k < 0:
         raise PreconditionViolatedError("k must be >= 0")
@@ -142,9 +140,6 @@ def growth_correlation(k: int) -> float:
     n = 8 + 4 * k
     a_sum = sum(w * a for a, _, w in nodes)
     d_sum = sum(w * d for _, d, w in nodes)
-    dev = [(n * a - a_sum, n * d - d_sum, w) for a, d, w in nodes]
-    num = sum(w * x * z for x, z, w in dev)
-    var_a = sum(w * x * x for x, _, w in dev)
-    var_d = sum(w * z * z for _, z, w in dev)
-    nn = n * n
-    return (num / nn) / math.sqrt((var_a / nn) * (var_d / nn))
+    return _pearson(n, n * sum(w * a * d for a, d, w in nodes) - a_sum * d_sum,
+                    n * sum(w * a * a for a, _, w in nodes) - a_sum * a_sum,
+                    n * sum(w * d * d for _, d, w in nodes) - d_sum * d_sum, 1, 1)

@@ -11,8 +11,9 @@ A graph is read-only int64 arrays in compressed sparse rows: node i's degree
 ``deg[i]`` and sorted neighbours ``nbr[ptr[i]:ptr[i + 1]]``. :func:`_from_keys` cuts
 every graph from the sorted, distinct keys i*n + j of its arcs (:func:`_arcs`):
 the label core of :func:`build_graph` and the edge-list reader, the random
-generators, rewiring, isolate stripping, growth, and ``Graph(adj, labels)``
-once it has checked every promise in O(n + m). ``adj`` is built on first read.
+generators, rewiring, isolate stripping, growth, copies and pickles, and
+``Graph(adj, labels)`` once it has checked every promise in O(n + m).
+``adj`` is built on first read.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ class Graph:
     that were dropped as duplicates during construction. Labels are unique.
     """
 
-    def __init__(self, adj: Sequence[Iterable[int]], labels: Sequence[NodeId] | None = None,
-                 duplicates_collapsed: int = 0):
+    def __new__(cls, adj: Sequence[Iterable[int]], labels: Sequence[NodeId] | None = None,
+                duplicates_collapsed: int = 0) -> Graph:
         try:
             sets = [set(map(operator.index, a)) for a in adj]
         except TypeError:
@@ -63,7 +64,11 @@ class Graph:
                 raise PreconditionViolatedError(f"node {i} has a neighbour not adjacent to it")
         heads = np.repeat(np.arange(n), list(map(len, sets)))
         keys = _arcs(n, heads, list(chain.from_iterable(sets)))
-        vars(self).update(vars(_from_keys(n, keys, labels, duplicates_collapsed, index)))
+        return _from_keys(n, keys, labels, duplicates_collapsed, index)
+
+    def __reduce__(self):  # read-only arrays again, and no cache
+        return _from_keys, (self.n, _sources(self) * self.n + self.nbr, self.labels,
+                            self.duplicates_collapsed)
 
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:

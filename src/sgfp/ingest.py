@@ -6,6 +6,8 @@ Formats:
   * attributes: CSV with header "node,value", value decimal
   * labels: CSV with header "node,label"; literal "NA" means missing
     (and forms its own category)
+  * both tables are quoted CSV, read and written: a label holding ',' or '"'
+    sits in double quotes, each '"' doubled
 
 Every file is opened through :func:`opened`, which turns OS and decoding
 errors into :class:`FileAccessError`.
@@ -116,9 +118,12 @@ def write_graph(g: Graph, target: Source) -> None:
 
 
 def node_values_text(g: Graph, values: Sequence) -> str:
-    """A "node,value" table in g's canonical order; None writes an empty value."""
-    return "node,value\n" + "".join(f"{label},{'' if v is None else v}\n"
-                                    for label, v in zip(g.labels, values))
+    """A quoted "node,value" table in g's canonical order; None writes an empty value."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("node", "value"))
+    writer.writerows(zip(g.labels, values))
+    return out.getvalue()
 
 
 def _read_node_table(source: Source, g: Graph, column: str,

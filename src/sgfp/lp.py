@@ -43,7 +43,7 @@ from .errors import (
     InvariantBrokenError,
     PreconditionViolatedError,
 )
-from .graph import Graph, Kernel, _pearson, is_connected, kernel
+from .graph import Graph, Kernel, _pearson, is_connected, is_regular, kernel
 from .metrics import _json
 
 
@@ -300,7 +300,7 @@ def max_failing_correlation(g: Graph, epsilon: float = 0.001) -> HighCorrelation
     correlation of the witness with the degree sequence (scale-invariant,
     so the box normalization does not bias the reported value).
     """
-    if not is_connected(g) or len(set(kernel(g).deg)) <= 1:
+    if not is_connected(g) or is_regular(g):
         raise DegenerateGraphError("graph must be connected and non-regular")
     result = _failing_witness(kernel(g), epsilon)
     if result is None:

@@ -199,18 +199,10 @@ class GapReport:
     delta: list = field(default_factory=list)
 
     def to_json(self, include_per_node: bool = False) -> str:
-        payload = {
-            "n": self.n,
-            "m": self.m,
-            "singular_gap": self.singular_gap,
-            "list_gap": self.list_gap,
-            "r_da": self.r_da,
-            "r_ddelta": self.r_ddelta,
-            "excluded_isolates": self.excluded_isolates,
-        }
+        payload = {key: value for key, value in vars(self).items() if not isinstance(value, list)}
         if include_per_node:
-            payload["s"] = [None if v is None else float(v) for v in self.s]
-            payload["delta"] = [float(v) for v in self.delta]
+            payload.update((key, [None if v is None else float(v) for v in value])
+                           for key, value in vars(self).items() if isinstance(value, list))
         return _json(payload)
 
 

@@ -223,6 +223,21 @@ def test_propown(tmp_path, capsys):
     assert values["l3"] == "0.0"
 
 
+def test_propown_tables_of_quoted_labels_read_back(tmp_path, capsys):
+    # Labels holding ',' or '"', or opening with '"', must be quoted in the
+    # written table, or analyze reads a row of three columns.
+    graph = tmp_path / "g.edges"
+    graph.write_text('a,b c\nc d\nd a,b\n"q c\nx"y d\n')
+    labels = tmp_path / "l.csv"
+    labels.write_text('node,label\n"a,b",M\nc,M\nd,F\n"""q",F\n"x""y",M\n')
+    out = tmp_path / "p.csv"
+    assert main(["propown", str(graph), str(labels), "--output", str(out)]) == 0
+    assert out.read_text() == ('node,value\n"a,b",0.5\nc,0.3333333333333333\n'
+                               'd,0.0\n"""q",0.0\n"x""y",0.0\n')
+    assert main(["analyze", str(graph), str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 5
+
+
 def test_rewire_experiment(tmp_path):
     graph = tmp_path / "g.edges"
     main(["gen", "gnp", "--n", "12", "--p", "0.4", "--seed", "3",
@@ -513,8 +528,8 @@ FIG1_LABELS = "node,label\nA,x\nB,x\nC,y\nD,y\nE,y\nF,NA\nG,z\nH,z\n"
 
 
 def test_output_bytes_golden(fig1_files, tmp_path):
-    # CSV tables from the csv module end lines in \r\n; edge lists, node
-    # tables and JSON lines end them in \n.
+    # The census, grow and rewire-experiment tables end lines in \r\n; edge
+    # lists, node tables and JSON lines end them in \n.
     graph, attrs = fig1_files
     labels = tmp_path / "l.csv"
     labels.write_text(FIG1_LABELS)

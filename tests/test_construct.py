@@ -156,6 +156,27 @@ def test_growth_correlation_matches_rational_reference():
         assert growth_correlation(k) == ref_growth_correlation(k), k
 
 
+def old_growth_correlation(k):
+    """The growth curve as it was before it shared graph._pearson: n**2 times
+    each population moment, then one division by n**2 per moment."""
+    nodes = [(2, 2, 1), (2, 2, 1), (3, 3, 1), (3, 3, 1), (3, 3, 1), (3, 3, 1), (10, 1, 1),
+             (10, 1, 1), (2, 2, 2 * k), (3, 3, 2 * k)]
+    n = 8 + 4 * k
+    a_sum = sum(w * a for a, _, w in nodes)
+    d_sum = sum(w * d for _, d, w in nodes)
+    dev = [(n * a - a_sum, n * d - d_sum, w) for a, d, w in nodes]
+    num = sum(w * x * z for x, z, w in dev)
+    var_a = sum(w * x * x for x, _, w in dev)
+    var_d = sum(w * z * z for _, z, w in dev)
+    nn = n * n
+    return (num / nn) / math.sqrt((var_a / nn) * (var_d / nn))
+
+
+def test_growth_correlation_is_bit_identical_to_the_old_formula():
+    for k in [*range(2001), 10**6, 10**9]:
+        assert growth_correlation(k) == old_growth_correlation(k), k
+
+
 def test_growth_correlation_limits():
     assert abs(growth_correlation(0) - (-17 / math.sqrt(451))) < 1e-12
     assert growth_correlation(10**6) > 0.999

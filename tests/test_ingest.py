@@ -14,6 +14,7 @@ from sgfp.metrics import singular_gap
 from sgfp.ingest import (
     _SPACE,
     edge_list_from_string,
+    node_values_text,
     prop_own,
     read_attributes,
     read_edge_list,
@@ -216,6 +217,17 @@ def test_read_labels_na_is_a_category():
     assert values[1] == 0
     # The NA endpoints each have one friend (M), sharing with neither.
     assert values[0] == 0 and values[2] == 0
+
+
+def test_node_tables_with_quoted_labels_read_back():
+    g = build_graph([("a,b", '"q'), ('"q', 'x"y'), ('x"y', "plain"), ("plain", "a,b")])
+    values = [0.5, -2, 3, 1e300]
+    text = node_values_text(g, values)
+    assert text.splitlines()[1:3] == ['"a,b",0.5', '"""q",-2']
+    assert read_attributes(io.StringIO(text), g) == values
+    labels = ['M,F', '"NA"', 'say "x"', "NA"]
+    table = node_values_text(g, labels).replace("node,value", "node,label", 1)
+    assert read_labels(io.StringIO(table), g) == labels
 
 
 def test_prop_own_all_same_label():

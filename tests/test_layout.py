@@ -2,6 +2,7 @@
 the passes that must leave the neighbour tuples unbuilt, and what outside
 readers rely on (edge order and types, equality, hashing)."""
 
+import copy
 import itertools
 import pickle
 
@@ -189,6 +190,35 @@ def test_degree_array_is_the_read_only_difference_of_ptr(name):
             g.deg[0] = 5
     copied = pickle.loads(pickle.dumps(g))
     assert copied == g and np.array_equal(copied.deg, g.deg)
+    assert not (copied.ptr.flags.writeable or copied.nbr.flags.writeable
+                or copied.deg.flags.writeable)
+
+
+COPIES = {"copy.copy": copy.copy, "copy.deepcopy": copy.deepcopy,
+          "pickle": lambda g: pickle.loads(pickle.dumps(g))}
+
+
+@pytest.mark.parametrize("how", COPIES)
+@pytest.mark.parametrize("name", CONSTRUCTIONS)
+def test_copies_and_pickles_are_rebuilt_read_only_and_uncached(name, how):
+    g = CONSTRUCTIONS[name]()
+    # Fill every cache that a copy of the instance dict would carry.
+    kernel(g)
+    assert g.adj is g.adj
+    if g.n:
+        g.index_of(g.labels[-1])
+    copied = COPIES[how](g)
+    assert copied is not g
+    assert copied == g and hash(copied) == hash(g)
+    assert (copied.n, copied.m, copied.duplicates_collapsed) == (g.n, g.m, g.duplicates_collapsed)
+    assert np.array_equal(copied.deg, g.deg)
+    for array in (copied.ptr, copied.nbr, copied.deg):
+        assert array.dtype == np.int64 and not array.flags.writeable
+        if len(array):
+            with pytest.raises(ValueError):
+                array[0] = 5
+    assert copied._kernel is None and copied._index is None and "adj" not in vars(copied)
+    assert copied.adj == g.adj and kernel(copied) == kernel(g)
 
 
 def test_the_construction_paths_cover_isolates():

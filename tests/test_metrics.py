@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -152,6 +153,56 @@ def test_gap_report_json():
     with_nodes = json.loads(report.to_json(include_per_node=True))
     assert len(with_nodes["s"]) == 8
     assert len(with_nodes["delta"]) == 8
+
+
+def old_report_json(report, include_per_node=False):
+    """GapReport.to_json as it was when it named every key in a literal."""
+    payload = {
+        "n": report.n,
+        "m": report.m,
+        "singular_gap": report.singular_gap,
+        "list_gap": report.list_gap,
+        "r_da": report.r_da,
+        "r_ddelta": report.r_ddelta,
+        "excluded_isolates": report.excluded_isolates,
+    }
+    if include_per_node:
+        payload["s"] = [None if v is None else float(v) for v in report.s]
+        payload["delta"] = [float(v) for v in report.delta]
+    return json.dumps(payload, allow_nan=False)
+
+
+REPORTS = [
+    gap_report(*example_graph_fig1()),
+    gap_report(example_graph_fig4()[0], example_graph_fig4()[1][0]),
+    gap_report(build_graph([(0, 1), (1, 2)], nodes=range(4)), [1, 2.5, 4, None]),
+    gap_report(build_graph([(0, 1), (1, 2), (2, 0)]), [1, 1, 1], per_node=False),
+]
+
+
+@pytest.mark.parametrize("report", REPORTS)
+def test_report_json_matches_the_old_literal(report):
+    for include_per_node in (False, True):
+        assert report.to_json(include_per_node) == old_report_json(report, include_per_node)
+
+
+SCALARS = ("n", "m", "singular_gap", "list_gap", "r_da", "r_ddelta", "excluded_isolates")
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_report_json_names_the_first_non_finite_field_as_before(bad):
+    report = REPORTS[0]
+    for first, later in itertools.combinations_with_replacement(SCALARS, 2):
+        broken = dataclasses.replace(report, **{first: bad, later: bad})
+        for include_per_node in (False, True):
+            with pytest.raises(NonFiniteOutputError) as info:
+                broken.to_json(include_per_node)
+            assert info.value.field == first
+    broken = dataclasses.replace(report, delta=[1.0, bad] + report.delta[2:])
+    assert broken.to_json() == old_report_json(broken)
+    with pytest.raises(NonFiniteOutputError) as info:
+        broken.to_json(include_per_node=True)
+    assert info.value.field == "delta"
 
 
 def test_singular_gap_large_float_terms():

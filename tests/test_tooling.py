@@ -65,3 +65,22 @@ def test_lp_float_literals_are_zero_or_powers_of_two():
              and id(node) not in defaults and node.value != 0.0
              and math.frexp(node.value)[0] != 0.5]
     assert found == []
+
+
+def test_square_roots_are_taken_only_in_pearson():
+    # Every correlation comes from graph._pearson, with its exact 0 and +-1
+    # decisions and its overflow fallback; a second root would be a second
+    # Pearson arithmetic.
+    roots, pearson = [], None
+    for p in SOURCES:
+        tree = ast.parse(p.read_text(encoding="utf-8"), str(p))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (p.name, node.name) == ("graph.py", "_pearson"):
+                pearson = range(node.lineno, node.end_lineno + 1)
+            elif isinstance(node, ast.Attribute) and node.attr in ("sqrt", "isqrt"):
+                roots.append((p.name, node.lineno))
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                roots += [(p.name, node.lineno) for a in node.names if a.name in ("sqrt", "isqrt")]
+    assert len(roots) >= 2 and pearson is not None
+    assert [f"{name}:{line}" for name, line in roots
+            if name != "graph.py" or line not in pearson] == []

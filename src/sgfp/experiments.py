@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -33,20 +35,17 @@ class CensusRecord:
     base_seed: int
 
 
-def _census_chunk(args: tuple[int, float, Sequence[int]]) -> list[tuple[bool, float, float]]:
-    """(is_pro, r_high, r_ddelta) for the census draws with these sample seeds.
+def _census_chunk(n: int, epsilon: float, seeds: list[int]) -> list[tuple[bool, float, float]]:
+    """(is_pro, r_high, r_ddelta) for the census draws with these sample seeds,
+    drawn by one :func:`_sample_blocks` call, whose block bounds the memory.
 
     The draws' degrees and y = L * delta are computed as arrays, and all
     three results are functions of a draw's sorted (degree, y) pairs:
-    draws with the same pairs share one memo entry, kept for this call
-    only. At most `_CHUNK` seeds are sampled at once.
+    draws with the same pairs share one memo entry, kept for this call.
     """
-    n, epsilon, seeds = args
     memo: dict = {}
     out = []
-    blocks = (adj for i in range(0, len(seeds), _CHUNK)
-              for adj in _sample_blocks(n, 0.5, seeds[i:i + _CHUNK]))
-    for adj in blocks:
+    for adj in _sample_blocks(n, 0.5, seeds):
         # L in Python ints above _INT64_MAX_N nodes, y too where (n - 1) L may not fit.
         deg = adj.sum(2, dtype=np.int64)
         big_l = np.lcm.reduce(deg if n <= _INT64_MAX_N else deg.astype(object), axis=1)
@@ -73,7 +72,6 @@ def _census_row(deg: Sequence[int], big_l: int, y: Sequence[int],
             _pearson(len(deg), a, b, c, 1, big_l))
 
 
-_CHUNK = 256  # samples per task sent to a worker process
 _INT64_MAX_N = 43  # the largest n with y <= (n - 1) * lcm(1..n-1) < 2**63
 
 
@@ -83,9 +81,9 @@ def census(n: int, samples: int, seed: int, epsilon: float = 0.001,
     also returns the number of draws whose LP is infeasible at `epsilon`
     (their r_high is left out of the means).
 
-    Deterministic for a fixed seed regardless of `jobs`: every sample uses
-    its own derived seed and results reduce in sample order. At most one
-    worker process runs per chunk of samples.
+    The same for every `jobs`: each sample has its own derived seed, and
+    min(jobs, samples, CPU count) processes (this one alone if that is 1)
+    take one contiguous share each, with one memo, joined in sample order.
     """
     if samples < 1:
         raise PreconditionViolatedError("samples must be >= 1")
@@ -93,15 +91,16 @@ def census(n: int, samples: int, seed: int, epsilon: float = 0.001,
         raise PreconditionViolatedError("jobs must be >= 1")
     _check_epsilon(epsilon)
     seeds = [mix(mix(seed, n), i) for i in range(samples)]
-    chunks = [(n, epsilon, seeds[i:i + _CHUNK]) for i in range(0, samples, _CHUNK)]
-    workers = min(jobs, len(chunks))
+    workers = min(jobs, samples, os.cpu_count() or 1)
+    shares = [seeds[k * samples // workers:(k + 1) * samples // workers] for k in range(workers)]
     if workers > 1:
-        # Imported here: it loads multiprocessing, which one job never uses.
+        # Imported here: it loads multiprocessing, which one worker never uses.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = [row for rows in pool.map(_census_chunk, chunks) for row in rows]
+            per_share = list(pool.map(partial(_census_chunk, n, epsilon), shares))
     else:
-        results = _census_chunk((n, epsilon, seeds))
+        per_share = [_census_chunk(n, epsilon, seeds)]
+    results = [row for rows in per_share for row in rows]
 
     def _mean(pro, column):
         xs = [row[column] for row in results if row[0] == pro and row[column] == row[column]]

@@ -131,6 +131,15 @@ def test_perturb_rejects_nonzero_mean():
         perturb_to_positive_correlation(g, samples[2])
 
 
+@pytest.mark.parametrize("edges", [
+    [(0, 1), (2, 3)],                  # disconnected
+    [(0, 1), (1, 2), (2, 3), (3, 0)],  # regular: a 4-cycle
+])
+def test_perturb_rejects_a_disconnected_or_regular_graph(edges):
+    with pytest.raises(PreconditionViolatedError, match="connected and non-regular"):
+        perturb_to_positive_correlation(build_graph(edges), [0, 0, 0, 0])
+
+
 def test_threshold_star_is_zero():
     est = threshold_estimate(star(6))
     assert est.candidate_sup == 0.0

@@ -1,8 +1,10 @@
 import concurrent.futures
+import os
 
 import numpy as np
 import pytest
 
+from sgfp import experiments
 from sgfp.classify import PRO, classify
 from sgfp.errors import InfeasibleAtEpsilonError
 from sgfp.construct import path
@@ -34,19 +36,44 @@ class _SerialPool:
         return map(fn, tasks)
 
 
-@pytest.mark.parametrize("jobs, samples, pools", [
-    (5000, 4, []),      # one chunk: runs in-process
-    (5000, 600, [3]),   # three chunks of at most 256 samples
-    (2, 600, [2]),
-])
-def test_census_starts_at_most_one_worker_per_chunk(monkeypatch, jobs, samples, pools):
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Census pools run in-process as _SerialPool; returns a CPU count setter."""
     monkeypatch.setattr(_SerialPool, "created", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    return lambda cpus: monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+
+@pytest.mark.parametrize("jobs, samples, cpus, pools", [
+    (5000, 4, 8, [4]),    # no more workers than samples
+    (5000, 600, 8, [8]),  # nor than CPUs
+    (8, 600, 2, [2]),
+    (2, 600, 1, []),      # one worker: runs in-process
+])
+def test_census_starts_at_most_one_worker_per_job_sample_and_cpu(serial_pool, jobs, samples,
+                                                                 cpus, pools):
+    serial_pool(cpus)
     assert census(4, samples, seed=1, jobs=jobs) == census(4, samples, seed=1)
     assert _SerialPool.created == pools
 
 
-def test_census_is_deterministic_across_jobs():
+def test_census_keeps_one_memo_per_worker(serial_pool, monkeypatch):
+    serial_pool(8)
+    calls, original = [], experiments._census_row
+
+    def row(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(experiments, "_census_row", row)
+    record = census(5, 600, seed=1, jobs=1)
+    one = len(calls)
+    assert census(5, 600, seed=1, jobs=2) == record
+    assert len(calls) - one <= 2 * one  # two workers, so at most two memos
+
+
+def test_census_is_deterministic_across_jobs(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool on a 1-CPU host too
     assert census(5, 600, seed=3, jobs=2) == census(5, 600, seed=3, jobs=1)
 
 
@@ -78,7 +105,8 @@ def _census_without_memo(n, samples, seed, epsilon):
 
 @pytest.mark.parametrize("epsilon", [1e-3, 0.9])  # 0.9 leaves some draws infeasible
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_census_memo_matches_reference_without_memo(jobs, epsilon):
+def test_census_memo_matches_reference_without_memo(monkeypatch, jobs, epsilon):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     for n in range(3, 8):
         assert census(n, 300, seed=8, epsilon=epsilon, jobs=jobs) == \
             _census_without_memo(n, 300, 8, epsilon)

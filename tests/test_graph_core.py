@@ -24,6 +24,10 @@ def test_build_path3():
     assert g.n == 3 and g.m == 2
 
 
+def test_repr_names_the_node_and_edge_counts():
+    assert repr(path(3)) == "Graph(n=3, m=2)"
+
+
 def test_duplicate_edges_collapse_with_count():
     g = build_graph([(1, 2), (2, 1)])
     assert g.m == 1

@@ -8,6 +8,7 @@ import pytest
 from sgfp import randgen
 from sgfp.classify import PRO, classify
 from sgfp.errors import ExhaustedTriesError
+from sgfp.experiments import census
 from sgfp.graph import degrees, is_connected, is_regular
 from sgfp.randgen import (
     SplitMix64,
@@ -154,6 +155,7 @@ def test_batch_sampler_matches_reference(n, p):
 
 def test_batch_sampler_matches_reference_in_small_blocks(monkeypatch):
     # 10 pairs at n = 5: five seeds per block, and fewer tries when many pend.
+    record = census(5, 300, seed=31)
     monkeypatch.setattr(randgen, "_BLOCK", 50)
     sizes, original = [], randgen._draws
 
@@ -163,6 +165,8 @@ def test_batch_sampler_matches_reference_in_small_blocks(monkeypatch):
 
     monkeypatch.setattr(randgen, "_draws", draws)
     _batch_matches_reference(5, 0.3, [mix(31, i) for i in range(40)])
+    # A census of 300 samples spans 60 blocks of five seeds, in the same bound.
+    assert census(5, 300, seed=31) == record
     assert max(sizes) <= 50
 
 

@@ -18,8 +18,8 @@ from itertools import count, islice
 from typing import Optional, Sequence
 
 from .errors import DegenerateGraphError, InvariantBrokenError, PreconditionViolatedError
-from .graph import Graph, _pearson, build_graph, degrees, delta, is_connected, is_regular, kernel
-from .metrics import _json, correlation, singular_gap
+from .graph import Graph, _moments, _pearson, build_graph, delta, is_connected, is_regular, kernel
+from .metrics import _json, _prepare, singular_gap
 
 PRO = "ProSGFP"
 ANTI = "AntiSGFP"
@@ -85,24 +85,24 @@ def perturb_to_positive_correlation(g: Graph, a: Sequence) -> list:
 
     Raises the attribute of a maximum-degree node and lowers that of a
     minimum-degree node by the same amount, small enough to keep the gap
-    negative (half the strict bound, for float robustness).
+    negative (half the strict bound, for float robustness). Its zero mean
+    and zero correlation are checked exactly.
     """
     if not is_connected(g) or is_regular(g):
         raise PreconditionViolatedError("graph must be connected and non-regular")
-    n = g.n
-    mean = sum(a) / n
-    if abs(mean) > 1e-12:
+    k, n, ints, _, _ = _prepare(g, a)
+    if sum(ints):
         raise PreconditionViolatedError("attribute mean must be 0")
-    deg = degrees(g)
-    r = correlation(list(deg), list(a))
-    if r is None or abs(r) > 1e-12:
+    cov, _, var = _moments(k.deg, ints)
+    if cov or not var:
         raise PreconditionViolatedError("degree-attribute correlation must be 0")
+    deg = k.deg
     gap = singular_gap(g, a)
     if gap >= 0:
         raise PreconditionViolatedError("gap must be negative")
     dl = delta(g)
-    i = min(range(n), key=lambda k: (-deg[k], k))
-    j = min(range(n), key=lambda k: (deg[k], k))
+    i = min(range(n), key=lambda v: (-deg[v], v))
+    j = min(range(n), key=lambda v: (deg[v], v))
     # Half the strict bound n|gap| / (delta_i - delta_j): keeps the
     # perturbed gap strictly negative even in float mode.
     eps = min(1, (n * abs(gap)) / (2 * (dl[i] - dl[j]))) if dl[i] > dl[j] else 1

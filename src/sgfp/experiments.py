@@ -17,9 +17,9 @@ import numpy as np
 from .construct import initial_growth_state, grow_step
 from .errors import PreconditionViolatedError
 from .graph import Graph, _from_keys, _moments, _pearson, _sources, kernel
-from .lp import _check_epsilon, _r_high
+from .lp import _FLOAT_MIN_N, _check_epsilon, _filter_arrays, _r_high
 from .metrics import correlation, singular_gap
-from .randgen import _sample_blocks, configuration_rewire, mix
+from .randgen import _draws, _sample_blocks, _seeds, configuration_rewire, mix
 
 
 @dataclass
@@ -35,13 +35,15 @@ class CensusRecord:
     base_seed: int
 
 
-def _census_chunk(n: int, epsilon: float, seeds: list[int]) -> list[tuple[bool, float, float]]:
+def _census_chunk(n: int, epsilon: float, seeds: np.ndarray) -> list[tuple[bool, float, float]]:
     """(is_pro, r_high, r_ddelta) for the census draws with these sample seeds,
     drawn by one :func:`_sample_blocks` call, whose block bounds the memory.
 
     The draws' degrees and y = L * delta are computed as arrays, and all
     three results are functions of a draw's sorted (degree, y) pairs:
     draws with the same pairs share one memo entry, kept for this call.
+    From _FLOAT_MIN_N nodes on, delta is also summed in floats for the LP's
+    filters (each 1 / d_j rounded once; the zero terms add exactly).
     """
     memo: dict = {}
     out = []
@@ -51,23 +53,27 @@ def _census_chunk(n: int, epsilon: float, seeds: list[int]) -> list[tuple[bool, 
         big_l = np.lcm.reduce(deg if n <= _INT64_MAX_N else deg.astype(object), axis=1)
         w = (big_l[:, None] // deg).astype(np.int64 if big_l.max() < 2 ** 63 // (n - 1) else object)
         y = (adj * w[:, None, :]).sum(2)
-        for d, lcm, ys in zip(deg.tolist(), big_l.tolist(), y.tolist()):
+        dl = (adj / deg[:, None, :]).sum(2) if n >= _FLOAT_MIN_N else None
+        for b, (d, lcm, ys) in enumerate(zip(deg.tolist(), big_l.tolist(), y.tolist())):
             key = tuple(sorted(zip(d, ys)))
             row = memo.get(key)
             if row is None:
-                row = memo[key] = _census_row(d, lcm, ys, epsilon)
+                arrays = None if dl is None else (deg[b], dl[b])
+                row = memo[key] = _census_row(d, lcm, ys, epsilon, arrays)
             out.append(row)
     return out
 
 
-def _census_row(deg: Sequence[int], big_l: int, y: Sequence[int],
-                epsilon: float) -> tuple[bool, float, float]:
+def _census_row(deg: Sequence[int], big_l: int, y: Sequence[int], epsilon: float,
+                arrays: Optional[tuple[np.ndarray, np.ndarray]] = None,
+                ) -> tuple[bool, float, float]:
     """(is_pro, r_high, r_ddelta) of one connected draw from its degrees,
     their lcm L and y = L * delta; r_high is NaN when the LP is infeasible
     at `epsilon`. It is pro (y affine in d) when the moments of (d, y) have
-    a * a = b * c, as a > 0 makes the slope positive (see :func:`classify`)."""
+    a * a = b * c, as a > 0 makes the slope positive (see :func:`classify`).
+    `arrays` as :func:`lp._solve_exact` takes them."""
     a, b, c = _moments(deg, y)
-    res = _r_high(deg, y, big_l, epsilon)
+    res = _r_high(deg, y, big_l, epsilon, arrays)
     return (a * a == b * c, float("nan") if res is None else res[0],
             _pearson(len(deg), a, b, c, 1, big_l))
 
@@ -90,7 +96,7 @@ def census(n: int, samples: int, seed: int, epsilon: float = 0.001,
     if jobs < 1:
         raise PreconditionViolatedError("jobs must be >= 1")
     _check_epsilon(epsilon)
-    seeds = [mix(mix(seed, n), i) for i in range(samples)]
+    seeds = _draws(_seeds([mix(seed, n)]), 0, samples)[0]  # mix(mix(seed, n), i) for each i
     workers = min(jobs, samples, os.cpu_count() or 1)
     shares = [seeds[k * samples // workers:(k + 1) * samples // workers] for k in range(workers)]
     if workers > 1:
@@ -177,7 +183,7 @@ def r_high_loose(g: Graph, epsilon: float) -> Optional[float]:
     deg, y = k.active()
     if len(set(deg)) <= 1:
         return None
-    res = _r_high(deg, y, k.lcm, epsilon)
+    res = _r_high(deg, y, k.lcm, epsilon, _filter_arrays(g))
     return None if res is None else res[0]
 
 

@@ -177,10 +177,23 @@ def _neighbour_sums(g: Graph, values: Sequence[int], top: Optional[int] = None) 
     isolates: in int64 when n * top fits, else in Python ints."""
     top = max(map(abs, values), default=0) if top is None else top
     arcs = np.array(values, np.int64 if top * g.n < 2 ** 63 else object)[g.nbr]
+    return _arc_sums(g, arcs).tolist()
+
+
+def _arc_sums(g: Graph, arcs: np.ndarray) -> np.ndarray:
+    """Per node, the sum of `arcs` (a value per arc, in CSR order) over its arcs; 0 at isolates."""
     # The 0 keeps every start in range; an isolate's empty segment gets its start's value.
     sums = np.add.reduceat(np.concatenate((arcs, (0,))), g.ptr[:-1])
     sums[g.deg == 0] = 0
-    return sums.tolist()
+    return sums
+
+
+def _float_delta(g: Graph) -> np.ndarray:
+    """delta in floats, with no big-int division: per node the float sum of
+    the rounded 1 / d_j over its neighbours j (0 at isolates), so within
+    1.01 u d_i delta_i of the exact delta_i for u = 2**-53 (Higham 2002,
+    section 4.2). :attr:`Kernel.delta` is correctly rounded."""
+    return _arc_sums(g, 1.0 / g.deg[g.nbr])
 
 
 def degrees(g: Graph) -> tuple[int, ...]:

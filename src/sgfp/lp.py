@@ -23,7 +23,8 @@ The descent runs from lambda = 0 in the kernel's integers (:func:`_solve_exact`)
 so the witness and r_high depend only on the multiset of (d_i, L delta_i)
 pairs, not on the node labels. Floats only save exact work: on larger
 graphs they decide each pass, slope sign and slope step where a proven
-error bound allows (a static filter as in Shewchuk 1997).
+error bound allows (a static filter as in Shewchuk 1997). Their delta is
+summed from the graph in floats, with no big-integer division.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .errors import (
     InvariantBrokenError,
     PreconditionViolatedError,
 )
-from .graph import Graph, Kernel, _pearson, is_connected, is_regular, kernel
+from .graph import Graph, Kernel, _float_delta, _pearson, is_connected, is_regular, kernel
 from .metrics import _json
 
 
@@ -60,43 +61,72 @@ def _int_fill(k: int, total: int) -> list[int]:
 
 def _filtered_pass(deg: Sequence[int], y: Sequence[int], big_l: int, d: np.ndarray,
                    dl: np.ndarray, p: int, q: int):
-    """The exact pass of :func:`_solve_exact` at kappa = p / q, signs in int8,
-    or None when floats cannot place the median. Each float c / q =
-    d - kappa L delta, and their median, is within 4.01 u (d_max + kappa L
-    delta_max) = err / 2 of the exact one (u = 2**-53): nodes beyond 2 err
-    from the float median are decided in floats, the rest in integers."""
-    if (p * big_l).bit_length() > q.bit_length() + 960:  # lambda delta may overflow
+    """The exact pass of :func:`_solve_exact` at kappa = p / q: (a, the tied
+    nodes in y order, -sum(a)), a in int8, or None when floats cannot place
+    the median. At kappa = 0, c = d: signs and ties come from the int64
+    degrees. Otherwise, with lambda = kappa L rounded and u = 2**-53, each
+    float c / q = d - lambda delta is within u (d_max + 3.03 lambda delta_max
+    + 1.03 lambda rho) < err / 2 of the exact one (rho = d_max delta_max
+    bounds each d_i delta_i; see :func:`_solve_exact`), and so is their
+    median: nodes beyond 2 err from the float median are decided in floats,
+    the rest in integers. The float median is the r-th float, so at most r
+    floats lie 2 err below it and at least r + 1 no more than 2 err above:
+    the exact median's rank in that band is in range."""
+    r = (len(d) - 1) // 2
+    if p == 0:
+        mu = np.partition(d, r)[r]
+        a = np.sign(d - mu).astype(np.int8)
+        tie = np.flatnonzero(d == mu).tolist()
+    elif (p * big_l).bit_length() > q.bit_length() + 960:  # lambda delta may overflow
         return None
-    lam = p * big_l / q
-    cf = d - lam * dl
-    r = (len(cf) - 1) // 2
-    mf = np.partition(cf, r)[r]
-    err = 2.0 ** -50 * (d.max() + lam * dl.max())
-    above, below = cf > mf + 2 * err, cf < mf - 2 * err
-    band = np.flatnonzero(~(above | below)).tolist()
-    rank = r - int(below.sum())
-    if not 0 <= rank < len(band):
-        return None
-    c = [q * deg[i] - p * y[i] for i in band]
-    mu = sorted(c)[rank]
-    a = above.astype(np.int8) - below
-    tie = [i for i, v in zip(band, c) if v == mu]
-    if len(tie) < len(band):
-        a[band] = [(v > mu) - (v < mu) for v in c]
-    return a, tie, -int(a.sum())
+    else:
+        lam = p * big_l / q
+        cf = d - lam * dl
+        mf = np.partition(cf, r)[r]
+        d_max, dl_max = d.max(), dl.max()
+        err = 2.0 ** -50 * (d_max + lam * dl_max * (1 + d_max))
+        above, below = cf > mf + 2 * err, cf < mf - 2 * err
+        band = np.flatnonzero(~(above | below)).tolist()
+        c = [q * deg[i] - p * y[i] for i in band]
+        mu = sorted(c)[r - int(below.sum())]
+        a = above.astype(np.int8) - below
+        tie = [i for i, v in zip(band, c) if v == mu]
+        if len(tie) < len(band):
+            a[band] = [(v > mu) - (v < mu) for v in c]
+    return a, sorted(tie, key=y.__getitem__), -int(a.sum())
+
+
+def _weighted_median(x: np.ndarray, w: np.ndarray, target: float) -> int:
+    """The index at which a cumulative sum of the weights w > 0 in ascending
+    x first reaches `target` (the last index if it never does), found by
+    selection (Gurwitz 1990): halve the candidates at their median x until
+    at most 2048 are left, then sort those."""
+    below, idx = 0.0, None  # idx: the candidates' indices, None while all are
+    while len(x) > 2048:
+        part = np.argpartition(x, len(x) // 2)
+        keep = part[:len(x) // 2]
+        w_low = w[keep].sum()
+        if below + w_low < target:
+            keep, below = part[len(x) // 2:], below + w_low
+        x, w, idx = x[keep], w[keep], keep if idx is None else idx[keep]
+    order = np.argsort(x)
+    j = order[min(int(np.searchsorted(below + np.cumsum(w[order]), target)), len(x) - 1)]
+    return j if idx is None else idx[j]
 
 
 def _filtered_step(deg: Sequence[int], y: Sequence[int], d: np.ndarray, dl: np.ndarray,
                    piv: int, epsilon: float) -> Optional[tuple[int, int]]:
     """The slope step of :func:`_solve_exact` at pivot `piv`: a line
     (d_k - d_p, y_k - y_p) of the weighted median slope, or None when floats
-    cannot show one. Each float w_k = delta_k - delta_p is within E / 2 of
-    (y_k - y_p) / L, E = 2**-50 delta_max; if |w_k| > 2 E the float slope
-    lambda_k is within 8 E |lambda_k| / |w_k| of the exact one, else y_k
-    must equal y_p (the line is left out). Lines whose intervals meet the
-    float median's must share its slope, and the weights below and not
-    above it straddle the target by n (E + 2**-50 W), a bound on float sums."""
-    big_e = 2.0 ** -50 * dl.max()
+    cannot show one. Each float delta is within 1.02 u rho of y / L (u =
+    2**-53, rho = d_max delta_max; see :func:`_solve_exact`), so each float
+    w_k = delta_k - delta_p is within E / 2 of (y_k - y_p) / L, E = 2**-50
+    rho; if |w_k| > 2 E the float slope lambda_k is within 8 E |lambda_k| /
+    |w_k| of the exact one, else y_k must equal y_p (the line is left out).
+    Lines whose intervals meet the float median's must share its slope, and
+    the weights below and not above it straddle the target by n (E + 2**-50
+    W), a bound on float sums."""
+    big_e = 2.0 ** -50 * d.max() * dl.max()
     dp, yp = deg[piv], y[piv]
     w = dl - dl[piv]
     far = np.abs(w) > 2 * big_e
@@ -107,16 +137,15 @@ def _filtered_step(deg: Sequence[int], y: Sequence[int], d: np.ndarray, dl: np.n
     aw = np.abs(w)
     lam = (d[idx] - d[piv]) / w
     err = np.abs(lam) / aw * (8 * big_e)
-    order = np.argsort(lam)
-    cum = np.cumsum(aw[order])
-    target = (cum[-1] + epsilon) / 2
-    i = order[min(int(np.searchsorted(cum, target)), len(cum) - 1)]
+    total = aw.sum()
+    target = (total + epsilon) / 2
+    i = _weighted_median(lam, aw, target)
     off, reach = lam - lam[i], err + err[i]
     mid = np.abs(off) <= reach
     w_above = aw @ (off > reach)
-    margin = len(dl) * (big_e + 2.0 ** -50 * cum[-1])
+    margin = len(dl) * (big_e + 2.0 ** -50 * total)
     num, wi = deg[idx[i]] - dp, y[idx[i]] - yp
-    if (not cum[-1] - aw @ mid - w_above + margin < target <= cum[-1] - w_above - margin
+    if (not total - aw @ mid - w_above + margin < target <= total - w_above - margin
             or any((deg[j] - dp) * wi != num * (y[j] - yp) for j in idx[mid].tolist())):
         return None
     return num, wi
@@ -134,6 +163,9 @@ def _solve_exact(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: floa
     decided by the sign of the integer s * (y . a) + e.
 
     With `arrays` = (d, delta) in numpy, floats decide what they provably can.
+    Each float delta_i need only be within 1.01 u d_i delta_i of y_i / L (u =
+    2**-53): a sum of the d_i rounded 1 / d_j, in any order, is (Higham 2002,
+    section 4.2; a correctly rounded delta_i is too).
     Returns None if the LP is infeasible, else an optimal a as (a, m, fill,
     y . a * m): a_i in {-1, 1} off the tied nodes, 0 on them, and fill[i] / m
     there, in {-1, 0, 1} but for the two nodes of at most one partial swap.
@@ -144,9 +176,12 @@ def _solve_exact(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: floa
     n = len(deg)
     # Feasible iff the least y . a over {sum(a) = 0, box} (+1 on the n // 2
     # smallest y, -1 on the n // 2 largest) reaches -e / s. In floats, any
-    # y . a / L + epsilon with a in the box is off by less than tol.
+    # y . a / L + epsilon with a in the box is off by less than tol: by
+    # 1.01 u sum(d_i delta_i) < 1.01 u n sum(delta) from the float deltas,
+    # and about u n sum(delta) from the float sums. The halves the floats
+    # pick have an exact sum at most twice the first bound above the least.
     if arrays:
-        dl = np.sort(arrays[1])
+        dl = np.partition(arrays[1], n // 2)
         tol = 2.0 ** -50 * n * dl.sum()
         gap = dl[:n // 2].sum() - dl[n - n // 2:].sum() + epsilon
     if not arrays or abs(gap) <= tol:
@@ -167,45 +202,51 @@ def _solve_exact(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: floa
             c = [q * di - p * yi for di, yi in zip(deg, y)]
             mu = sorted(c)[(n - 1) // 2]
             a = [(v > mu) - (v < mu) for v in c]
-            found = a, [i for i, v in enumerate(c) if v == mu], -sum(a)
-        a, tie, total = found
-        up = sorted(tie, key=y.__getitem__)  # reversed: the maximizer at kappa-
-        ys, vals = [y[i] for i in up], _int_fill(len(tie), total)
-        # h_up, h_down = -(right, left slope of g) * s L, in floats within
-        # tol * s L; y . a is summed exactly only when floats cannot decide.
+            tie = [i for i, v in enumerate(c) if v == mu]
+            found = a, sorted(tie, key=y.__getitem__), -sum(a)
+        a, up, total = found  # up: the tied nodes by y; reversed, the maximizer at kappa-
+        # h_up, h_down = -(right, left slope of g) * s L: each is y . a / L +
+        # epsilon for an a in the box, so in floats within tol * s L. The fill
+        # (_int_fill) is +1 on the first `ones` tied nodes, 0 on the next
+        # `zero` and -1 on the rest. Floats only show h_up > 0, or both < 0
+        # at kappa > 0; neither ends the descent, so y . a is summed exactly
+        # whenever it may end.
         if arrays:
-            t, v, f = arrays[1][up], np.array(vals), arrays[1] @ a + epsilon
-            h_up, h_down = f + t @ v, f + t[::-1] @ v
+            ones, zero = divmod(total + len(up), 2)
+            t, f = arrays[1][up], arrays[1] @ a + epsilon
+            h_up = f + t[:ones].sum() - t[ones + zero:].sum()
+            h_down = f + t[len(up) - ones:].sum() - t[:len(up) - ones - zero].sum()
         if not arrays or not (h_up > tol or p and max(h_up, h_down) < -tol):
+            ys, vals = [y[i] for i in up], _int_fill(len(up), total)
             ya = (sum(compress(y, (a > 0).tolist())) - sum(compress(y, (a < 0).tolist()))
                   if isinstance(a, np.ndarray) else sum(map(mul, y, a)))
             h_up = s * (ya + sum(map(mul, ys, vals))) + e
             h_down = s * (ya + sum(map(mul, reversed(ys), vals))) + e
-        # At kappa > 0 the left slope of g (from the kappa- maximizer) must be <= 0.
-        if h_up <= 0 and (p == 0 or h_down >= 0):
-            # Any fill between the two is optimal. Swap the values of the
-            # i-th lowest- and i-th highest-y tied nodes, outermost pair first,
-            # until s * (y . a) + e rises to 0 (or as far as the walk goes);
-            # a part-way swap leaves two values off a multiple of m.
-            m, done = 1, 0
-            for i in range(len(up) // 2):
-                gain = s * (vals[i] - vals[-1 - i]) * (ys[-1 - i] - ys[i])
-                if done + gain >= -h_up:
-                    if -h_up > done:
-                        shift = (-h_up - done) * (vals[-1 - i] - vals[i])
-                        g = math.gcd(shift, gain)
-                        m = gain // g
-                        vals = [v * m for v in vals]
-                        vals[i] += shift // g
-                        vals[-1 - i] -= shift // g
-                    break
-                vals[i], vals[-1 - i] = vals[-1 - i], vals[i]
-                done += gain
-            # Tied nodes with equal y (so equal d) take their values largest
-            # first in index order, from whichever side the descent came.
-            vals = [-v for _, v in sorted(zip(ys, (-v for v in vals)))]
-            return a, m, dict(zip(up, vals)), m * ya + sum(map(mul, ys, vals))
-        j = min((total + len(tie)) // 2, len(tie) - 1)
+            # At kappa > 0 the left slope of g (from the kappa- maximizer) must be <= 0.
+            if h_up <= 0 and (p == 0 or h_down >= 0):
+                # Any fill between the two is optimal. Swap the values of the
+                # i-th lowest- and i-th highest-y tied nodes, outermost pair
+                # first, until s * (y . a) + e rises to 0 (or as far as the
+                # walk goes); a part-way swap leaves two values off a multiple of m.
+                m, done = 1, 0
+                for i in range(len(up) // 2):
+                    gain = s * (vals[i] - vals[-1 - i]) * (ys[-1 - i] - ys[i])
+                    if done + gain >= -h_up:
+                        if -h_up > done:
+                            shift = (-h_up - done) * (vals[-1 - i] - vals[i])
+                            g = math.gcd(shift, gain)
+                            m = gain // g
+                            vals = [v * m for v in vals]
+                            vals[i] += shift // g
+                            vals[-1 - i] -= shift // g
+                        break
+                    vals[i], vals[-1 - i] = vals[-1 - i], vals[i]
+                    done += gain
+                # Tied nodes with equal y (so equal d) take their values largest
+                # first in index order, from whichever side the descent came.
+                vals = [-v for _, v in sorted(zip(ys, (-v for v in vals)))]
+                return a, m, dict(zip(up, vals)), m * ya + sum(map(mul, ys, vals))
+        j = min((total + len(up)) // 2, len(up) - 1)
         if h_up > 0:
             lo, piv = (p, q), up[j]
         else:
@@ -256,30 +297,45 @@ class HighCorrelationResult:
 _FLOAT_MIN_N = 100
 
 
-def _r_high(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: float):
+def _filter_arrays(g: Graph) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(d, delta) over g's nodes with edges, delta summed in floats by
+    :func:`graph._float_delta`, when there are _FLOAT_MIN_N of them, else
+    None: the arrays that turn on the float filters of :func:`_solve_exact`."""
+    has_edges = g.deg > 0
+    if np.count_nonzero(has_edges) < _FLOAT_MIN_N:
+        return None
+    return g.deg[has_edges], _float_delta(g)[has_edges]
+
+
+def _r_high(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: float,
+            arrays: Optional[tuple[np.ndarray, np.ndarray]] = None):
     """(r_high, the result of :func:`_solve_exact`, m * (d . a)) for a kernel
     with no isolates and two distinct degrees, or None when the LP is
-    infeasible at `epsilon`. Only large graphs build delta = y / L in floats."""
+    infeasible at `epsilon`; `arrays` as :func:`_solve_exact` takes them."""
     n = len(deg)
-    arrays = ((np.fromiter(deg, np.int64, n), np.fromiter((v / big_l for v in y), float, n))
-              if n >= _FLOAT_MIN_N else None)
     found = _solve_exact(deg, y, big_l, epsilon, arrays)
     if found is None:
         return None
     a, m, fill, _ = found
     # m * (d . a), and m * m * |a|^2; a sums to 0.
-    da = m * (int(arrays[0] @ a) if arrays else sum(map(mul, deg, a)))
-    da += sum(deg[i] * v for i, v in fill.items())
+    if arrays is None:
+        da, sum_d, sum_dd = sum(map(mul, deg, a)), sum(deg), sum(map(mul, deg, deg))
+    else:
+        d = arrays[0]
+        da, sum_d, sum_dd = int(d @ a), int(d.sum()), int(d @ d)
+    da = m * da + sum(deg[i] * v for i, v in fill.items())
     aa = m * m * (n - len(fill)) + sum(v * v for v in fill.values())
-    sum_d = sum(deg)
-    r_high = _pearson(n, n * da, n * sum(map(mul, deg, deg)) - sum_d * sum_d, n * aa, 1, m)
+    r_high = _pearson(n, n * da, n * sum_dd - sum_d * sum_d, n * aa, 1, m)
     return r_high, found, da
 
 
-def _failing_witness(k: Kernel, epsilon: float) -> Optional[HighCorrelationResult]:
+def _failing_witness(k: Kernel, epsilon: float,
+                     arrays: Optional[tuple[np.ndarray, np.ndarray]] = None,
+                     ) -> Optional[HighCorrelationResult]:
     """The failing-correlation LP for a kernel with no isolates and at least
-    two distinct degrees, or None when it is infeasible at `epsilon`."""
-    res = _r_high(k.deg, k.y, k.lcm, epsilon)
+    two distinct degrees, or None when it is infeasible at `epsilon`;
+    `arrays` as :func:`_solve_exact` takes them."""
+    res = _r_high(k.deg, k.y, k.lcm, epsilon, arrays)
     if res is None:
         return None
     r_high, (a, m, fill, ya), da = res
@@ -302,7 +358,7 @@ def max_failing_correlation(g: Graph, epsilon: float = 0.001) -> HighCorrelation
     """
     if not is_connected(g) or is_regular(g):
         raise DegenerateGraphError("graph must be connected and non-regular")
-    result = _failing_witness(kernel(g), epsilon)
+    result = _failing_witness(kernel(g), epsilon, _filter_arrays(g))
     if result is None:
         raise InfeasibleAtEpsilonError(epsilon)
     return result

@@ -61,7 +61,10 @@ class SplitMix64:
 
 
 def _seeds(seeds: Sequence[int]) -> np.ndarray:
-    """Seeds as a uint64 array, reduced mod 2**64 as :class:`SplitMix64` does."""
+    """Seeds as a uint64 array, reduced mod 2**64 as :class:`SplitMix64` does;
+    a uint64 array is returned as it is."""
+    if isinstance(seeds, np.ndarray):
+        return seeds
     return np.array([s & _MASK for s in seeds], dtype=np.uint64)
 
 
@@ -131,7 +134,8 @@ def _connected(adj: np.ndarray) -> np.ndarray:
 def _sample_blocks(n: int, p: float, seeds: Sequence[int],
                    max_tries: int = 10000) -> Iterator[np.ndarray]:
     """Adjacency matrices of :func:`sample_connected_nonregular` for each
-    seed, in seed order, as (seeds, n, n) boolean arrays of a few seeds each.
+    seed (ints, or a uint64 array), in seed order, as (seeds, n, n) boolean
+    arrays of a few seeds each.
 
     Try t of a seed is G(n, p) drawn from seed ``mix(seed, t)``. Every
     pending seed draws a block of tries at once, ``_FIRST_TRIES`` (four) at
@@ -176,12 +180,40 @@ def sample_connected_nonregular(n: int, p: float, seed: int,
     return _graph_of(next(_sample_blocks(n, p, [seed], max_tries))[0])
 
 
-def _shuffle(items: list, seed: int) -> None:
-    """``SplitMix64(seed).shuffle(items)``, its draws taken as one array."""
-    m = len(items)
-    picks = _draws(_seeds([seed]), 0, max(m - 1, 0))[0] % np.arange(m, 1, -1, dtype=np.uint64)
-    for i, j in zip(range(m - 1, 0, -1), picks.tolist()):
-        items[i], items[j] = items[j], items[i]
+_LOOP_MAX = 768  # below this many items a Python swap loop beats the array passes
+
+
+def _shuffle(items, seed: int) -> np.ndarray:
+    """``SplitMix64(seed).shuffle(items)`` as a new array, its draws taken as one array.
+
+    Step k = m - 1, ..., 1 swaps slots k and j_k <= k (step 0 swaps slot 0
+    with itself). Slot k is final after step k, and a step writes slot j_k
+    with what slot k holds at that step. So slot k ends with what slot t
+    holds at step t, t the least step after k with j_t = j_k (item j_k if
+    there is none). Slot t holds at step t what slot t' holds at step t',
+    t' the least step after t with j_t' = t (item t if there is none); as
+    j_t < t, t' is the first step to pick t. The sorted pairs (j_k, k) give
+    both steps, and pointer jumping resolves the rising chains of t'.
+    """
+    m, items = len(items), np.asarray(items)
+    draws = _draws(_seeds([seed]), 0, max(m - 1, 0))[0] % np.arange(m, 1, -1, dtype=np.uint64)
+    if m < _LOOP_MAX:
+        out = items.tolist()
+        for i, j in zip(range(m - 1, 0, -1), draws.tolist()):
+            out[i], out[j] = out[j], out[i]
+        return np.array(out, items.dtype)
+    picks = np.zeros(m, np.int64)  # j_k by step k
+    picks[:0:-1] = draws
+    key = np.sort(picks << 32 | np.arange(m))  # m < 2**32
+    pick, step = key >> 32, key & 0xFFFFFFFF
+    succ = np.full(m, -1)  # the next step with the same pick
+    succ[step[:-1]] = np.where(pick[1:] == pick[:-1], step[1:], -1)
+    held = np.arange(m)  # t', then the item
+    first = np.diff(pick, prepend=-1) != 0
+    held[pick[first]] = step[first]
+    while not np.array_equal(held, hop := held[held]):
+        held = hop
+    return items[np.where(succ >= 0, held[succ], picks)]
 
 
 def configuration_rewire(g: Graph, seed: int) -> tuple[Graph, int]:
@@ -192,8 +224,7 @@ def configuration_rewire(g: Graph, seed: int) -> tuple[Graph, int]:
     so rewired degrees may fall below the originals and the result may
     contain isolates.
     """
-    stubs = _sources(g).tolist()
-    _shuffle(stubs, seed)
-    pairs = np.array(stubs[:len(stubs) // 2 * 2], dtype=np.int64).reshape(-1, 2)
+    stubs = _shuffle(_sources(g), seed)
+    pairs = stubs[:len(stubs) // 2 * 2].reshape(-1, 2)
     keys = _arcs(g.n, *pairs[pairs[:, 0] != pairs[:, 1]].T)
     return _from_keys(g.n, keys), len(pairs) - len(keys) // 2

@@ -131,6 +131,15 @@ def test_perturb_rejects_nonzero_mean():
         perturb_to_positive_correlation(g, samples[2])
 
 
+def test_perturb_rejects_a_mean_that_is_off_zero_by_a_rounding_error():
+    # The centred fig4 sample shifted by 1e-13: its mean is about 1e-13,
+    # which a float tolerance would take for 0.
+    g, a = _centered_fig4_failing_sample()
+    assert a == [-0.25, -0.25, 1.75, -1.25]
+    with pytest.raises(PreconditionViolatedError, match="mean"):
+        perturb_to_positive_correlation(g, [v + 1e-13 for v in a])
+
+
 @pytest.mark.parametrize("edges", [
     [(0, 1), (2, 3)],                  # disconnected
     [(0, 1), (1, 2), (2, 3), (3, 0)],  # regular: a 4-cycle

@@ -17,8 +17,7 @@ from sgfp.errors import SelfLoopError, UnknownNodeError
 from sgfp.experiments import strip_isolates
 from sgfp.graph import Graph, build_graph
 from sgfp.ingest import edge_list_from_string
-from sgfp.randgen import (SplitMix64, _graph_of, _sample_blocks, _shuffle,
-                          configuration_rewire, gnp, mix)
+from sgfp.randgen import SplitMix64, _graph_of, _sample_blocks, configuration_rewire, gnp, mix
 
 from conftest import preferential_attachment, random_graphs
 
@@ -54,7 +53,7 @@ def ref_rewire(g, seed):
     stubs = []
     for i, neigh in enumerate(g.adj):
         stubs.extend([i] * len(neigh))
-    _shuffle(stubs, seed)
+    SplitMix64(seed).shuffle(stubs)
     edges, seen, dropped = [], set(), 0
     for k in range(0, len(stubs) - 1, 2):
         u, v = stubs[k], stubs[k + 1]

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from sgfp import experiments
+from sgfp import experiments, lp
 from sgfp.classify import PRO, classify
 from sgfp.errors import InfeasibleAtEpsilonError
 from sgfp.construct import path
@@ -221,3 +221,17 @@ def test_rewire_experiment_equals_the_stripping_recipe():
             no_edges += g.m > 0 and rew.m == 0
             lost_nodes += rew.m > 0 and np.count_nonzero(rew.deg) < np.count_nonzero(g.deg)
     assert no_edges and lost_nodes
+
+
+def test_census_filters_its_lps_from_float_min_n_nodes_on(monkeypatch):
+    # From lp._FLOAT_MIN_N nodes on, the census sums delta in floats from each
+    # draw's adjacency and filters its LPs; refusing every filter must give
+    # the same record.
+    calls = []
+    real = lp._filtered_pass
+    monkeypatch.setattr(lp, "_filtered_pass", lambda *args: calls.append(1) or real(*args))
+    want = census(lp._FLOAT_MIN_N, 6, 3)
+    assert calls
+    monkeypatch.setattr(lp, "_filtered_pass", lambda *args: None)
+    monkeypatch.setattr(lp, "_filtered_step", lambda *args: None)
+    assert census(lp._FLOAT_MIN_N, 6, 3) == want

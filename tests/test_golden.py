@@ -2,8 +2,9 @@
 that makes them was replaced (the census and rewiring CSVs before the integer
 LP descent and the leaner sampler round; the growth curve and the per-graph
 commands before the kernel computed its moments, r_{d,delta} and delta on
-first read; the messy edge file before the one-pass edge-list reader). Any
-change to a figure, or to the output bytes, fails here."""
+first read; the messy edge file before the one-pass edge-list reader; the
+large-graph rewiring row before the array stub shuffle and the summed float
+delta). Any change to a figure, or to the output bytes, fails here."""
 
 import hashlib
 import random
@@ -21,6 +22,8 @@ CENSUS_SHA256 = "c193031d97fdc80fcd0b5330aac883b47c4661cbe70435c49d02160b1c70cfb
 REWIRE_SHA256 = "1085e132eabcfb7a0cf52cce3b4f0bfb869a489450921b0d3b2d06584c7c2dce"
 GROW_SHA256 = "664805c596d44b5ab90e83dd3fc9ee662016f92a914dda9d3f1c1bed64aa20af"
 # On preferential_attachment(2500, seed=3), attributes random.Random(3).randint(-50, 50).
+# The rewire row covers a 10**4-stub shuffle and the float-filtered LP on both graphs.
+PA_REWIRE_SHA256 = "055459b9e47d84ac13f509943eacb4d72664a2612e2958eee80a95f54cdfd57d"
 PA_SHA256 = {
     "classify": "5e15e8daa39a3ff79904a03549b8c0e7697b447adddd1918c3cc009746d824f4",
     "analyze": "10527b8fd34ce84ac77a0b0f43ae3c0e30a99746a4608ae3a55435d16e5453dd",
@@ -85,6 +88,13 @@ def test_per_graph_command_output_is_unchanged(pa_files, command, extra):
     argv = [command, str(pa_files / "g.edges"), *(a.format(a=pa_files / "a.csv") for a in extra)]
     assert main([*argv, "--output", str(out)]) == 0
     assert _digest(out) == PA_SHA256[command]
+
+
+def test_rewire_experiment_on_a_large_graph_is_unchanged(pa_files, monkeypatch):
+    # Run from the directory with the relative name, so the network id is "g.edges".
+    monkeypatch.chdir(pa_files)
+    assert main(["rewire-experiment", "g.edges", "--seed", "5", "--output", "rewire.csv"]) == 0
+    assert _digest(pa_files / "rewire.csv") == PA_REWIRE_SHA256
 
 
 def messy_edge_text(n, seed):

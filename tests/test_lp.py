@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgfp.construct import path, star
 from sgfp.errors import (
@@ -14,13 +16,15 @@ from sgfp.errors import (
     InfeasibleAtEpsilonError,
     PreconditionViolatedError,
 )
-from sgfp.graph import Graph, Kernel, build_graph, degrees, delta, exact_correlation, kernel
+from sgfp.graph import (Graph, Kernel, _float_delta, build_graph, degrees, delta,
+                        exact_correlation, kernel)
 from sgfp import lp
 from sgfp.lp import _failing_witness, _int_fill, _r_high, _solve_exact, max_failing_correlation
 from sgfp.metrics import correlation
 from sgfp.randgen import sample_connected_nonregular
 
-from conftest import every_signature, preferential_attachment, random_graphs
+from conftest import (every_signature, preferential_attachment, preferential_attachment_edges,
+                      random_graphs)
 
 
 def _arrays(g):
@@ -28,9 +32,10 @@ def _arrays(g):
             np.array([float(v) for v in delta(g)]))
 
 
-def _objective(k, eps):
-    """The LP's optimum d . a after checking its float witness, or None."""
-    res = _failing_witness(k, eps)
+def _objective(k, eps, g=None):
+    """The LP's optimum d . a after checking its float witness, or None; the
+    graph `g` of the kernel turns on the float filters."""
+    res = _failing_witness(k, eps, None if g is None else lp._filter_arrays(g))
     if res is None:
         return None
     a = np.array(res.witness)
@@ -100,7 +105,7 @@ def test_solver_matches_highs_on_criterion_5_stream():
 def test_solver_matches_highs_on_large_graphs(n):
     g = preferential_attachment(n, seed=n)
     k = kernel(g)
-    _assert_close(_objective(k, 1e-3), _highs(k.deg, k.delta, 1e-3))
+    _assert_close(_objective(k, 1e-3, g), _highs(k.deg, k.delta, 1e-3))
 
 
 def _degenerate_instances():
@@ -390,6 +395,40 @@ def _float_defeating_kernels():
         yield Kernel(tuple(rng.randint(1, 4) for _ in range(n)), big_l, tuple(y))
 
 
+class _CheckedList(list):
+    """A list whose integer indices must lie in range: no negative ones."""
+
+    def __getitem__(self, i):
+        assert not isinstance(i, int) or 0 <= i < len(self), (i, len(self))
+        return super().__getitem__(i)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_filtered_pass_takes_the_median_inside_its_band(data):
+    # The float median is the r-th float, so at most r floats lie 2 err below
+    # it and at least r + 1 within 2 err above: the exact median's rank in
+    # the band is in range while every float is finite, which the overflow
+    # guard ensures. Few degrees and y, some 1 apart under a large L, tie
+    # both exactly and in floats; the pass must equal the exact one.
+    n = data.draw(st.integers(1, 30))
+    big_l = data.draw(st.sampled_from([6, 60, (1 << 61) + 1, 3 << 200]))
+    centres = data.draw(st.lists(st.integers(1, 3 * big_l), min_size=1, max_size=3))
+    deg = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    y = [data.draw(st.sampled_from(centres)) + data.draw(st.integers(0, 2)) for _ in range(n)]
+    p, q = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 5))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "sorted", lambda *args, **kw: _CheckedList(sorted(*args, **kw)),
+                   raising=False)
+        got = lp._filtered_pass(deg, y, big_l, np.array(deg), np.array([v / big_l for v in y]),
+                                p, q)
+    c = [q * di - p * yi for di, yi in zip(deg, y)]
+    mu = sorted(c)[(n - 1) // 2]
+    a = [(v > mu) - (v < mu) for v in c]
+    assert got[0].tolist() == a and got[2] == -sum(a)
+    assert got[1] == sorted((i for i, v in enumerate(c) if v == mu), key=y.__getitem__)
+
+
 def _overflowing_kernel():
     # lambda = kappa * L leaves the float range at kappa = 1 / 1, so the
     # filtered pass there must fall back to the exact one.
@@ -506,24 +545,54 @@ def _descent_cases():
         yield preferential_attachment(n, seed=n)
 
 
+def _hub_graphs():
+    # Hubs of degree 600 and 900, where a summed float delta strays furthest
+    # (1.01 u d_i delta_i).
+    for n, hub in ((1500, 600), (3000, 900)):
+        rng = random.Random(n)
+        extra = [(n, v) for v in rng.sample(range(n), hub)]
+        yield build_graph(preferential_attachment_edges(n, n) + extra)
+
+
 @pytest.mark.parametrize("eps", [1e-3, 0.5, 1.0])  # dyadic: the dual optimum may be an interval
 def test_filtered_descent_gives_the_exact_witness(eps):
-    for g in _descent_cases():
+    # With correctly rounded deltas, and with the summed ones the LP uses.
+    for g in itertools.chain(_descent_cases(), _hub_graphs()):
         k = kernel(g)
         want = _solve(k, eps)
-        got = _solve(k, eps, filtered=True)
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert _scaled(got) == _scaled(want)
+        for dl in (np.array(k.delta), _float_delta(g)):
+            got = _solve_exact(k.deg, k.y, k.lcm, eps, (g.deg, dl))
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert _scaled(got) == _scaled(want)
+    assert [max(g.deg) for g in _hub_graphs()] == [600, 900]
+
+
+def test_summed_deltas_with_l_beyond_the_float_range():
+    # A half graph (a_i joined to b_1..b_i) has the degrees 1..760 twice, so
+    # L > 2**1024, and twins a_i, b_(761-i) with one y whose float deltas
+    # are summed in reverse order. Its float slopes (d_k - d_p) / (y_k - y_p)
+    # underflow, which makes the unfiltered descent's slope steps take the
+    # lcm of every denominator; the references are the filters on correctly
+    # rounded deltas, whose every decision is exact, and HiGHS.
+    g = build_graph([(f"a{i}", f"b{j}") for i in range(1, 761) for j in range(1, i + 1)])
+    k = kernel(g)
+    assert k.lcm.bit_length() > 1024 and sorted(set(k.deg)) == list(range(1, 761))
+    for eps in (1e-3, 0.5):
+        want = _solve_exact(k.deg, k.y, k.lcm, eps, _numpy(k))
+        assert _scaled(_solve_exact(k.deg, k.y, k.lcm, eps, (g.deg, _float_delta(g)))) == \
+            _scaled(want)
+        _assert_close(_exact_objective(k, eps, filtered=True), _highs(k.deg, k.delta, eps))
 
 
 @pytest.mark.parametrize("n", [200, 1000, 10_000])
 def test_large_lps_need_no_exact_pass_or_slope_step(monkeypatch, n):
     # A fallback would still give the right witness, only 6-10 times slower.
     passes, steps = _spy(monkeypatch, "_filtered_pass"), _spy(monkeypatch, "_filtered_step")
-    k = kernel(preferential_attachment(n, seed=n))
+    g = preferential_attachment(n, seed=n)
+    k = kernel(g)
     for eps in (1e-3, 0.5, 1.0):
-        assert _r_high(k.deg, k.y, k.lcm, eps) is not None
+        assert _r_high(k.deg, k.y, k.lcm, eps, lp._filter_arrays(g)) is not None
     assert passes and steps
     assert None not in passes and None not in steps
 
@@ -531,13 +600,15 @@ def test_large_lps_need_no_exact_pass_or_slope_step(monkeypatch, n):
 def test_refused_filters_fall_back_to_the_exact_witness(monkeypatch):
     # When every filtered pass and slope step refuses, the descent on arrays
     # runs the exact ones and must give the same results.
-    ks = [kernel(preferential_attachment(n, seed=n)) for n in (200, 1000)]
-    want = [_failing_witness(k, eps) for k in ks for eps in (1e-3, 0.5)]
+    gs = [preferential_attachment(n, seed=n) for n in (200, 1000)]
+    want = [_failing_witness(kernel(g), eps, lp._filter_arrays(g))
+            for g in gs for eps in (1e-3, 0.5)]
     monkeypatch.setattr(lp, "_filtered_pass", lambda *args: None)
     monkeypatch.setattr(lp, "_filtered_step", lambda *args: None)
-    assert [_failing_witness(k, eps) for k in ks for eps in (1e-3, 0.5)] == want
-    for k in ks:
-        _assert_matches_reference(k, 1e-3)
+    assert [_failing_witness(kernel(g), eps, lp._filter_arrays(g))
+            for g in gs for eps in (1e-3, 0.5)] == want
+    for g in gs:
+        _assert_matches_reference(kernel(g), 1e-3)
 
 
 def _relabel(g, rng):

@@ -197,7 +197,8 @@ def test_generators_raise_no_overflow_warning_and_restore_the_error_state():
             warnings.simplefilter("error")
             inside = np.geterr()
             gnp(40, 0.5, 2 ** 64 - 1)
-            _shuffle(list(range(100)), 2 ** 63 + 7)
+            for length in (100, 3000):  # the swap loop and the array passes
+                _shuffle(list(range(length)), 2 ** 63 + 7)
             for adj in _sample_blocks(6, 0.5, [2 ** 64 - 1, 5, -3]):
                 assert np.geterr() == inside
         assert np.geterr() == before
@@ -239,7 +240,16 @@ def test_shuffle_matches_splitmix_shuffle():
     cases = [(0, 1), (1, 2), (0, -5), (1, 2**64 + 3)]
     cases += [(rng.randrange(200), rng.randrange(-2**65, 2**65)) for _ in range(1996)]
     for length, seed in cases:
-        want, got = list(range(length)), list(range(length))
+        want = list(range(length))
         SplitMix64(seed).shuffle(want)
-        _shuffle(got, seed)
-        assert got == want, (length, seed)
+        assert _shuffle(range(length), seed).tolist() == want, (length, seed)
+
+
+@pytest.mark.parametrize("loop_max", [0, randgen._LOOP_MAX])  # the array passes, then as run
+@pytest.mark.parametrize("length", [*range(65), 400_000])
+def test_shuffle_matches_splitmix_shuffle_at_every_small_length(monkeypatch, loop_max, length):
+    monkeypatch.setattr(randgen, "_LOOP_MAX", loop_max)
+    seed = mix(45, length)
+    want = list(range(length))
+    SplitMix64(seed).shuffle(want)
+    assert _shuffle(list(range(length)), seed).tolist() == want

@@ -17,7 +17,7 @@ import numpy as np
 from .construct import initial_growth_state, grow_step
 from .errors import PreconditionViolatedError
 from .graph import Graph, _from_keys, _moments, _pearson, _sources, kernel
-from .lp import _FLOAT_MIN_N, _check_epsilon, _filter_arrays, _r_high
+from .lp import _check_epsilon, _r_high
 from .metrics import correlation, singular_gap
 from .randgen import _draws, _sample_blocks, _seeds, configuration_rewire, mix
 
@@ -39,11 +39,10 @@ def _census_chunk(n: int, epsilon: float, seeds: np.ndarray) -> list[tuple[bool,
     """(is_pro, r_high, r_ddelta) for the census draws with these sample seeds,
     drawn by one :func:`_sample_blocks` call, whose block bounds the memory.
 
-    The draws' degrees and y = L * delta are computed as arrays, and all
+    The draws' degrees and y = L * delta are computed in numpy, and all
     three results are functions of a draw's sorted (degree, y) pairs:
     draws with the same pairs share one memo entry, kept for this call.
-    From _FLOAT_MIN_N nodes on, delta is also summed in floats for the LP's
-    filters (each 1 / d_j rounded once; the zero terms add exactly).
+    On large draws the LP filters itself with delta = y / L (:func:`lp._r_high`).
     """
     memo: dict = {}
     out = []
@@ -53,27 +52,23 @@ def _census_chunk(n: int, epsilon: float, seeds: np.ndarray) -> list[tuple[bool,
         big_l = np.lcm.reduce(deg if n <= _INT64_MAX_N else deg.astype(object), axis=1)
         w = (big_l[:, None] // deg).astype(np.int64 if big_l.max() < 2 ** 63 // (n - 1) else object)
         y = (adj * w[:, None, :]).sum(2)
-        dl = (adj / deg[:, None, :]).sum(2) if n >= _FLOAT_MIN_N else None
-        for b, (d, lcm, ys) in enumerate(zip(deg.tolist(), big_l.tolist(), y.tolist())):
+        for d, lcm, ys in zip(deg.tolist(), big_l.tolist(), y.tolist()):
             key = tuple(sorted(zip(d, ys)))
             row = memo.get(key)
             if row is None:
-                arrays = None if dl is None else (deg[b], dl[b])
-                row = memo[key] = _census_row(d, lcm, ys, epsilon, arrays)
+                row = memo[key] = _census_row(d, lcm, ys, epsilon)
             out.append(row)
     return out
 
 
-def _census_row(deg: Sequence[int], big_l: int, y: Sequence[int], epsilon: float,
-                arrays: Optional[tuple[np.ndarray, np.ndarray]] = None,
-                ) -> tuple[bool, float, float]:
+def _census_row(deg: Sequence[int], big_l: int, y: Sequence[int],
+                epsilon: float) -> tuple[bool, float, float]:
     """(is_pro, r_high, r_ddelta) of one connected draw from its degrees,
     their lcm L and y = L * delta; r_high is NaN when the LP is infeasible
     at `epsilon`. It is pro (y affine in d) when the moments of (d, y) have
-    a * a = b * c, as a > 0 makes the slope positive (see :func:`classify`).
-    `arrays` as :func:`lp._solve_exact` takes them."""
+    a * a = b * c, as a > 0 makes the slope positive (see :func:`classify`)."""
     a, b, c = _moments(deg, y)
-    res = _r_high(deg, y, big_l, epsilon, arrays)
+    res = _r_high(deg, y, big_l, epsilon)
     return (a * a == b * c, float("nan") if res is None else res[0],
             _pearson(len(deg), a, b, c, 1, big_l))
 
@@ -183,7 +178,7 @@ def r_high_loose(g: Graph, epsilon: float) -> Optional[float]:
     deg, y = k.active()
     if len(set(deg)) <= 1:
         return None
-    res = _r_high(deg, y, k.lcm, epsilon, _filter_arrays(g))
+    res = _r_high(deg, y, k.lcm, epsilon, g)
     return None if res is None else res[0]
 
 

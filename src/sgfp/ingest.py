@@ -110,13 +110,6 @@ def edge_list_text(g: Graph) -> str:
     return "".join(f"{u} {v}\n" for u, v in lines)
 
 
-def write_graph(g: Graph, target: Source) -> None:
-    """Write :func:`edge_list_text`; it raises before anything is written."""
-    text = edge_list_text(g)
-    with opened(target, "w") as fh:
-        fh.write(text)
-
-
 def node_values_text(g: Graph, values: Sequence) -> str:
     """A quoted "node,value" table in g's canonical order; None writes an empty value."""
     out = io.StringIO()

@@ -23,8 +23,10 @@ The descent runs from lambda = 0 in the kernel's integers (:func:`_solve_exact`)
 so the witness and r_high depend only on the multiset of (d_i, L delta_i)
 pairs, not on the node labels. Floats only save exact work: on larger
 graphs they decide each pass, slope sign and slope step where a proven
-error bound allows (a static filter as in Shewchuk 1997). Their delta is
-summed from the graph in floats, with no big-integer division.
+error bound allows (a static filter as in Shewchuk 1997). :func:`_r_high`
+decides when, and builds their delta: summed from the graph in floats,
+with no big-integer division, when the caller hands over its graph, else
+y / L correctly rounded.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate, compress
 from operator import itemgetter, mul
 from typing import Optional, Sequence
@@ -255,7 +258,7 @@ def _solve_exact(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: floa
         # through it is best at the weighted median of its slopes
         # (d_k - d_p) / (y_k - y_p), shifted by e. Unless floats show which,
         # the slopes are sorted by their monotone floats, and those tied with
-        # the median's and not all equal by the lcm of their denominators.
+        # the median's and not all equal as exact rationals.
         found = arrays and _filtered_step(deg, y, *arrays, piv, epsilon)
         if found:
             num, w = found
@@ -267,9 +270,8 @@ def _solve_exact(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: floa
         f, num, w = lines[min(bisect_left(cum, need), len(cum) - 1)]
         first, last = bisect_left(lines, (f,)), bisect_left(lines, (f, math.inf))
         if last - first > 1 and any(nk * w != num * wk for _, nk, wk in lines[first:last]):
-            big_d = math.lcm(*map(itemgetter(2), lines[first:last]))
             cum_w = cum[first - 1] if first else 0
-            for _, num, w in sorted(lines[first:last], key=lambda ln: ln[1] * (big_d // ln[2])):
+            for _, num, w in sorted(lines[first:last], key=lambda ln: Fraction(ln[1], ln[2])):
                 cum_w += abs(w)
                 if cum_w >= need:
                     break
@@ -297,31 +299,29 @@ class HighCorrelationResult:
 _FLOAT_MIN_N = 100
 
 
-def _filter_arrays(g: Graph) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """(d, delta) over g's nodes with edges, delta summed in floats by
-    :func:`graph._float_delta`, when there are _FLOAT_MIN_N of them, else
-    None: the arrays that turn on the float filters of :func:`_solve_exact`."""
-    has_edges = g.deg > 0
-    if np.count_nonzero(has_edges) < _FLOAT_MIN_N:
-        return None
-    return g.deg[has_edges], _float_delta(g)[has_edges]
-
-
 def _r_high(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: float,
-            arrays: Optional[tuple[np.ndarray, np.ndarray]] = None):
+            g: Optional[Graph] = None):
     """(r_high, the result of :func:`_solve_exact`, m * (d . a)) for a kernel
     with no isolates and two distinct degrees, or None when the LP is
-    infeasible at `epsilon`; `arrays` as :func:`_solve_exact` takes them."""
-    n = len(deg)
-    found = _solve_exact(deg, y, big_l, epsilon, arrays)
+    infeasible at `epsilon`. From _FLOAT_MIN_N nodes on, floats filter the
+    descent; :func:`graph._float_delta` sums their delta from the graph `g`
+    whose nodes with edges deg and y list in order, else it is y / L."""
+    n, d = len(deg), None  # d: the degrees in numpy when floats filter
+    if n >= _FLOAT_MIN_N and g is None:
+        d, dl = np.array(deg), np.array([v / big_l for v in y])
+    elif n >= _FLOAT_MIN_N:
+        has_edges = g.deg > 0
+        d, dl = g.deg[has_edges], _float_delta(g)[has_edges]
+        if len(d) != n:
+            raise PreconditionViolatedError("deg must list the nodes with edges of g")
+    found = _solve_exact(deg, y, big_l, epsilon, None if d is None else (d, dl))
     if found is None:
         return None
     a, m, fill, _ = found
     # m * (d . a), and m * m * |a|^2; a sums to 0.
-    if arrays is None:
+    if d is None:
         da, sum_d, sum_dd = sum(map(mul, deg, a)), sum(deg), sum(map(mul, deg, deg))
     else:
-        d = arrays[0]
         da, sum_d, sum_dd = int(d @ a), int(d.sum()), int(d @ d)
     da = m * da + sum(deg[i] * v for i, v in fill.items())
     aa = m * m * (n - len(fill)) + sum(v * v for v in fill.values())
@@ -330,12 +330,11 @@ def _r_high(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: float,
 
 
 def _failing_witness(k: Kernel, epsilon: float,
-                     arrays: Optional[tuple[np.ndarray, np.ndarray]] = None,
-                     ) -> Optional[HighCorrelationResult]:
+                     g: Optional[Graph] = None) -> Optional[HighCorrelationResult]:
     """The failing-correlation LP for a kernel with no isolates and at least
-    two distinct degrees, or None when it is infeasible at `epsilon`;
-    `arrays` as :func:`_solve_exact` takes them."""
-    res = _r_high(k.deg, k.y, k.lcm, epsilon, arrays)
+    two distinct degrees, or None when it is infeasible at `epsilon`; `g`
+    is the kernel's graph, as :func:`_r_high` takes it."""
+    res = _r_high(k.deg, k.y, k.lcm, epsilon, g)
     if res is None:
         return None
     r_high, (a, m, fill, ya), da = res
@@ -358,7 +357,7 @@ def max_failing_correlation(g: Graph, epsilon: float = 0.001) -> HighCorrelation
     """
     if not is_connected(g) or is_regular(g):
         raise DegenerateGraphError("graph must be connected and non-regular")
-    result = _failing_witness(kernel(g), epsilon, _filter_arrays(g))
+    result = _failing_witness(kernel(g), epsilon, g)
     if result is None:
         raise InfeasibleAtEpsilonError(epsilon)
     return result

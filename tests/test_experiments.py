@@ -1,5 +1,7 @@
 import concurrent.futures
+import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -149,12 +151,14 @@ def test_census_row_equals_the_kernel_path_on_every_signature():
 
 
 def reference_r_high_loose(g, epsilon):
-    """r_high_loose as it was: on a graph with no isolates, None when regular."""
+    """r_high_loose as it was: on a graph with no isolates, None when regular;
+    the descent is the exact one, with no float filter at any size."""
     k = kernel(g)
     assert 0 not in k.deg
     if len(set(k.deg)) <= 1:
         return None
-    res = _r_high(k.deg, k.y, k.lcm, epsilon)
+    with mock.patch.object(lp, "_FLOAT_MIN_N", math.inf):
+        res = _r_high(k.deg, k.y, k.lcm, epsilon)
     return None if res is None else res[0]
 
 
@@ -224,9 +228,9 @@ def test_rewire_experiment_equals_the_stripping_recipe():
 
 
 def test_census_filters_its_lps_from_float_min_n_nodes_on(monkeypatch):
-    # From lp._FLOAT_MIN_N nodes on, the census sums delta in floats from each
-    # draw's adjacency and filters its LPs; refusing every filter must give
-    # the same record.
+    # From lp._FLOAT_MIN_N nodes on, the census's LPs filter themselves with
+    # delta = y / L correctly rounded; refusing every filter must give the
+    # same record.
     calls = []
     real = lp._filtered_pass
     monkeypatch.setattr(lp, "_filtered_pass", lambda *args: calls.append(1) or real(*args))

@@ -33,9 +33,10 @@ def _arrays(g):
 
 
 def _objective(k, eps, g=None):
-    """The LP's optimum d . a after checking its float witness, or None; the
-    graph `g` of the kernel turns on the float filters."""
-    res = _failing_witness(k, eps, None if g is None else lp._filter_arrays(g))
+    """The LP's optimum d . a after checking its float witness, or None; from
+    lp._FLOAT_MIN_N nodes on, the float filters sum delta from the kernel's
+    graph `g` when it is given."""
+    res = _failing_witness(k, eps, g)
     if res is None:
         return None
     a = np.array(res.witness)
@@ -572,8 +573,8 @@ def test_summed_deltas_with_l_beyond_the_float_range():
     # A half graph (a_i joined to b_1..b_i) has the degrees 1..760 twice, so
     # L > 2**1024, and twins a_i, b_(761-i) with one y whose float deltas
     # are summed in reverse order. Its float slopes (d_k - d_p) / (y_k - y_p)
-    # underflow, which makes the unfiltered descent's slope steps take the
-    # lcm of every denominator; the references are the filters on correctly
+    # underflow and tie, so the unfiltered descent's slope steps order their
+    # lines by exact slopes; the references are the filters on correctly
     # rounded deltas, whose every decision is exact, and HiGHS.
     g = build_graph([(f"a{i}", f"b{j}") for i in range(1, 761) for j in range(1, i + 1)])
     k = kernel(g)
@@ -582,6 +583,7 @@ def test_summed_deltas_with_l_beyond_the_float_range():
         want = _solve_exact(k.deg, k.y, k.lcm, eps, _numpy(k))
         assert _scaled(_solve_exact(k.deg, k.y, k.lcm, eps, (g.deg, _float_delta(g)))) == \
             _scaled(want)
+        assert _scaled(_solve(k, eps)) == _scaled(want)
         _assert_close(_exact_objective(k, eps, filtered=True), _highs(k.deg, k.delta, eps))
 
 
@@ -592,7 +594,7 @@ def test_large_lps_need_no_exact_pass_or_slope_step(monkeypatch, n):
     g = preferential_attachment(n, seed=n)
     k = kernel(g)
     for eps in (1e-3, 0.5, 1.0):
-        assert _r_high(k.deg, k.y, k.lcm, eps, lp._filter_arrays(g)) is not None
+        assert _r_high(k.deg, k.y, k.lcm, eps, g) is not None
     assert passes and steps
     assert None not in passes and None not in steps
 
@@ -601,14 +603,22 @@ def test_refused_filters_fall_back_to_the_exact_witness(monkeypatch):
     # When every filtered pass and slope step refuses, the descent on arrays
     # runs the exact ones and must give the same results.
     gs = [preferential_attachment(n, seed=n) for n in (200, 1000)]
-    want = [_failing_witness(kernel(g), eps, lp._filter_arrays(g))
+    want = [_failing_witness(kernel(g), eps, g)
             for g in gs for eps in (1e-3, 0.5)]
     monkeypatch.setattr(lp, "_filtered_pass", lambda *args: None)
     monkeypatch.setattr(lp, "_filtered_step", lambda *args: None)
-    assert [_failing_witness(kernel(g), eps, lp._filter_arrays(g))
+    assert [_failing_witness(kernel(g), eps, g)
             for g in gs for eps in (1e-3, 0.5)] == want
     for g in gs:
         _assert_matches_reference(kernel(g), 1e-3)
+
+
+def test_a_graph_that_is_not_the_kernels_is_refused():
+    # The float delta summed from another graph would break the filters'
+    # error bounds, so a graph whose nodes with edges are not deg's is refused.
+    k = kernel(preferential_attachment(200, seed=200))
+    with pytest.raises(PreconditionViolatedError, match="nodes with edges"):
+        _r_high(k.deg, k.y, k.lcm, 1e-3, preferential_attachment(201, seed=200))
 
 
 def _relabel(g, rng):

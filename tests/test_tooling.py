@@ -3,6 +3,7 @@
 import ast
 import importlib
 import math
+import re
 from pathlib import Path
 
 import sgfp
@@ -84,3 +85,14 @@ def test_square_roots_are_taken_only_in_pearson():
     assert len(roots) >= 2 and pearson is not None
     assert [f"{name}:{line}" for name, line in roots
             if name != "graph.py" or line not in pearson] == []
+
+
+def test_only_the_lp_decides_its_float_filter():
+    # lp._r_high decides when floats filter the descent and builds their
+    # delta; a caller hands over its graph, never (d, delta) arrays. Only
+    # graph.py's definition of _float_delta may name it outside lp.py.
+    found = [f"{p.name}:{i}" for p in SOURCES if p.name != "lp.py"
+             for i, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1)
+             if re.search(r"\b(_FLOAT_MIN_N|_float_delta)\b", line)
+             and not (p.name == "graph.py" and line.startswith("def _float_delta("))]
+    assert found == []

@@ -57,12 +57,14 @@ def cmd_census(args):
     if args.nmin > args.nmax:
         raise PreconditionViolatedError("nmin must be <= nmax")
     records = []
-    for n in range(args.nmin, args.nmax + 1):
-        row, infeasible = experiments.census(n, args.samples, args.seed, args.epsilon, args.jobs)
-        if infeasible:
-            print(f"warning: n={n}: {infeasible} of {args.samples} samples infeasible "
-                  f"at epsilon={args.epsilon}", file=sys.stderr)
-        records.append(row)
+    with experiments.census_pool(args.jobs, args.samples) as pool:  # one for every n
+        for n in range(args.nmin, args.nmax + 1):
+            row, infeasible = experiments.census(n, args.samples, args.seed, args.epsilon,
+                                                 args.jobs, pool)
+            if infeasible:
+                print(f"warning: n={n}: {infeasible} of {args.samples} samples infeasible "
+                      f"at epsilon={args.epsilon}", file=sys.stderr)
+            records.append(row)
     return experiments.csv_text(experiments.CENSUS_COLUMNS,
                                 map(attrgetter(*experiments.CENSUS_COLUMNS), records))
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
 from functools import partial
 from typing import Iterable, Optional, Sequence
@@ -15,10 +16,9 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .construct import initial_growth_state, grow_step
-from .errors import PreconditionViolatedError
-from .graph import Graph, _from_keys, _moments, _pearson, _sources, kernel
+from .errors import InvariantBrokenError, PreconditionViolatedError
+from .graph import Graph, _arc_sums, _from_keys, _moments, _pearson, _sources, kernel
 from .lp import _check_epsilon, _r_high
-from .metrics import correlation, singular_gap
 from .randgen import _draws, _sample_blocks, _seeds, configuration_rewire, mix
 
 
@@ -76,8 +76,27 @@ def _census_row(deg: Sequence[int], big_l: int, y: Sequence[int],
 _INT64_MAX_N = 43  # the largest n with y <= (n - 1) * lcm(1..n-1) < 2**63
 
 
-def census(n: int, samples: int, seed: int, epsilon: float = 0.001,
-           jobs: int = 1) -> tuple[CensusRecord, int]:
+def _workers(jobs: int, samples: int) -> int:
+    return min(jobs, samples, os.cpu_count() or 1)
+
+
+@contextmanager
+def census_pool(jobs: int, samples: int):
+    """The process pool on which :func:`census` runs `samples` draws with
+    `jobs`, to be shared by its calls for several sizes; None (no process
+    started) when that is one worker."""
+    workers = _workers(jobs, samples)
+    if workers < 2:
+        yield None
+        return
+    # Imported here: it loads multiprocessing, which one worker never uses.
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield pool
+
+
+def census(n: int, samples: int, seed: int, epsilon: float = 0.001, jobs: int = 1,
+           pool=None) -> tuple[CensusRecord, int]:
     """Classify and optimize `samples` connected non-regular G(n, 1/2) draws;
     also returns the number of draws whose LP is infeasible at `epsilon`
     (their r_high is left out of the means).
@@ -85,6 +104,8 @@ def census(n: int, samples: int, seed: int, epsilon: float = 0.001,
     The same for every `jobs`: each sample has its own derived seed, and
     min(jobs, samples, CPU count) processes (this one alone if that is 1)
     take one contiguous share each, with one memo, joined in sample order.
+    They run on `pool`, the :func:`census_pool` of (jobs, samples), when
+    the caller has one; else on a pool of this call's own.
     """
     if samples < 1:
         raise PreconditionViolatedError("samples must be >= 1")
@@ -92,15 +113,11 @@ def census(n: int, samples: int, seed: int, epsilon: float = 0.001,
         raise PreconditionViolatedError("jobs must be >= 1")
     _check_epsilon(epsilon)
     seeds = _draws(_seeds([mix(seed, n)]), 0, samples)[0]  # mix(mix(seed, n), i) for each i
-    workers = min(jobs, samples, os.cpu_count() or 1)
+    workers = _workers(jobs, samples)
     shares = [seeds[k * samples // workers:(k + 1) * samples // workers] for k in range(workers)]
-    if workers > 1:
-        # Imported here: it loads multiprocessing, which one worker never uses.
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_share = list(pool.map(partial(_census_chunk, n, epsilon), shares))
-    else:
-        per_share = [_census_chunk(n, epsilon, seeds)]
+    task = partial(_census_chunk, n, epsilon)
+    with nullcontext(pool) if pool else census_pool(jobs, samples) as pool:
+        per_share = list(pool.map(task, shares)) if pool else [task(seeds)]
     results = [row for rows in per_share for row in rows]
 
     def _mean(pro, column):
@@ -127,16 +144,33 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 
 def grow_table(steps: int) -> list[tuple[int, int, float, float]]:
-    """Rows (k, n, gap, r) for the fig1 seed growth, k = 0..steps."""
+    """Rows (k, n, gap, r) for the fig1 seed growth, k = 0..steps.
+
+    Each row comes from its step's arrays and kernel in int64: the gap is
+    (y . a - L sum(a)) / (L n), once the friend form (L // d) . t, with t the
+    neighbour sums of a, has the same numerator (as :func:`metrics.singular_gap`
+    checks); r is the Pearson correlation of (d, a). The bound n max(L, |a|)^2
+    < 2**63 (L is at least every degree), checked on every step, keeps every
+    sum in int64.
+    """
     if steps < 0:
         raise PreconditionViolatedError("steps must be >= 0")
     state = initial_growth_state()
     rows = []
     for _ in range(steps + 1):
-        g, attrs = state.graph, list(state.attrs)
-        gap = float(singular_gap(g, attrs))
-        r = correlation(kernel(g).deg, attrs)
-        rows.append((state.k, g.n, gap, r))
+        g, k = state.graph, kernel(state.graph)
+        n, deg, a = g.n, g.deg, np.array(state.attrs, np.int64)
+        if n * max(k.lcm, int(np.abs(a).max())) ** 2 >= 2 ** 63:
+            raise InvariantBrokenError(f"step {state.k}: sums beyond int64")
+        weighted = int(np.array(k.y, np.int64) @ a)
+        friends = int((k.lcm // deg) @ _arc_sums(g, a[g.nbr]))
+        if friends != weighted:
+            raise InvariantBrokenError(f"step {state.k}: gap forms disagree: {friends} != "
+                                       f"{weighted} over L = {k.lcm}")
+        sum_d, sum_a = int(deg.sum()), int(a.sum())
+        r = _pearson(n, n * int(deg @ a) - sum_d * sum_a, n * int(deg @ deg) - sum_d * sum_d,
+                     n * int(a @ a) - sum_a * sum_a, 1, 1)
+        rows.append((state.k, n, (weighted - k.lcm * sum_a) / (k.lcm * n), r))
         if state.k < steps:
             state = grow_step(state)
     return rows

@@ -171,11 +171,11 @@ def _sources(g: Graph) -> np.ndarray:
     return np.repeat(np.arange(g.n), g.deg)
 
 
-def _neighbour_sums(g: Graph, values: Sequence[int], top: Optional[int] = None) -> list[int]:
-    """Per node, the sum of the integers `values` (one per node, none above `top`
-    in absolute value, by default their largest) over its neighbours, 0 at
-    isolates: in int64 when n * top fits, else in Python ints."""
-    top = max(map(abs, values), default=0) if top is None else top
+def _neighbour_sums(g: Graph, values: Sequence[int]) -> list[int]:
+    """Per node, the sum of the integers `values` (one per node) over its
+    neighbours, 0 at isolates: in int64 when n times their largest absolute
+    value fits, else in Python ints."""
+    top = max(map(abs, values), default=0)
     arcs = np.array(values, np.int64 if top * g.n < 2 ** 63 else object)[g.nbr]
     return _arc_sums(g, arcs).tolist()
 
@@ -286,9 +286,10 @@ def kernel(g: Graph) -> Kernel:
         degs = g.deg.tolist()
         ds = list(set(degs))  # the distinct degrees
         big_l = math.lcm(*filter(None, ds))
-        w = np.zeros(max(ds, default=0) + 1, object)  # L // d by degree d, 0 at d = 0
+        # L // d by degree d, 0 at d = 0: in int64 when every sum, at most n L, fits.
+        w = np.zeros(max(ds, default=0) + 1, np.int64 if big_l * g.n < 2 ** 63 else object)
         w[ds] = [big_l // d if d else 0 for d in ds]
-        g._kernel = Kernel(tuple(degs), big_l, tuple(_neighbour_sums(g, w[g.deg], big_l)))
+        g._kernel = Kernel(tuple(degs), big_l, tuple(_arc_sums(g, w[g.deg[g.nbr]]).tolist()))
     return g._kernel
 
 

@@ -186,8 +186,3 @@ def prop_own(g: Graph, labels: list[str]) -> list[Optional[Fraction]]:
         raise LengthMismatchError(g.n, len(labels))
     return [Fraction(sum(labels[j] == label for j in nb), len(nb)) if nb else None
             for nb, label in zip(g.adj, labels)]
-
-
-def edge_list_from_string(text: str) -> Graph:
-    """Convenience wrapper for parsing an in-memory edge list."""
-    return read_edge_list(io.StringIO(text))

@@ -63,7 +63,7 @@ def _int_fill(k: int, total: int) -> list[int]:
 
 
 def _filtered_pass(deg: Sequence[int], y: Sequence[int], big_l: int, d: np.ndarray,
-                   dl: np.ndarray, p: int, q: int):
+                   dl: np.ndarray, d_max: int, dl_max: float, p: int, q: int):
     """The exact pass of :func:`_solve_exact` at kappa = p / q: (a, the tied
     nodes in y order, -sum(a)), a in int8, or None when floats cannot place
     the median. At kappa = 0, c = d: signs and ties come from the int64
@@ -74,7 +74,8 @@ def _filtered_pass(deg: Sequence[int], y: Sequence[int], big_l: int, d: np.ndarr
     median: nodes beyond 2 err from the float median are decided in floats,
     the rest in integers. The float median is the r-th float, so at most r
     floats lie 2 err below it and at least r + 1 no more than 2 err above:
-    the exact median's rank in that band is in range."""
+    the exact median's rank in that band is in range. d_max and dl_max are
+    the largest d and delta, found once per LP."""
     r = (len(d) - 1) // 2
     if p == 0:
         mu = np.partition(d, r)[r]
@@ -86,7 +87,6 @@ def _filtered_pass(deg: Sequence[int], y: Sequence[int], big_l: int, d: np.ndarr
         lam = p * big_l / q
         cf = d - lam * dl
         mf = np.partition(cf, r)[r]
-        d_max, dl_max = d.max(), dl.max()
         err = 2.0 ** -50 * (d_max + lam * dl_max * (1 + d_max))
         above, below = cf > mf + 2 * err, cf < mf - 2 * err
         band = np.flatnonzero(~(above | below)).tolist()
@@ -118,7 +118,8 @@ def _weighted_median(x: np.ndarray, w: np.ndarray, target: float) -> int:
 
 
 def _filtered_step(deg: Sequence[int], y: Sequence[int], d: np.ndarray, dl: np.ndarray,
-                   piv: int, epsilon: float) -> Optional[tuple[int, int]]:
+                   d_max: int, dl_max: float, piv: int,
+                   epsilon: float) -> Optional[tuple[int, int]]:
     """The slope step of :func:`_solve_exact` at pivot `piv`: a line
     (d_k - d_p, y_k - y_p) of the weighted median slope, or None when floats
     cannot show one. Each float delta is within 1.02 u rho of y / L (u =
@@ -129,7 +130,7 @@ def _filtered_step(deg: Sequence[int], y: Sequence[int], d: np.ndarray, dl: np.n
     Lines whose intervals meet the float median's must share its slope, and
     the weights below and not above it straddle the target by n (E + 2**-50
     W), a bound on float sums."""
-    big_e = 2.0 ** -50 * d.max() * dl.max()
+    big_e = 2.0 ** -50 * d_max * dl_max
     dp, yp = deg[piv], y[piv]
     w = dl - dl[piv]
     far = np.abs(w) > 2 * big_e
@@ -183,7 +184,8 @@ def _solve_exact(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: floa
     # 1.01 u sum(d_i delta_i) < 1.01 u n sum(delta) from the float deltas,
     # and about u n sum(delta) from the float sums. The halves the floats
     # pick have an exact sum at most twice the first bound above the least.
-    if arrays:
+    if arrays:  # the filters also take the largest d and delta, fixed for this LP
+        arrays = (*arrays, int(arrays[0].max()), float(arrays[1].max()))
         dl = np.partition(arrays[1], n // 2)
         tol = 2.0 ** -50 * n * dl.sum()
         gap = dl[:n // 2].sum() - dl[n - n // 2:].sum() + epsilon

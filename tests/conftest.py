@@ -1,4 +1,5 @@
 import functools
+import io
 import math
 import random
 
@@ -7,6 +8,7 @@ import pytest
 
 from sgfp.errors import ExhaustedTriesError, ParseError
 from sgfp.graph import Kernel, build_graph, is_regular
+from sgfp.ingest import read_edge_list
 from sgfp.randgen import SplitMix64, mix, sample_connected_nonregular
 
 
@@ -82,6 +84,11 @@ def reference_read_edge_list(text):
             if parts and not parts[0].startswith("#") and len(parts) != 2:
                 raise ParseError(lineno, f"expected two labels, got {len(parts)}")
     return build_graph(rows)
+
+
+def edge_list_from_string(text):
+    """read_edge_list of an in-memory edge list."""
+    return read_edge_list(io.StringIO(text))
 
 
 def random_graphs(base_seed, count, n_range=(4, 10), p=0.5):

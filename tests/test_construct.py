@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from sgfp import experiments
 from sgfp.classify import ANTI, PRO, classify
 from sgfp.construct import (
     example_graph_fig1,
@@ -257,7 +258,7 @@ def _fresh_rows(steps):
         assert state.graph.adj == adj
 
 
-@pytest.mark.parametrize("steps", [0, 1, 5, 20, 100])
+@pytest.mark.parametrize("steps", [0, 1, 5, 20, 100, 300])
 def test_grow_table_matches_fresh_kernels(steps):
     assert grow_table(steps) == _fresh_rows(steps)
 
@@ -270,3 +271,31 @@ def test_wrong_carried_kernel_fails_the_gap_cross_check():
     state.graph._kernel = dataclasses.replace(k, y=tuple(y))
     with pytest.raises(InvariantBrokenError):
         singular_gap(state.graph, list(state.attrs))
+
+
+def test_grow_table_cross_checks_both_gap_forms_on_every_step(monkeypatch):
+    def step_with_a_wrong_kernel_at_k3(state):
+        child = grow_step(state)
+        if child.k == 3:
+            k = kernel(child.graph)
+            y = list(k.y)
+            y[0] += 1
+            child.graph._kernel = dataclasses.replace(k, y=tuple(y))
+        return child
+
+    monkeypatch.setattr(experiments, "grow_step", step_with_a_wrong_kernel_at_k3)
+    assert grow_table(2) == _fresh_rows(2)
+    with pytest.raises(InvariantBrokenError, match="step 3: gap forms disagree"):
+        grow_table(5)
+
+
+@pytest.mark.parametrize("attrs, bad", [((2 ** 29,) * 8, False), ((2 ** 30,) * 8, True)])
+def test_grow_table_refuses_sums_beyond_int64(monkeypatch, attrs, bad):
+    # n max(L, |a|)^2 is 8 * 2**58 = 2**61 at |a| = 2**29, but 2**63 at 2**30.
+    seed = dataclasses.replace(initial_growth_state(), attrs=attrs)
+    monkeypatch.setattr(experiments, "initial_growth_state", lambda: seed)
+    if bad:
+        with pytest.raises(InvariantBrokenError, match="step 0: sums beyond int64"):
+            grow_table(0)
+    else:
+        assert grow_table(0) == [(0, 8, 0.0, None)]

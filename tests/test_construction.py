@@ -16,10 +16,9 @@ from hypothesis import strategies as st
 from sgfp.errors import SelfLoopError, UnknownNodeError
 from sgfp.experiments import strip_isolates
 from sgfp.graph import Graph, build_graph
-from sgfp.ingest import edge_list_from_string
 from sgfp.randgen import SplitMix64, _graph_of, _sample_blocks, configuration_rewire, gnp, mix
 
-from conftest import preferential_attachment, random_graphs
+from conftest import edge_list_from_string, preferential_attachment, random_graphs
 
 
 def ref_build_graph(edges, nodes=None):

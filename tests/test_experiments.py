@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from sgfp import experiments, lp
+from sgfp import cli, experiments, lp
 from sgfp.classify import PRO, classify
 from sgfp.errors import InfeasibleAtEpsilonError
 from sgfp.construct import path
@@ -57,6 +57,19 @@ def test_census_starts_at_most_one_worker_per_job_sample_and_cpu(serial_pool, jo
     serial_pool(cpus)
     assert census(4, samples, seed=1, jobs=jobs) == census(4, samples, seed=1)
     assert _SerialPool.created == pools
+
+
+def test_a_census_call_starts_one_pool_for_all_its_sizes(serial_pool, tmp_path):
+    serial_pool(8)
+    out = {}
+    for jobs in (1, 2, 3):
+        path = tmp_path / f"jobs{jobs}.csv"
+        argv = ["census", "--nmin", "3", "--nmax", "6", "--samples", "30", "--seed", "5",
+                "--jobs", str(jobs), "--output", str(path)]
+        assert cli.main(argv) == 0
+        out[jobs] = path.read_bytes()
+        assert _SerialPool.created == [2, 3][:jobs - 1]  # --jobs 1 starts none
+    assert out[1] == out[2] == out[3] and out[1].count(b"\n") == 5
 
 
 def test_census_keeps_one_memo_per_worker(serial_pool, monkeypatch):

@@ -13,7 +13,6 @@ from sgfp.graph import build_graph, degrees
 from sgfp.metrics import singular_gap
 from sgfp.ingest import (
     _SPACE,
-    edge_list_from_string,
     edge_list_text,
     node_values_text,
     prop_own,
@@ -22,7 +21,7 @@ from sgfp.ingest import (
     read_labels,
 )
 
-from conftest import reference_read_edge_list
+from conftest import edge_list_from_string, reference_read_edge_list
 
 
 def test_read_edge_list_basic():

@@ -9,16 +9,16 @@ import pickle
 import numpy as np
 import pytest
 
+from sgfp import graph
 from sgfp.classify import classify, threshold_estimate
 from sgfp.construct import grow_step, initial_growth_state, path
 from sgfp.experiments import grow_table, rewire_experiment, strip_isolates
 from sgfp.graph import Graph, Kernel, build_graph, degrees, is_connected, kernel
-from sgfp.ingest import edge_list_from_string
 from sgfp.lp import max_failing_correlation
 from sgfp.randgen import SplitMix64, configuration_rewire, gnp, mix, sample_connected_nonregular
 
-from conftest import (every_signature, preferential_attachment, reference_gnp,
-                      reference_is_connected, reference_kernel, signature_graphs)
+from conftest import (edge_list_from_string, every_signature, preferential_attachment,
+                      reference_gnp, reference_is_connected, reference_kernel, signature_graphs)
 
 
 def check_against_reference(g):
@@ -91,6 +91,20 @@ def test_large_graphs_keep_exact_kernels_beyond_int64():
     g = preferential_attachment(10_000, seed=7)
     assert kernel(g).lcm > 2 ** 63
     check_against_reference(g)
+
+
+@pytest.mark.parametrize("n, dtype", [(1726, np.int64), (1727, object)])
+def test_kernels_on_both_sides_of_the_int64_switch_match_the_reference(monkeypatch, n, dtype):
+    # A half graph (a_i joined to b_1..b_i) has the degrees 1..40, so L =
+    # lcm(1..40), and isolates make n nodes: L * n < 2**63 just at n = 1726.
+    edges = [(f"a{i}", f"b{j}") for i in range(1, 41) for j in range(1, i + 1)]
+    g = build_graph(edges, nodes=[*dict.fromkeys(v for e in edges for v in e), *range(n - 80)])
+    dtypes, real = [], graph._arc_sums
+    monkeypatch.setattr(graph, "_arc_sums",
+                        lambda h, arcs: dtypes.append(arcs.dtype) or real(h, arcs))
+    check_against_reference(g)
+    assert g.n == n and (kernel(g).lcm * n < 2 ** 63) == (dtype is np.int64)
+    assert dtypes == [np.dtype(dtype)]
 
 
 def test_hot_paths_leave_the_neighbour_tuples_unbuilt(monkeypatch):

@@ -325,6 +325,11 @@ def _numpy(k):
     return np.array(k.deg), np.array(k.delta)
 
 
+def _filters(d, dl):
+    """(d, delta, their maxima): the arrays the filtered pass and step take."""
+    return d, dl, int(d.max()), float(dl.max())
+
+
 def _solve(k, eps, filtered=False):
     return _solve_exact(k.deg, k.y, k.lcm, eps, _numpy(k) if filtered else None)
 
@@ -421,8 +426,8 @@ def test_filtered_pass_takes_the_median_inside_its_band(data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp, "sorted", lambda *args, **kw: _CheckedList(sorted(*args, **kw)),
                    raising=False)
-        got = lp._filtered_pass(deg, y, big_l, np.array(deg), np.array([v / big_l for v in y]),
-                                p, q)
+        got = lp._filtered_pass(deg, y, big_l,
+                                *_filters(np.array(deg), np.array([v / big_l for v in y])), p, q)
     c = [q * di - p * yi for di, yi in zip(deg, y)]
     mu = sorted(c)[(n - 1) // 2]
     a = [(v > mu) - (v < mu) for v in c]
@@ -454,7 +459,7 @@ def _spy(monkeypatch, name):
 
 def test_float_defeating_instances_match_reference(monkeypatch):
     k = _overflowing_kernel()
-    assert lp._filtered_pass(k.deg, k.y, k.lcm, *_numpy(k), 1, 1) is None
+    assert lp._filtered_pass(k.deg, k.y, k.lcm, *_filters(*_numpy(k)), 1, 1) is None
     for eps in (1e-3, 0.1):
         _assert_matches_reference(k, eps)
     steps = _spy(monkeypatch, "_filtered_step")
@@ -533,7 +538,7 @@ def test_filtered_step_is_the_exact_weighted_median():
     decided = 0
     for deg, big_l, y, piv, eps in itertools.chain(_knife_edge_steps(rng), _near_reversals(rng)):
         dl = np.array([v / big_l for v in y])
-        got = lp._filtered_step(deg, y, np.array(deg), dl, piv, eps)
+        got = lp._filtered_step(deg, y, *_filters(np.array(deg), dl), piv, eps)
         if got is not None:
             decided += 1
             assert Fraction(*got) == _weighted_median_slope(deg, y, big_l, piv, eps)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .construct import initial_growth_state, grow_step
 from .errors import InvariantBrokenError, PreconditionViolatedError
-from .graph import Graph, _arc_sums, _from_keys, _moments, _pearson, _sources, kernel
+from .graph import Graph, Kernel, _arc_sums, _from_keys, _moments, _pearson, _sources, kernel
 from .lp import _check_epsilon, _r_high
 from .randgen import _draws, _sample_blocks, _seeds, configuration_rewire, mix
 
@@ -41,8 +41,8 @@ def _census_chunk(n: int, epsilon: float, seeds: np.ndarray) -> list[tuple[bool,
 
     The draws' degrees and y = L * delta are computed in numpy, and all
     three results are functions of a draw's sorted (degree, y) pairs:
-    draws with the same pairs share one memo entry, kept for this call.
-    On large draws the LP filters itself with delta = y / L (:func:`lp._r_high`).
+    draws with the same pairs share one memo entry, kept for this call,
+    and a miss builds one :class:`Kernel` of the draw, no graph.
     """
     memo: dict = {}
     out = []
@@ -56,21 +56,21 @@ def _census_chunk(n: int, epsilon: float, seeds: np.ndarray) -> list[tuple[bool,
             key = tuple(sorted(zip(d, ys)))
             row = memo.get(key)
             if row is None:
-                row = memo[key] = _census_row(d, lcm, ys, epsilon)
+                row = memo[key] = _census_row(Kernel(tuple(d), lcm, tuple(ys)), epsilon)
             out.append(row)
     return out
 
 
-def _census_row(deg: Sequence[int], big_l: int, y: Sequence[int],
-                epsilon: float) -> tuple[bool, float, float]:
-    """(is_pro, r_high, r_ddelta) of one connected draw from its degrees,
-    their lcm L and y = L * delta; r_high is NaN when the LP is infeasible
-    at `epsilon`. It is pro (y affine in d) when the moments of (d, y) have
-    a * a = b * c, as a > 0 makes the slope positive (see :func:`classify`)."""
-    a, b, c = _moments(deg, y)
-    res = _r_high(deg, y, big_l, epsilon)
+def _census_row(k: Kernel, epsilon: float) -> tuple[bool, float, float]:
+    """(is_pro, r_high, r_ddelta) of one connected draw from its kernel;
+    r_high is NaN when the LP is infeasible at `epsilon`. It is pro (y affine
+    in d) when the moments of (d, y) have a * a = b * c, as a > 0 makes the
+    slope positive (see :func:`classify`). They are summed here, as one
+    use does not pay for the cache of :attr:`Kernel.moments`."""
+    a, b, c = _moments(k.deg, k.y)
+    res = _r_high(k, epsilon)
     return (a * a == b * c, float("nan") if res is None else res[0],
-            _pearson(len(deg), a, b, c, 1, big_l))
+            _pearson(len(k.deg), a, b, c, 1, k.lcm))
 
 
 _INT64_MAX_N = 43  # the largest n with y <= (n - 1) * lcm(1..n-1) < 2**63
@@ -205,14 +205,10 @@ def strip_isolates(g: Graph) -> Graph:
 
 def r_high_loose(g: Graph, epsilon: float) -> Optional[float]:
     """Failing-correlation LP without the connectivity requirement, over the
-    nodes with edges (as in :attr:`Kernel.moments`). Returns None when their
-    degrees are all equal or when the LP is infeasible at the given slack.
+    nodes with edges (as in :attr:`Kernel.moments`). Returns None when the LP
+    is infeasible at the given slack, as when their degrees are all equal.
     """
-    k = kernel(g)
-    deg, y = k.active()
-    if len(set(deg)) <= 1:
-        return None
-    res = _r_high(deg, y, k.lcm, epsilon, g)
+    res = _r_high(g, epsilon)
     return None if res is None else res[0]
 
 

@@ -30,7 +30,8 @@ from typing import Hashable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import IsolatedNodeError, PreconditionViolatedError, SelfLoopError, UnknownNodeError
+from .errors import (IsolatedNodeError, LengthMismatchError, PreconditionViolatedError,
+                     SelfLoopError, UnknownNodeError)
 
 NodeId = Hashable
 
@@ -51,6 +52,8 @@ class Graph:
             raise PreconditionViolatedError("neighbours must be integers") from None
         n = len(sets)
         labels = tuple(range(n)) if labels is None else tuple(labels)
+        if len(labels) != n:
+            raise LengthMismatchError(n, len(labels))
         index = {lab: i for i, lab in enumerate(labels)}
         if len(index) != n:
             raise PreconditionViolatedError("node labels must be unique")

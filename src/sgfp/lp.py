@@ -24,9 +24,9 @@ so the witness and r_high depend only on the multiset of (d_i, L delta_i)
 pairs, not on the node labels. Floats only save exact work: on larger
 graphs they decide each pass, slope sign and slope step where a proven
 error bound allows (a static filter as in Shewchuk 1997). :func:`_r_high`
-decides when, and builds their delta: summed from the graph in floats,
-with no big-integer division, when the caller hands over its graph, else
-y / L correctly rounded.
+takes one graph or one kernel and decides when, over the nodes with edges:
+a graph's delta is summed from it in floats, with no big-integer division,
+a kernel's is :attr:`Kernel.delta`, y / L correctly rounded.
 """
 
 from __future__ import annotations
@@ -301,22 +301,21 @@ class HighCorrelationResult:
 _FLOAT_MIN_N = 100
 
 
-def _r_high(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: float,
-            g: Optional[Graph] = None):
-    """(r_high, the result of :func:`_solve_exact`, m * (d . a)) for a kernel
-    with no isolates and two distinct degrees, or None when the LP is
-    infeasible at `epsilon`. From _FLOAT_MIN_N nodes on, floats filter the
-    descent; :func:`graph._float_delta` sums their delta from the graph `g`
-    whose nodes with edges deg and y list in order, else it is y / L."""
+def _r_high(src: Graph | Kernel, epsilon: float):
+    """(r_high, the result of :func:`_solve_exact`, m * (d . a)) over the
+    nodes with edges of a graph or kernel, or None when the LP is infeasible
+    at `epsilon`, as when their degrees are all equal (delta = 1 on each).
+    From _FLOAT_MIN_N such nodes on, floats filter the descent with a graph's
+    :func:`graph._float_delta` or a kernel's :attr:`Kernel.delta`."""
+    k = kernel(src) if isinstance(src, Graph) else src
+    deg, y = k.active() if 0 in k.deg else (k.deg, k.y)
     n, d = len(deg), None  # d: the degrees in numpy when floats filter
-    if n >= _FLOAT_MIN_N and g is None:
-        d, dl = np.array(deg), np.array([v / big_l for v in y])
-    elif n >= _FLOAT_MIN_N:
-        has_edges = g.deg > 0
-        d, dl = g.deg[has_edges], _float_delta(g)[has_edges]
-        if len(d) != n:
-            raise PreconditionViolatedError("deg must list the nodes with edges of g")
-    found = _solve_exact(deg, y, big_l, epsilon, None if d is None else (d, dl))
+    if n >= _FLOAT_MIN_N:
+        d, dl = ((src.deg, _float_delta(src)) if isinstance(src, Graph)
+                 else (np.array(k.deg), np.array(k.delta)))
+        if n < len(d):
+            d, dl = d[d > 0], dl[d > 0]
+    found = _solve_exact(deg, y, k.lcm, epsilon, None if d is None else (d, dl))
     if found is None:
         return None
     a, m, fill, _ = found
@@ -331,12 +330,11 @@ def _r_high(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: float,
     return r_high, found, da
 
 
-def _failing_witness(k: Kernel, epsilon: float,
-                     g: Optional[Graph] = None) -> Optional[HighCorrelationResult]:
-    """The failing-correlation LP for a kernel with no isolates and at least
-    two distinct degrees, or None when it is infeasible at `epsilon`; `g`
-    is the kernel's graph, as :func:`_r_high` takes it."""
-    res = _r_high(k.deg, k.y, k.lcm, epsilon, g)
+def _failing_witness(src: Graph | Kernel, epsilon: float) -> Optional[HighCorrelationResult]:
+    """The failing-correlation LP of a graph or kernel, as :func:`_r_high`
+    poses it, with its witness over the nodes with edges; None when it is
+    infeasible at `epsilon`."""
+    res = _r_high(src, epsilon)
     if res is None:
         return None
     r_high, (a, m, fill, ya), da = res
@@ -344,7 +342,8 @@ def _failing_witness(k: Kernel, epsilon: float,
     for i, v in fill.items():
         witness[i] = v / m  # int / int division is correctly rounded
     # ya < 0: a gap that rounds to -0.0 is reported as -5e-324 instead.
-    gap = ya / (k.lcm * m * len(k.deg)) or math.nextafter(0.0, -math.inf)
+    big_l = (kernel(src) if isinstance(src, Graph) else src).lcm
+    gap = ya / (big_l * m * len(witness)) or math.nextafter(0.0, -math.inf)
     return HighCorrelationResult(r_high=r_high, witness=witness, gap=gap,
                                  epsilon=epsilon, objective=da / m)
 
@@ -359,7 +358,7 @@ def max_failing_correlation(g: Graph, epsilon: float = 0.001) -> HighCorrelation
     """
     if not is_connected(g) or is_regular(g):
         raise DegenerateGraphError("graph must be connected and non-regular")
-    result = _failing_witness(kernel(g), epsilon, g)
+    result = _failing_witness(g, epsilon)
     if result is None:
         raise InfeasibleAtEpsilonError(epsilon)
     return result

@@ -9,7 +9,7 @@ import pytest
 from sgfp.errors import ExhaustedTriesError, ParseError
 from sgfp.graph import Kernel, build_graph, is_regular
 from sgfp.ingest import read_edge_list
-from sgfp.randgen import SplitMix64, mix, sample_connected_nonregular
+from sgfp.randgen import SplitMix64, configuration_rewire, mix, sample_connected_nonregular
 
 
 def reference_gnp(n, p, seed):
@@ -60,6 +60,12 @@ def affine_fit(deg, y):
     if dy * dd <= 0 or any((yi - y[0]) * dd != dy * (di - deg[0]) for di, yi in zip(deg, y)):
         return None
     return dy, dd
+
+
+def rewired_with_isolates(g, count):
+    """The first `count` rewires of g, by seeds 0, 1, ..., that leave isolates."""
+    rewired = (configuration_rewire(g, seed)[0] for seed in range(10 * count))
+    return [h for h in rewired if not h.deg.all()][:count]
 
 
 def reference_sample(n, p, seed, max_tries=10000):

@@ -13,11 +13,12 @@ from sgfp.construct import path
 from sgfp.experiments import (CensusRecord, RewireRecord, _census_row, census, r_high_loose,
                               rewire_experiment, strip_isolates)
 from sgfp.graph import Graph, Kernel, build_graph, kernel
-from sgfp.lp import _failing_witness, _r_high, max_failing_correlation
+from sgfp.lp import _r_high, max_failing_correlation
 from sgfp.metrics import r_d_delta
 from sgfp.randgen import configuration_rewire, gnp, mix
 
-from conftest import affine_fit, every_signature, preferential_attachment, reference_sample
+from conftest import (every_signature, preferential_attachment, reference_sample,
+                      rewired_with_isolates, signature_graphs)
 
 
 class _SerialPool:
@@ -92,22 +93,30 @@ def test_census_is_deterministic_across_jobs(monkeypatch):
     assert census(5, 600, seed=3, jobs=2) == census(5, 600, seed=3, jobs=1)
 
 
+def _graph_row(g, epsilon):
+    """A census row (is_pro, r_high, r_ddelta) by classify and
+    max_failing_correlation; r_high is NaN when the LP is infeasible."""
+    cls = classify(g)
+    try:
+        r_high = max_failing_correlation(g, epsilon).r_high
+    except InfeasibleAtEpsilonError:
+        r_high = math.nan
+    return cls.kind == PRO, r_high, cls.r_ddelta
+
+
 def _census_without_memo(n, samples, seed, epsilon):
     """Census reference: classify and solve every draw, with no memo."""
     rows = {True: ([], []), False: ([], [])}
     infeasible = 0
     for i in range(samples):
         g = reference_sample(n, 0.5, mix(mix(seed, n), i))
-        cls = classify(g)
-        try:
-            r_high = max_failing_correlation(g, epsilon).r_high
-        except InfeasibleAtEpsilonError:
-            r_high = None
-            infeasible += 1
-        rh, rdd = rows[cls.kind == PRO]
-        if r_high is not None:
+        is_pro, r_high, r_ddelta = _graph_row(g, epsilon)
+        rh, rdd = rows[is_pro]
+        if r_high == r_high:
             rh.append(r_high)
-        rdd.append(cls.r_ddelta)
+        else:
+            infeasible += 1
+        rdd.append(r_ddelta)
 
     def mean(xs):
         return sum(xs) / len(xs) if xs else None
@@ -151,16 +160,14 @@ def test_r_high_loose_is_none_when_the_lp_is_infeasible():
     assert record.seed == mix(0, 0)
 
 
-def test_census_row_equals_the_kernel_path_on_every_signature():
-    # The census computes a draw's row from (degrees, L, y) with no Kernel.
+def test_census_row_equals_the_graph_path_on_every_signature():
+    # The census computes a draw's row from the Kernel it builds of (degrees, L, y), with no graph.
     for n in range(3, 8):
-        for d, big_l, y in every_signature(n):
-            k = Kernel(tuple(d), big_l, tuple(y))
-            res = _failing_witness(k, 1e-3)
-            is_pro, r_high, r_dd = _census_row(d, big_l, y, 1e-3)
-            assert is_pro == (affine_fit(k.deg, k.y) is not None)
-            assert r_high == res.r_high if res else r_high != r_high
-            assert r_dd == k.r_ddelta
+        for (d, big_l, y), g in zip(every_signature(n), signature_graphs(n), strict=True):
+            is_pro, r_high, r_dd = _census_row(Kernel(tuple(d), big_l, tuple(y)), 1e-3)
+            want_pro, want_r_high, want_r_dd = _graph_row(g, 1e-3)
+            assert is_pro == want_pro and r_dd == want_r_dd
+            assert r_high == want_r_high or r_high != r_high and want_r_high != want_r_high
 
 
 def reference_r_high_loose(g, epsilon):
@@ -171,7 +178,7 @@ def reference_r_high_loose(g, epsilon):
     if len(set(k.deg)) <= 1:
         return None
     with mock.patch.object(lp, "_FLOAT_MIN_N", math.inf):
-        res = _r_high(k.deg, k.y, k.lcm, epsilon)
+        res = _r_high(k, epsilon)
     return None if res is None else res[0]
 
 
@@ -204,16 +211,10 @@ WITH_ISOLATES = [
 ]
 
 
-def _rewired_with_isolates(g, count):
-    """The first `count` rewires of g, by seeds 0, 1, ..., that leave isolates."""
-    rewired = (configuration_rewire(g, seed)[0] for seed in range(10 * count))
-    return [h for h in rewired if not h.deg.all()][:count]
-
-
 def test_r_high_loose_equals_it_on_the_stripped_graph():
     graphs = [g for g in WITH_ISOLATES if not g.deg.all()]
-    large = _rewired_with_isolates(preferential_attachment(150, 3), 3)  # the float-filtered LP
-    graphs += _rewired_with_isolates(build_graph(_BASE), 2) + large
+    large = rewired_with_isolates(preferential_attachment(150, 3), 3)  # the float-filtered LP
+    graphs += rewired_with_isolates(build_graph(_BASE), 2) + large
     assert len(graphs) > 15 and len(large) == 3
     for g in graphs:
         for epsilon in (1e-3, 0.5):

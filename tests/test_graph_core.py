@@ -3,8 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sgfp.errors import (IsolatedNodeError, PreconditionViolatedError, SgfpError, SelfLoopError,
-                         UnknownNodeError)
+from sgfp.errors import (IsolatedNodeError, LengthMismatchError, PreconditionViolatedError,
+                         SgfpError, SelfLoopError, UnknownNodeError)
 from sgfp.graph import (
     Graph,
     build_graph,
@@ -42,6 +42,12 @@ def test_self_loop_rejected():
 def test_duplicate_labels_rejected():
     with pytest.raises(SgfpError):
         Graph([[1], [0]], labels=["a", "a"])
+
+
+@pytest.mark.parametrize("labels", [["a", "b"], ["a", "b", "c", "d"]])
+def test_a_label_count_other_than_n_is_a_length_mismatch(labels):
+    with pytest.raises(LengthMismatchError, match=f"expected length 3, got {len(labels)}"):
+        Graph([[1], [0, 2], [1]], labels)
 
 
 @pytest.mark.parametrize("adj, error, message", [

@@ -14,6 +14,7 @@ from sgfp.construct import path, star
 from sgfp.errors import (
     DegenerateGraphError,
     InfeasibleAtEpsilonError,
+    InvariantBrokenError,
     PreconditionViolatedError,
 )
 from sgfp.graph import (Graph, Kernel, _float_delta, build_graph, degrees, delta,
@@ -24,7 +25,7 @@ from sgfp.metrics import correlation
 from sgfp.randgen import sample_connected_nonregular
 
 from conftest import (every_signature, preferential_attachment, preferential_attachment_edges,
-                      random_graphs)
+                      random_graphs, rewired_with_isolates)
 
 
 def _arrays(g):
@@ -33,10 +34,10 @@ def _arrays(g):
 
 
 def _objective(k, eps, g=None):
-    """The LP's optimum d . a after checking its float witness, or None; from
-    lp._FLOAT_MIN_N nodes on, the float filters sum delta from the kernel's
-    graph `g` when it is given."""
-    res = _failing_witness(k, eps, g)
+    """The LP's optimum d . a after checking its float witness, or None; the
+    LP is posed on the kernel's graph `g` when it is given, so from
+    lp._FLOAT_MIN_N nodes on the float filters sum delta from it."""
+    res = _failing_witness(k if g is None else g, eps)
     if res is None:
         return None
     a = np.array(res.witness)
@@ -74,15 +75,15 @@ def _criterion_5_stream():
 
 @pytest.mark.parametrize("eps", [1e-3, 0.5, 1.0])
 def test_r_high_without_a_witness_equals_the_witness_path(eps):
-    # As the census calls it: no delta, no Kernel. Its r_high is also the correlation of the degrees with the
-    # witness, computed again from the witness's integers.
+    # As the census calls it: on a kernel, without a witness. Its r_high is also the correlation of
+    # the degrees with the witness, computed again from the witness's integers.
     kernels = [kernel(g) for g in _criterion_5_stream()]
     kernels += [Kernel(tuple(d), big_l, tuple(y)) for n in range(3, 8)
                 for d, big_l, y in every_signature(n)]
     infeasible = 0
     for k in kernels:
         res = _failing_witness(k, eps)
-        got = _r_high(list(k.deg), list(k.y), k.lcm, eps)
+        got = _r_high(k, eps)
         if res is None:
             assert got is None
             infeasible += 1
@@ -597,9 +598,8 @@ def test_large_lps_need_no_exact_pass_or_slope_step(monkeypatch, n):
     # A fallback would still give the right witness, only 6-10 times slower.
     passes, steps = _spy(monkeypatch, "_filtered_pass"), _spy(monkeypatch, "_filtered_step")
     g = preferential_attachment(n, seed=n)
-    k = kernel(g)
     for eps in (1e-3, 0.5, 1.0):
-        assert _r_high(k.deg, k.y, k.lcm, eps, g) is not None
+        assert _r_high(g, eps) is not None
     assert passes and steps
     assert None not in passes and None not in steps
 
@@ -608,22 +608,36 @@ def test_refused_filters_fall_back_to_the_exact_witness(monkeypatch):
     # When every filtered pass and slope step refuses, the descent on arrays
     # runs the exact ones and must give the same results.
     gs = [preferential_attachment(n, seed=n) for n in (200, 1000)]
-    want = [_failing_witness(kernel(g), eps, g)
-            for g in gs for eps in (1e-3, 0.5)]
+    want = [_failing_witness(g, eps) for g in gs for eps in (1e-3, 0.5)]
     monkeypatch.setattr(lp, "_filtered_pass", lambda *args: None)
     monkeypatch.setattr(lp, "_filtered_step", lambda *args: None)
-    assert [_failing_witness(kernel(g), eps, g)
-            for g in gs for eps in (1e-3, 0.5)] == want
+    assert [_failing_witness(g, eps) for g in gs for eps in (1e-3, 0.5)] == want
     for g in gs:
         _assert_matches_reference(kernel(g), 1e-3)
 
 
-def test_a_graph_that_is_not_the_kernels_is_refused():
-    # The float delta summed from another graph would break the filters'
-    # error bounds, so a graph whose nodes with edges are not deg's is refused.
-    k = kernel(preferential_attachment(200, seed=200))
-    with pytest.raises(PreconditionViolatedError, match="nodes with edges"):
-        _r_high(k.deg, k.y, k.lcm, 1e-3, preferential_attachment(201, seed=200))
+@pytest.mark.parametrize("eps", [1e-3, 0.5])
+def test_a_graph_and_its_kernel_pose_the_same_lp(eps):
+    # A graph's float filters sum delta from it, its kernel's take the
+    # correctly rounded delta; both drop isolates. Below lp._FLOAT_MIN_N
+    # nodes with edges neither filters, above it both do.
+    gs = [preferential_attachment(n, seed=n) for n in (60, 200, 1000)]
+    gs += rewired_with_isolates(preferential_attachment(150, 3), 3)
+    assert [np.count_nonzero(g.deg) >= lp._FLOAT_MIN_N for g in gs] == [False] + [True] * 5
+    for g in gs:
+        want = _failing_witness(kernel(g), eps)
+        assert want is not None and len(want.witness) == np.count_nonzero(g.deg)
+        assert _failing_witness(g, eps) == want
+
+
+def test_a_stalled_descent_raises_after_one_slope_step(monkeypatch):
+    # A slope step that leaves kappa where it was must end the descent at
+    # once, not after the loop's 1000 iterations.
+    steps = []
+    monkeypatch.setattr(lp, "_filtered_step", lambda *args: steps.append(1) or (0, 1))
+    with pytest.raises(InvariantBrokenError, match="stalled at kappa=0/1"):
+        max_failing_correlation(preferential_attachment(300, seed=3))
+    assert len(steps) == 1
 
 
 def _relabel(g, rng):

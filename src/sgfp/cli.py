@@ -1,8 +1,9 @@
 """Command-line interface: one row of :data:`COMMANDS` per subcommand.
 
-Every call builds the argparse tree from the table afresh; nothing is kept
-between calls. A handler returns its text, alone or with an exit code or an
-error that is raised once ``--output`` (or stdout) holds the text. Exit codes:
+Every call builds the argparse tree from the table afresh, with one
+terminal-size probe for all its help formatters; nothing is kept between
+calls. A handler returns its text, alone or with an exit code or an error
+that is raised once ``--output`` (or stdout) holds the text. Exit codes:
 0 success, 1 error (bad arguments included), 2 degenerate input (regular graph
 or constant attributes).
 """
@@ -158,12 +159,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def main(argv=None) -> int:
+    import shutil  # both loaded already; imported here as argparse imports shutil
+    from functools import partial
     try:
-        parser = _Parser(prog="sgfp",
+        # The width HelpFormatter takes itself when given none, probed once, not per formatter.
+        formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+        parser = _Parser(prog="sgfp", formatter_class=formatter,
                          description="Singular generalized friendship paradox toolkit")
         sub = parser.add_subparsers(dest="command", required=True)
         for name, (handler, help_text, specs) in COMMANDS.items():
-            p = sub.add_parser(name, help=help_text)
+            p = sub.add_parser(name, help=help_text, formatter_class=formatter)
             for flag, spec in (*specs, _OUTPUT):
                 p.add_argument(flag, **spec)
             p.set_defaults(handler=handler)

@@ -6,8 +6,9 @@ degree-3/attribute-3 nodes by replacing two marked disjoint edges among
 attribute-3/degree-3 nodes with a connected pair of new nodes. Both gadgets
 leave every pre-existing node's degree, attribute, and friend-attribute
 mean untouched, so the (gap * node count) product is invariant. A step
-edits the parent's edge arrays and builds the child through :func:`_arcs`
-and :func:`_from_keys`; the child computes its kernel on first use.
+edits the parent's sorted arc keys in place of the three replaced edges,
+sorts them once and cuts the child with :func:`_from_keys`; the child
+computes its kernel on first use.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantBrokenError, PreconditionViolatedError, TooSmallError
-from .graph import Graph, _arcs, _from_keys, _pearson, _sources, build_graph
+from .graph import Graph, _from_keys, _pearson, build_graph
 
 Edge = tuple[int, int]
 
@@ -113,15 +114,19 @@ def grow_step(state: GrowthState) -> GrowthState:
     if not {w1, w2, p, q}.isdisjoint(g.labels):
         raise InvariantBrokenError(f"labels {n}..{n + 3} of the new nodes are in use")
 
-    # Replace u-v, u1-v1, u2-v2 by u-w2, u1-p, u2-q and append five edges:
-    # the chain u - w2 - w1 - v and the pair u1, v1 - p - q - u2, v2.
-    src = _sources(g)
-    upper = src < g.nbr
-    heads, tails = src[upper], g.nbr[upper]  # the edges i < j, sorted by i*n + j
-    at = np.searchsorted(heads * n + tails, [min(e) * n + max(e) for e in ((u, v), e1, e2)])
-    heads[at], tails[at] = (u, u1, u2), (w2, p, q)
-    keys = _arcs(n + 4, np.concatenate((heads, (w2, w1, v1, p, q))),
-                 np.concatenate((tails, (w1, v, p, q, v2))))
+    # Replace u-v, u1-v1, u2-v2 by u-w2, u1-p, u2-q and add five edges: the
+    # chain u - w2 - w1 - v and the pair u1, v1 - p - q - u2, v2. The parent's
+    # arc keys, renumbered to i*(n + 4) + j, stay sorted; six new arcs take the
+    # replaced ones' places, ten are appended, and one sort orders them all.
+    keys = np.repeat(np.arange(n) * (n + 4), g.deg) + g.nbr
+    arcs = (np.array(((u, v), (u1, v1), (u2, v2), (u, w2), (u1, p), (u2, q), (w2, w1), (w1, v),
+                      (v1, p), (p, q), (q, v2))) @ ((n + 4, 1), (1, n + 4))).ravel()  # both ways
+    at = np.searchsorted(keys, arcs[:6])
+    if not np.array_equal(keys.take(at, mode="clip"), arcs[:6]):
+        raise InvariantBrokenError("a replaced edge is not an edge of the parent")
+    keys[at] = arcs[6:12]
+    keys = np.concatenate((keys, arcs[12:]))
+    keys.sort()
     child = _from_keys(n + 4, keys, g.labels + (w1, w2, p, q))
     return GrowthState(graph=child, attrs=tuple(attrs + [2, 2, 3, 3]), two_chain_edge=(w2, w1),
                        three_edges=((u1, p), (u2, q)), k=state.k + 1)

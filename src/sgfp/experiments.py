@@ -77,7 +77,10 @@ _INT64_MAX_N = 43  # the largest n with y <= (n - 1) * lcm(1..n-1) < 2**63
 
 
 def _workers(jobs: int, samples: int) -> int:
-    return min(jobs, samples, os.cpu_count() or 1)
+    """min(jobs, samples, CPU count); the CPU count is read only when jobs
+    and samples are both at least 2."""
+    workers = min(jobs, samples)
+    return min(workers, os.cpu_count() or 1) if workers > 1 else workers
 
 
 @contextmanager
@@ -102,10 +105,12 @@ def census(n: int, samples: int, seed: int, epsilon: float = 0.001, jobs: int = 
     (their r_high is left out of the means).
 
     The same for every `jobs`: each sample has its own derived seed, and
-    min(jobs, samples, CPU count) processes (this one alone if that is 1)
-    take one contiguous share each, with one memo, joined in sample order.
-    They run on `pool`, the :func:`census_pool` of (jobs, samples), when
-    the caller has one; else on a pool of this call's own.
+    min(jobs, samples, CPU count) processes take one contiguous share each,
+    with one memo, joined in sample order. They run on `pool`, the
+    :func:`census_pool` of (jobs, samples), when the caller has one; else on
+    a pool of this call's own. When that minimum is 1 this process takes
+    every draw, with no pool; the CPU count is read only when jobs and
+    samples are both at least 2.
     """
     if samples < 1:
         raise PreconditionViolatedError("samples must be >= 1")
@@ -114,11 +119,14 @@ def census(n: int, samples: int, seed: int, epsilon: float = 0.001, jobs: int = 
     _check_epsilon(epsilon)
     seeds = _draws(_seeds([mix(seed, n)]), 0, samples)[0]  # mix(mix(seed, n), i) for each i
     workers = _workers(jobs, samples)
-    shares = [seeds[k * samples // workers:(k + 1) * samples // workers] for k in range(workers)]
     task = partial(_census_chunk, n, epsilon)
-    with nullcontext(pool) if pool else census_pool(jobs, samples) as pool:
-        per_share = list(pool.map(task, shares)) if pool else [task(seeds)]
-    results = [row for rows in per_share for row in rows]
+    if workers < 2:
+        results = task(seeds)
+    else:
+        shares = [seeds[k * samples // workers:(k + 1) * samples // workers]
+                  for k in range(workers)]
+        with nullcontext(pool) if pool else census_pool(jobs, samples) as pool:
+            results = [row for rows in pool.map(task, shares) for row in rows]
 
     def _mean(pro, column):
         xs = [row[column] for row in results if row[0] == pro and row[column] == row[column]]

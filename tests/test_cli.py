@@ -2,6 +2,7 @@ import importlib
 import inspect
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -398,6 +399,24 @@ def test_help_lists_commands_and_options(capsys):
     assert out.startswith("usage: sgfp census ")
     for option in ("--nmin", "--nmax", "--samples", "--seed", "--epsilon", "--jobs", "--output"):
         assert option in out
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["census", "--help"], ["grow", "2"],
+                                  ["no-such-command"], ["gen", "fig4", "--sample", "7"]])
+def test_one_terminal_size_probe_per_call(monkeypatch, capsys, argv):
+    probes, probe = [], shutil.get_terminal_size
+
+    def counting(*args, **kwargs):
+        probes.append(args)
+        return probe(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counting)
+    for calls in (1, 2):  # nothing is kept between calls: each probes once
+        try:
+            main(argv)
+        except SystemExit:  # --help
+            pass
+        assert len(probes) == calls
 
 
 class _Stop(SgfpError):

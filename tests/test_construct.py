@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from sgfp import experiments
+from sgfp import construct, experiments
 from sgfp.classify import ANTI, PRO, classify
 from sgfp.construct import (
     example_graph_fig1,
@@ -220,6 +220,15 @@ def test_corrupted_marker_raises():
         # A-D is no edge; C-D and D-F share D.
         with pytest.raises(InvariantBrokenError, match=message):
             grow_step(dataclasses.replace(state, **markers))
+
+
+def test_grow_step_refuses_a_replaced_edge_that_is_not_an_arc(monkeypatch):
+    # With the marker checks off, the step's own look-up of the three
+    # replaced edges among the parent's arcs still refuses A-D.
+    monkeypatch.setattr(construct, "_check_marker", lambda *args: None)
+    state = dataclasses.replace(initial_growth_state(), two_chain_edge=(0, 3))
+    with pytest.raises(InvariantBrokenError, match="not an edge of the parent"):
+        grow_step(state)
 
 
 def test_grow_step_rejects_labels_of_the_new_nodes_in_use():

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import math
 import os
 from unittest import mock
@@ -86,6 +87,29 @@ def test_census_keeps_one_memo_per_worker(serial_pool, monkeypatch):
     one = len(calls)
     assert census(5, 600, seed=1, jobs=2) == record
     assert len(calls) - one <= 2 * one  # two workers, so at most two memos
+
+
+def _no_cpu_count():
+    raise AssertionError("os.cpu_count read")
+
+
+# Recorded before a one-worker census stopped reading the CPU count.
+CENSUS_3_7_SHA256 = "beb3bd6113a9526b122b28255c58e37e6fbc48fd2181fe779ad151bc5d812d43"
+
+
+@pytest.mark.parametrize("jobs, samples", [(1, 300), (5000, 1)])
+def test_a_one_worker_census_reads_no_cpu_count(monkeypatch, jobs, samples):
+    expected = _census_without_memo(5, samples, 8, 1e-3)
+    monkeypatch.setattr(os, "cpu_count", _no_cpu_count)
+    assert census(5, samples, seed=8, jobs=jobs) == expected
+
+
+def test_census_jobs_1_on_the_cli_reads_no_cpu_count(monkeypatch, tmp_path):
+    monkeypatch.setattr(os, "cpu_count", _no_cpu_count)
+    out = tmp_path / "census.csv"
+    argv = ["census", "--nmin", "3", "--nmax", "7", "--samples", "50", "--jobs", "1"]
+    assert cli.main([*argv, "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CENSUS_3_7_SHA256
 
 
 def test_census_is_deterministic_across_jobs(monkeypatch):

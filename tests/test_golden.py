@@ -4,7 +4,8 @@ LP descent and the leaner sampler round; the growth curve and the per-graph
 commands before the kernel computed its moments, r_{d,delta} and delta on
 first read; the messy edge file before the one-pass edge-list reader; the
 large-graph rewiring row before the array stub shuffle and the summed float
-delta). Any change to a figure, or to the output bytes, fails here."""
+delta; the help texts at COLUMNS=80 before the parser took the terminal width
+once per call). Any change to a figure, or to the output bytes, fails here."""
 
 import hashlib
 import random
@@ -35,6 +36,20 @@ PA_SHA256 = {
 MESSY_SHA256 = {
     "classify": "0cb6a12b9562c3a2be35b8c7d26a1e50b3e94b837d723aa58fa2a772b63711fe",
     "analyze": "26da4556a7137a5adfc1b87d422448fad107a194428046f06fddaba108dfc033",
+}
+
+# `sgfp --help` (key "") and `sgfp <command> --help`, at COLUMNS=80.
+HELP_SHA256 = {
+    "": "beec2e906f20cd4c95fe37679c06281b3b8cb561cb6c49766a9f5d9845610e63",
+    "analyze": "ab69a99f5ea4e69d57c0039c286bd437ae5e4ed669a6aac28e489ba252a92690",
+    "classify": "f681fa7ac62932c78bd5fc907bd39550081863060581791861bd38e1ce678b28",
+    "optimize": "370da9ff64d663be3e5d39f8687050fa8250c23ce4906a742b9ccaf9d72a3ce2",
+    "threshold": "2ca976e5c4f55b5f749180eb220662790cb07078f4e0d7dc92cec4a865a8cc86",
+    "census": "5d247eeab3937060f92b86bb5857389c8c75ba5444dd704ba574b9bf62eb0f89",
+    "grow": "6c6d7f5ba92a2d192a745dd769b95c4ff54aa48396b70c768bb87809c2bc2658",
+    "rewire-experiment": "15b7ed7caea45bbf113cdd85c6e7e1f7ed3ca0cc860fe47f62c9e2e694082a3f",
+    "propown": "fd514092e81668746bc2e7e4b5e2375148b44280823c29c5929c0e2bdfb0367b",
+    "gen": "2208c87f44a9166248eebce13f29f7699347eaea7a97ae672e15dcc94dafb9d0",
 }
 
 
@@ -141,3 +156,14 @@ def test_messy_edge_file_output_is_unchanged(messy_files, command, extra):
             *(a.format(a=messy_files / "a.csv") for a in extra)]
     assert main([*argv, "--output", str(out)]) == 0
     assert _digest(out) == MESSY_SHA256[command]
+
+
+@pytest.mark.parametrize("command", HELP_SHA256)
+def test_help_text_is_unchanged(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == HELP_SHA256[command]

@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from typing import Optional, Sequence
+from typing import Optional
 
-from .errors import DegenerateGraphError, InvariantBrokenError, PreconditionViolatedError
-from .graph import Graph, _moments, _pearson, build_graph, delta, is_connected, is_regular, kernel
-from .metrics import _json, _prepare, singular_gap
+from .errors import DegenerateGraphError, InvariantBrokenError
+from .graph import Graph, _pearson, build_graph, is_connected, is_regular, kernel
+from .metrics import _json
 
 PRO = "ProSGFP"
 ANTI = "AntiSGFP"
@@ -78,38 +78,6 @@ def attach_pendant_path(g: Graph, at) -> Graph:
     edges = [(g.labels[i], g.labels[j]) for i, j in g.edges()]
     edges += [(at, q), (q, r), (r, s), (s, t)]
     return build_graph(edges, nodes=list(g.labels) + fresh)
-
-
-def perturb_to_positive_correlation(g: Graph, a: Sequence) -> list:
-    """Turn a zero-correlation failing sample into a positive-correlation one.
-
-    Raises the attribute of a maximum-degree node and lowers that of a
-    minimum-degree node by the same amount, small enough to keep the gap
-    negative (half the strict bound, for float robustness). Its zero mean
-    and zero correlation are checked exactly.
-    """
-    if not is_connected(g) or is_regular(g):
-        raise PreconditionViolatedError("graph must be connected and non-regular")
-    k, n, ints, _, _ = _prepare(g, a)
-    if sum(ints):
-        raise PreconditionViolatedError("attribute mean must be 0")
-    cov, _, var = _moments(k.deg, ints)
-    if cov or not var:
-        raise PreconditionViolatedError("degree-attribute correlation must be 0")
-    deg = k.deg
-    gap = singular_gap(g, a)
-    if gap >= 0:
-        raise PreconditionViolatedError("gap must be negative")
-    dl = delta(g)
-    i = min(range(n), key=lambda v: (-deg[v], v))
-    j = min(range(n), key=lambda v: (deg[v], v))
-    # Half the strict bound n|gap| / (delta_i - delta_j): keeps the
-    # perturbed gap strictly negative even in float mode.
-    eps = min(1, (n * abs(gap)) / (2 * (dl[i] - dl[j]))) if dl[i] > dl[j] else 1
-    out = list(a)
-    out[i] = out[i] + eps
-    out[j] = out[j] - eps
-    return out
 
 
 @dataclass

@@ -22,7 +22,6 @@ import math
 import operator
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, count
 from operator import eq, mul
@@ -30,8 +29,7 @@ from typing import Hashable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (IsolatedNodeError, LengthMismatchError, PreconditionViolatedError,
-                     SelfLoopError, UnknownNodeError)
+from .errors import LengthMismatchError, PreconditionViolatedError, SelfLoopError, UnknownNodeError
 
 NodeId = Hashable
 
@@ -202,17 +200,6 @@ def _float_delta(g: Graph) -> np.ndarray:
 def degrees(g: Graph) -> tuple[int, ...]:
     """Degree sequence in canonical node order."""
     return tuple(g.deg.tolist())
-
-
-def delta(g: Graph) -> tuple[Fraction, ...]:
-    """Per-node sum of reciprocal neighbor degrees, as exact rationals.
-
-    Raises :class:`IsolatedNodeError` if any node has degree 0.
-    """
-    k = kernel(g)
-    if 0 in k.deg:
-        raise IsolatedNodeError(g.labels[k.deg.index(0)])
-    return tuple(Fraction(y, k.lcm) for y in k.y)
 
 
 def exact_correlation(x: Sequence[int], y: Sequence[int], sx: int = 1, sy: int = 1) -> Optional[float]:

@@ -127,12 +127,6 @@ def _second_order(k: Kernel, sums: Sequence[int], s: int, exact: bool) -> list:
     return [_quotient(t, d * s, exact) if d else None for d, t in zip(k.deg, sums)]
 
 
-def second_order(g: Graph, a: AttributeSample) -> list:
-    """Per-node mean of friends' attributes; None at isolated nodes."""
-    k, _, ints, s, exact = _prepare(g, a)
-    return _second_order(k, _neighbour_sums(g, ints), s, exact)
-
-
 def singular_gap(g: Graph, a: AttributeSample):
     """Mean second-order attribute minus mean attribute, isolates excluded.
 

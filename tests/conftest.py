@@ -2,6 +2,7 @@ import functools
 import io
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,6 +49,13 @@ def reference_kernel(g):
     big_l = math.lcm(*set(deg).difference((0,)))
     w = [big_l // d if d else 0 for d in deg]
     return Kernel(deg, big_l, tuple([sum(map(w.__getitem__, a)) for a in g.adj]))
+
+
+def fraction_delta(g):
+    """Exact delta by its definition: each node's sum of Fraction(1, deg j)
+    over its neighbours j in the neighbour tuples (0 at an isolate)."""
+    deg = [len(a) for a in g.adj]
+    return tuple(sum((Fraction(1, deg[j]) for j in a), Fraction(0)) for a in g.adj)
 
 
 def affine_fit(deg, y):

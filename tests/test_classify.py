@@ -12,20 +12,16 @@ from sgfp.classify import (
     ThresholdEstimate,
     attach_pendant_path,
     classify,
-    perturb_to_positive_correlation,
     threshold_estimate,
 )
-from sgfp.construct import example_graph_fig4, knee, path, star
-from sgfp.errors import (
-    DegenerateGraphError,
-    PreconditionViolatedError,
-    UnknownNodeError,
-)
-from sgfp.graph import Graph, build_graph, degrees, delta, kernel
+from sgfp.construct import knee, path, star
+from sgfp.errors import DegenerateGraphError, UnknownNodeError
+from sgfp.graph import Graph, build_graph, degrees, kernel
 from sgfp.metrics import correlation, r_d_delta, singular_gap
 from sgfp.randgen import mix, sample_connected_nonregular
 
-from conftest import affine_fit, every_signature, preferential_attachment, random_graphs
+from conftest import (affine_fit, every_signature, fraction_delta, preferential_attachment,
+                      random_graphs)
 
 
 def test_star_pro_with_witness():
@@ -35,7 +31,7 @@ def test_star_pro_with_witness():
     assert x == Fraction(10, 9)
     assert x > 0
     deg = degrees(star(10))
-    dl = delta(star(10))
+    dl = fraction_delta(star(10))
     for d, v in zip(deg, dl):
         assert v == x * d + z
 
@@ -53,7 +49,7 @@ def test_path4_pro_path5_anti():
 def test_equal_degree_unequal_delta_is_anti():
     g = path(5)
     deg = degrees(g)
-    dl = delta(g)
+    dl = fraction_delta(g)
     pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)
              if deg[i] == deg[j] and dl[i] != dl[j]]
     assert pairs  # the sufficiency condition really is present
@@ -91,62 +87,6 @@ def test_attach_pendant_path_makes_anti(base):
 def test_attach_pendant_path_unknown_node():
     with pytest.raises(UnknownNodeError):
         attach_pendant_path(star(4), "nope")
-
-
-def _centered_fig4_failing_sample():
-    g, samples = example_graph_fig4()
-    a = samples[2]  # gap -1/24, correlation 0
-    mean = Fraction(sum(a), len(a))
-    return g, [v - mean for v in a]
-
-
-def test_perturb_produces_positive_correlation_failing_sample():
-    g, a = _centered_fig4_failing_sample()
-    out = perturb_to_positive_correlation(g, a)
-    assert sum(out) == 0
-    assert correlation(list(degrees(g)), out) > 0
-    assert singular_gap(g, out) < 0
-
-
-def test_perturb_rejects_nonzero_correlation():
-    g, _ = _centered_fig4_failing_sample()
-    d = list(degrees(g))
-    mean = Fraction(sum(d), len(d))
-    centered_d = [v - mean for v in d]
-    with pytest.raises(PreconditionViolatedError):
-        perturb_to_positive_correlation(g, centered_d)
-
-
-def test_perturb_rejects_nonnegative_gap():
-    g, samples = example_graph_fig4()
-    a = samples[1]  # gap +1/24
-    mean = Fraction(sum(a), len(a))
-    with pytest.raises(PreconditionViolatedError):
-        perturb_to_positive_correlation(g, [v - mean for v in a])
-
-
-def test_perturb_rejects_nonzero_mean():
-    g, samples = example_graph_fig4()
-    with pytest.raises(PreconditionViolatedError):
-        perturb_to_positive_correlation(g, samples[2])
-
-
-def test_perturb_rejects_a_mean_that_is_off_zero_by_a_rounding_error():
-    # The centred fig4 sample shifted by 1e-13: its mean is about 1e-13,
-    # which a float tolerance would take for 0.
-    g, a = _centered_fig4_failing_sample()
-    assert a == [-0.25, -0.25, 1.75, -1.25]
-    with pytest.raises(PreconditionViolatedError, match="mean"):
-        perturb_to_positive_correlation(g, [v + 1e-13 for v in a])
-
-
-@pytest.mark.parametrize("edges", [
-    [(0, 1), (2, 3)],                  # disconnected
-    [(0, 1), (1, 2), (2, 3), (3, 0)],  # regular: a 4-cycle
-])
-def test_perturb_rejects_a_disconnected_or_regular_graph(edges):
-    with pytest.raises(PreconditionViolatedError, match="connected and non-regular"):
-        perturb_to_positive_correlation(build_graph(edges), [0, 0, 0, 0])
 
 
 def test_threshold_star_is_zero():

@@ -19,7 +19,7 @@ from sgfp.construct import (
 from sgfp.errors import InvariantBrokenError, PreconditionViolatedError, TooSmallError
 from sgfp.experiments import grow_table
 from sgfp.graph import Graph, build_graph, degrees, kernel
-from sgfp.metrics import correlation, second_order, singular_gap
+from sgfp.metrics import correlation, gap_report, singular_gap
 
 
 def test_fig1_friend_attribute_multisets():
@@ -79,13 +79,13 @@ def test_grow_step_preserves_existing_nodes():
     for _ in range(5):
         g0, a0 = state.graph, list(state.attrs)
         d0 = degrees(g0)
-        s0 = second_order(g0, a0)
+        s0 = gap_report(g0, a0).s
         nxt = grow_step(state)
         g1, a1 = nxt.graph, list(nxt.attrs)
         assert g1.n == g0.n + 4
         assert degrees(g1)[:g0.n] == d0
         assert a1[:g0.n] == a0
-        assert second_order(g1, a1)[:g0.n] == s0
+        assert gap_report(g1, a1).s[:g0.n] == s0
         state = nxt
 
 
@@ -113,7 +113,7 @@ def test_grow_step_matches_rebuilt_graph():
 def test_new_nodes_have_matching_second_order():
     state = grow_step(initial_growth_state())
     g, a = state.graph, list(state.attrs)
-    s = second_order(g, a)
+    s = gap_report(g, a).s
     for i in range(8, g.n):
         assert s[i] == a[i]
 

@@ -3,19 +3,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sgfp.errors import (IsolatedNodeError, LengthMismatchError, PreconditionViolatedError,
+from sgfp.errors import (LengthMismatchError, PreconditionViolatedError,
                          SgfpError, SelfLoopError, UnknownNodeError)
 from sgfp.graph import (
     Graph,
     build_graph,
     degrees,
-    delta,
     is_connected,
     is_regular,
+    kernel,
 )
 from sgfp.construct import example_graph_fig1, path, star
 
-from conftest import components
+from conftest import components, fraction_delta
 
 
 def test_build_path3():
@@ -115,14 +115,14 @@ def test_degrees_star():
 
 
 def test_delta_path5():
-    dl = delta(path(5))
+    dl = fraction_delta(path(5))
     assert dl == (Fraction(1, 2), Fraction(3, 2), Fraction(1),
                   Fraction(3, 2), Fraction(1, 2))
 
 
 def test_delta_star():
     for n in (3, 6, 12):
-        dl = delta(star(n))
+        dl = fraction_delta(star(n))
         assert dl[0] == n - 1
         assert all(v == Fraction(1, n - 1) for v in dl[1:])
 
@@ -130,20 +130,14 @@ def test_delta_star():
 def test_delta_fig4_graph():
     g = build_graph([(1, 2), (2, 3), (2, 4), (3, 4)])
     assert degrees(g) == (1, 3, 2, 2)
-    assert delta(g) == (Fraction(1, 3), Fraction(2), Fraction(5, 6), Fraction(5, 6))
+    assert fraction_delta(g) == (Fraction(1, 3), Fraction(2), Fraction(5, 6), Fraction(5, 6))
 
 
 def test_delta_brute_force_oracle():
-    g = build_graph([(1, 2), (2, 3), (2, 4), (3, 4)])
-    deg = degrees(g)
-    expected = [sum(Fraction(1, deg[k]) for k in g.adj[j]) for j in range(g.n)]
-    assert list(delta(g)) == expected
-
-
-def test_delta_rejects_isolates():
-    g = build_graph([(0, 1)], nodes=[0, 1, 2])
-    with pytest.raises(IsolatedNodeError):
-        delta(g)
+    # The kernel's y / L against conftest's definition, which shares no code with it.
+    for g in (path(5), star(6), build_graph([(1, 2), (2, 3), (2, 4), (3, 4)])):
+        k = kernel(g)
+        assert tuple(Fraction(y, k.lcm) for y in k.y) == fraction_delta(g)
 
 
 def test_components_and_regularity():
@@ -171,7 +165,7 @@ def test_delta_sum_equals_node_count():
         g = gnp(8, 0.5, mix(123, i))
         if 0 in degrees(g):
             continue
-        assert sum(delta(g)) == g.n
+        assert sum(fraction_delta(g)) == g.n
         checked += 1
     assert checked > 10
 

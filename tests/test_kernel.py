@@ -1,8 +1,9 @@
 """Differential tests: the integer kernel against the exact Fraction reference.
 
-The reference functions below are the rational-arithmetic implementations
-the kernel replaced. They are kept here only, as the oracle: every exact
-quantity must be equal, and every float bit-equal.
+The reference functions below, with conftest's fraction_delta, are the
+rational-arithmetic implementations the kernel replaced. They are kept in
+the tests only, as the oracle: every exact quantity must be equal, and every
+float bit-equal.
 """
 
 import importlib
@@ -18,19 +19,14 @@ from sgfp import graph
 from sgfp.classify import ANTI, DEGENERATE, PRO, classify, threshold_estimate
 from sgfp.errors import IsolatedNodeError, PreconditionViolatedError
 from sgfp.experiments import grow_table
-from sgfp.graph import (Graph, Kernel, _moments, build_graph, delta, exact_correlation,
+from sgfp.graph import (Graph, Kernel, _moments, build_graph, exact_correlation,
                         is_connected, is_regular, kernel)
 from sgfp.lp import max_failing_correlation
-from sgfp.metrics import (_as_ints, correlation, gap_report, list_gap, r_d_delta, second_order,
-                          singular_gap, singular_gap_delta_form)
+from sgfp.metrics import (_as_ints, correlation, gap_report, list_gap, r_d_delta, singular_gap,
+                          singular_gap_delta_form)
 from sgfp.randgen import SplitMix64, configuration_rewire, mix
 
-from conftest import every_signature, preferential_attachment, random_graphs
-
-
-def ref_delta(g):
-    deg = [len(a) for a in g.adj]
-    return tuple(sum((Fraction(1, deg[k]) for k in g.adj[j]), Fraction(0)) for j in range(g.n))
+from conftest import every_signature, fraction_delta, preferential_attachment, random_graphs
 
 
 def ref_correlation(x, y):
@@ -56,7 +52,7 @@ def ref_classify(g):
     if g.n == 0 or not is_connected(g) or is_regular(g):
         return DEGENERATE, None
     deg = [len(a) for a in g.adj]
-    dl = ref_delta(g)
+    dl = fraction_delta(g)
     j = next(k for k in range(g.n) if deg[k] != deg[0])
     x = Fraction(dl[0] - dl[j], deg[0] - deg[j])
     z = dl[0] - x * deg[0]
@@ -99,17 +95,15 @@ def _attrs(g, seed, fractions):
 
 def check_against_reference(g, seed):
     k = kernel(g)
-    dl = ref_delta(g)
+    dl = fraction_delta(g)
     deg = [len(a) for a in g.adj]
     active = [i for i in range(g.n) if deg[i]]
+    assert tuple(Fraction(y, k.lcm) for y in k.y) == dl
     assert k.delta == tuple(float(v) for v in dl)
     assert k.r_ddelta == ref_correlation([deg[i] for i in active], [dl[i] for i in active])
     if active and len(active) == g.n:
-        assert delta(g) == dl
         assert r_d_delta(g) == ref_correlation(deg, list(dl))
     elif active:
-        with pytest.raises(IsolatedNodeError):
-            delta(g)
         with pytest.raises(IsolatedNodeError):
             r_d_delta(g)
     cls = classify(g)
@@ -315,14 +309,12 @@ def test_float_metrics_are_the_rounded_exact_values(g, sample):
     assert_same_float(singular_gap(g, a), gap)
     assert_same_float(singular_gap_delta_form(g, a), gap)
     assert_same_float(list_gap(g, a), lgap)
-    second = second_order(g, a)
-    for got, d, nb in zip(second, deg, g.adj):
+    report = gap_report(g, a)
+    for got, d, nb in zip(report.s, deg, g.adj):
         if d:
             assert_same_float(got, Fraction(sum(exact[j] for j in nb), d))
         else:
             assert got is None
-    report = gap_report(g, a)
-    assert list(map(repr, report.s)) == list(map(repr, second))
     assert_same_float(report.singular_gap, gap)
     assert_same_float(report.list_gap, lgap)
     # The reference rounds each moment to a float, so its result holds

@@ -10,27 +10,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgfp.construct import path, star
+from sgfp.construct import example_graph_fig4, path, star
 from sgfp.errors import (
     DegenerateGraphError,
     InfeasibleAtEpsilonError,
     InvariantBrokenError,
     PreconditionViolatedError,
 )
-from sgfp.graph import (Graph, Kernel, _float_delta, build_graph, degrees, delta,
+from sgfp.graph import (Graph, Kernel, _float_delta, build_graph, degrees,
                         exact_correlation, kernel)
 from sgfp import lp
 from sgfp.lp import _failing_witness, _int_fill, _r_high, _solve_exact, max_failing_correlation
-from sgfp.metrics import correlation
+from sgfp.metrics import correlation, singular_gap
 from sgfp.randgen import sample_connected_nonregular
 
-from conftest import (every_signature, preferential_attachment, preferential_attachment_edges,
-                      random_graphs, rewired_with_isolates)
+from conftest import (every_signature, fraction_delta, preferential_attachment,
+                      preferential_attachment_edges, random_graphs, rewired_with_isolates)
 
 
 def _arrays(g):
     return (np.array(degrees(g), dtype=float),
-            np.array([float(v) for v in delta(g)]))
+            np.array([float(v) for v in fraction_delta(g)]))
 
 
 def _objective(k, eps, g=None):
@@ -208,6 +208,17 @@ def test_failing_correlation_lp_path5_positive_objective():
     assert res.r_high > 0
 
 
+def test_fig4_has_a_failing_sample_of_positive_correlation():
+    # The lemma's conclusion on an anti graph: the LP's witness has mean 0,
+    # fails, and its correlation with the degrees is r_high > 0.
+    g, _ = example_graph_fig4()
+    res = max_failing_correlation(g)
+    assert res.r_high > 0
+    assert abs(sum(res.witness)) < 1e-12
+    assert singular_gap(g, res.witness) < 0
+    assert abs(correlation(list(degrees(g)), res.witness) - res.r_high) <= 1e-12
+
+
 def test_failing_correlation_star_negative():
     res = max_failing_correlation(star(6))
     assert res.r_high < 0
@@ -219,7 +230,7 @@ def test_witness_invariants():
         n = g.n
         assert abs(sum(res.witness)) < 1e-9
         assert all(-1 - 1e-12 <= w <= 1 + 1e-12 for w in res.witness)
-        dl = [float(v) for v in delta(g)]
+        dl = [float(v) for v in fraction_delta(g)]
         gap = sum(d * w for d, w in zip(dl, res.witness)) / n
         assert gap <= -0.001 / n + 1e-12
         assert abs(gap - res.gap) < 1e-12

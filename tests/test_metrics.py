@@ -17,7 +17,6 @@ from sgfp.metrics import (
     gap_report,
     list_gap,
     r_d_delta,
-    second_order,
     singular_gap,
     singular_gap_delta_form,
 )
@@ -25,24 +24,24 @@ from sgfp.metrics import (
 
 def test_second_order_path3():
     g = path(3)
-    assert second_order(g, [1, 2, 3]) == [2, 2, 2]
+    assert gap_report(g, [1, 2, 3]).s == [2, 2, 2]
 
 
 def test_second_order_constant_attributes():
     g, _ = example_graph_fig1()
-    assert second_order(g, [7] * 8) == [7] * 8
+    assert gap_report(g, [7] * 8).s == [7] * 8
 
 
 def test_second_order_fig1_leaves():
     g, attrs = example_graph_fig1()
-    s = second_order(g, attrs)
+    s = gap_report(g, attrs).s
     # The two degree-1 nodes each see a single friend with attribute 3.
     assert s[6] == 3 and s[7] == 3
 
 
 def test_second_order_length_mismatch():
     with pytest.raises(LengthMismatchError):
-        second_order(path(3), [1, 2])
+        gap_report(path(3), [1, 2])
 
 
 def test_singular_gap_fig1_exact():
@@ -223,7 +222,7 @@ def test_float_gap_beyond_the_float_range_is_infinite():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_attribute_raises(bad):
     a = [1.0, bad, 2.0, 0.5, 3.0]
-    for metric in (singular_gap, singular_gap_delta_form, list_gap, second_order, gap_report):
+    for metric in (singular_gap, singular_gap_delta_form, list_gap, gap_report):
         with pytest.raises(SgfpError):
             metric(path(5), a)
     with pytest.raises(SgfpError):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgfp.classify import PRO, classify
-from sgfp.graph import degrees, delta
+from sgfp.graph import degrees
 from sgfp.metrics import (
     correlation,
     list_gap,
@@ -16,7 +16,7 @@ from sgfp.metrics import (
 )
 from sgfp.randgen import SplitMix64, mix
 
-from conftest import random_graphs
+from conftest import fraction_delta, random_graphs
 
 
 def _random_attrs(g, seed):
@@ -100,12 +100,12 @@ def test_pro_graphs_sign_determined():
 
 def test_delta_sums_to_n():
     for g in random_graphs(109, 60):
-        assert sum(delta(g)) == g.n
+        assert sum(fraction_delta(g)) == g.n
 
 
 def test_nonregular_has_distinct_delta():
     for g in random_graphs(110, 60):
-        assert len(set(delta(g))) >= 2
+        assert len(set(fraction_delta(g))) >= 2
 
 
 @given(st.lists(st.integers(-100, 100), min_size=5, max_size=5),

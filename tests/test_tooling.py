@@ -96,3 +96,46 @@ def test_only_the_lp_decides_its_float_filter():
              if re.search(r"\b(_FLOAT_MIN_N|_float_delta)\b", line)
              and not (p.name == "graph.py" and line.startswith("def _float_delta("))]
     assert found == []
+
+
+def test_every_public_name_has_a_caller():
+    # The package holds what the CLI and the acceptance suite reach. A public
+    # function or class is reached when another module imports it or names it
+    # (`construct.star`, or the string "star" in a module that imports
+    # `construct`: cli dispatches on it), when test_acceptance.py imports it,
+    # when it is the console script `cli.main`, or when a reached definition
+    # of its own module names it (a result class, a command table's entry).
+    defs, public, reached = {}, set(), {("cli", "main")}
+    for p in SOURCES:
+        tree = ast.parse(p.read_text(encoding="utf-8"), str(p))
+        mods = {a.asname or a.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+                for a in node.names}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+                if p.stem != "errors" and not node.name.startswith("_"):
+                    public.add((p.stem, node.name))
+            else:
+                names = [t.id for t in getattr(node, "targets", []) if isinstance(t, ast.Name)]
+            for name in names:
+                defs[p.stem, name] = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                reached |= {(node.module, a.name) for a in node.names}
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in mods:
+                reached.add((node.value.id, node.attr))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                reached |= {(m, node.value) for m in mods}
+    acceptance = Path(__file__).parent / "test_acceptance.py"
+    reached |= {(node.module.removeprefix("sgfp."), a.name)
+                for node in ast.walk(ast.parse(acceptance.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sgfp.")
+                for a in node.names}
+    todo = list(reached)
+    while todo:
+        module, name = todo.pop()
+        new = {(module, used) for used in defs.get((module, name), ())} & defs.keys() - reached
+        reached |= new
+        todo += new
+    assert sorted(f"{m}.{name}" for m, name in public - reached) == []

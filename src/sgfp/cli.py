@@ -1,9 +1,12 @@
 """Command-line interface: one row of :data:`COMMANDS` per subcommand.
 
-Every call builds the argparse tree from the table afresh, with one
-terminal-size probe for all its help formatters; nothing is kept between
-calls. A handler returns its text, alone or with an exit code or an error
-that is raised once ``--output`` (or stdout) holds the text. Exit codes:
+Every call builds its argparse tree from the table afresh: a parser for every
+subcommand, but arguments (``-h`` too) only for the one that its first
+argument names, or for all when that names none (help, no or an unknown
+command, an option first). One terminal-size probe serves all its help
+formatters; nothing is kept between calls. A handler returns its text, alone
+or with an exit code or an error that is raised once ``--output`` (or stdout)
+holds the text. An empty path is a path, not an absent option. Exit codes:
 0 success, 1 error (bad arguments included), 2 degenerate input (regular graph
 or constant attributes).
 """
@@ -103,14 +106,14 @@ def cmd_gen(args):
     elif args.kind == "fig4":
         g, samples = construct.example_graph_fig4()
         attrs = samples[args.sample]
-    elif args.attrs_output:
+    elif args.attrs_output is not None:
         raise UsageError(f"sgfp gen: argument --attrs-output: {args.kind} has no attributes")
     elif args.kind == "gnp":
         g = gnp(args.n, args.p, args.seed)
     else:
         g = getattr(construct, args.kind)(args.n)  # star, knee or path
     text = edge_list_text(g)  # raises on isolated nodes before any file is written
-    if args.attrs_output:
+    if args.attrs_output is not None:
         with opened(args.attrs_output, "w") as fh:
             fh.write(node_values_text(g, attrs))
     return text
@@ -161,6 +164,11 @@ class _Parser(argparse.ArgumentParser):
 def main(argv=None) -> int:
     import shutil  # both loaded already; imported here as argparse imports shutil
     from functools import partial
+    if argv is None:
+        argv = sys.argv[1:]
+    # Only the command argv names gets arguments, -h included: no other parser reads
+    # them. Help, no or an unknown command and an option first give all nine theirs.
+    named = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
     try:
         # The width HelpFormatter takes itself when given none, probed once, not per formatter.
         formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
@@ -168,18 +176,20 @@ def main(argv=None) -> int:
                          description="Singular generalized friendship paradox toolkit")
         sub = parser.add_subparsers(dest="command", required=True)
         for name, (handler, help_text, specs) in COMMANDS.items():
-            p = sub.add_parser(name, help=help_text, formatter_class=formatter)
-            for flag, spec in (*specs, _OUTPUT):
-                p.add_argument(flag, **spec)
+            p = sub.add_parser(name, help=help_text, formatter_class=formatter,
+                               add_help=name in named)
+            if name in named:
+                for flag, spec in (*specs, _OUTPUT):
+                    p.add_argument(flag, **spec)
             p.set_defaults(handler=handler)
         args = parser.parse_args(argv)
         result = args.handler(args)
         text, status = result if isinstance(result, tuple) else (result, EXIT_OK)
         try:
-            with opened(args.output or sys.stdout, "w") as fh:
+            with opened(sys.stdout if args.output is None else args.output, "w") as fh:
                 fh.write(text)
         except SgfpError:
-            if getattr(args, "attrs_output", None):  # gen wrote it: leave neither file
+            if getattr(args, "attrs_output", None) is not None:  # gen wrote it: leave neither file
                 os.remove(args.attrs_output)
             raise
         if isinstance(status, SgfpError):

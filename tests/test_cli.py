@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import inspect
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import sgfp
-from sgfp.cli import main
+from sgfp.cli import COMMANDS, main
 from sgfp.errors import SgfpError
 
 
@@ -332,6 +333,10 @@ def test_analyze_skips_blank_attribute_rows(tmp_path, capsys):
     ["gen", "fig1", "--n", "5"],
     ["gen", "gnp", "--sample", "1"],
     ["gen", "path", "--seed", "3"],
+    ["grow", "1", "--output", ""],  # an empty path is a path, not an absent option
+    ["gen", "fig4", "--output", ""],
+    ["gen", "fig1", "--attrs-output", ""],
+    ["gen", "fig1", "--output", "", "--attrs-output", "{attrs_out}"],
 ])
 def test_bad_arguments_exit_1(tmp_path, capsys, argv):
     graph = tmp_path / "g.edges"
@@ -376,6 +381,8 @@ HELP = {
                           f"(choose from {', '.join(map(repr, HELP))})"),
     ([], "sgfp: the following arguments are required: command"),
     (["census", "--foo"], "sgfp: unrecognized arguments: --foo"),
+    (["gen", "star", "--n", "4", "--attrs-output", ""],
+     "sgfp gen: argument --attrs-output: star has no attributes"),
 ])
 def test_usage_error_text(capsys, argv, message):
     assert main(argv) == 1
@@ -490,6 +497,60 @@ def test_module_entry_point(tmp_path, capsys):
     proc = subprocess.run(run, capture_output=True, env=env)
     assert proc.returncode == 1
     assert proc.stderr.startswith(b"error: ")
+
+
+def _parsers_given_arguments(monkeypatch):
+    """Record the prog of every parser that is given an argument, -h included."""
+    progs, add_argument = [], argparse.ArgumentParser.add_argument
+
+    def recording(self, *args, **kwargs):
+        if self.prog not in progs:
+            progs.append(self.prog)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recording)
+    return progs
+
+
+# The argument lists of the benchmark's operations (perfbench/workloads.py).
+@pytest.mark.parametrize("argv", [
+    ["census", "--nmin", "3", "--nmax", "7", "--samples", "8", "--seed", "0", "--jobs", "1"],
+    ["threshold", "--grid", "64", "{graph}"],
+    ["rewire-experiment", "{graph}", "{graph}", "--seed", "204"],
+    ["analyze", "{graph}", "{attrs}", "--rational"],
+    ["classify", "{graph}"],
+    ["optimize", "{graph}", "--witness"],
+    ["grow", "20"],
+])
+def test_only_the_named_command_gets_arguments(fig1_files, monkeypatch, capsys, argv):
+    graph, attrs = fig1_files
+    progs = _parsers_given_arguments(monkeypatch)
+    assert main([a.format(graph=graph, attrs=attrs) for a in argv]) == 0
+    assert progs == ["sgfp", f"sgfp {argv[0]}"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], [], ["nosuch"], ["-h", "census"]])
+def test_no_named_command_gives_every_command_its_arguments(monkeypatch, capsys, argv):
+    progs = _parsers_given_arguments(monkeypatch)
+    try:
+        main(argv)
+    except SystemExit:  # --help
+        pass
+    assert progs == ["sgfp", *(f"sgfp {name}" for name in COMMANDS)]
+
+
+def test_console_script_path_gives_one_command_arguments(monkeypatch, capsys):
+    assert main(["grow", "3"]) == 0
+    expected = capsys.readouterr()
+    progs = _parsers_given_arguments(monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["sgfp", "grow", "3"])
+    assert main() == 0
+    assert progs == ["sgfp", "sgfp grow"]
+    assert capsys.readouterr() == expected
+    env = dict(os.environ, PYTHONPATH=str(Path(sgfp.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "sgfp.cli", "grow", "3"], capture_output=True,
+                          env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected.out.encode(), b"")
 
 
 @pytest.mark.parametrize("argv", [

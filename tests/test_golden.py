@@ -5,7 +5,9 @@ commands before the kernel computed its moments, r_{d,delta} and delta on
 first read; the messy edge file before the one-pass edge-list reader; the
 large-graph rewiring row before the array stub shuffle and the summed float
 delta; the help texts at COLUMNS=80 before the parser took the terminal width
-once per call). Any change to a figure, or to the output bytes, fails here."""
+once per call; the argument table before a call gave arguments only to the
+subcommand it names). Any change to a figure, or to the output bytes, fails
+here."""
 
 import hashlib
 import random
@@ -167,3 +169,82 @@ def test_help_text_is_unchanged(command, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert hashlib.sha256(captured.out.encode()).hexdigest() == HELP_SHA256[command]
+
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+CHOICES = ("(choose from 'analyze', 'classify', 'optimize', 'threshold', 'census', 'grow', "
+           "'rewire-experiment', 'propown', 'gen')")
+
+# (argv, stdout sha256, stderr, exit code) at COLUMNS=80: help, usage errors,
+# unknown commands, options before the command and abbreviations.
+ARGUMENT_TABLE = [
+    ([], EMPTY, "error: sgfp: the following arguments are required: command\n", 1),
+    (["--help"], HELP_SHA256[""], "", 0),
+    (["-h"], HELP_SHA256[""], "", 0),
+    (["--he"], HELP_SHA256[""], "", 0),
+    (["-h", "census"], HELP_SHA256[""], "", 0),
+    (["--help", "grow"], HELP_SHA256[""], "", 0),
+    (["foo"], EMPTY, f"error: sgfp: argument command: invalid choice: 'foo' {CHOICES}\n", 1),
+    (["foo", "census"], EMPTY,
+     f"error: sgfp: argument command: invalid choice: 'foo' {CHOICES}\n", 1),
+    (["cen"], EMPTY, f"error: sgfp: argument command: invalid choice: 'cen' {CHOICES}\n", 1),
+    (["GROW", "2"], EMPTY,
+     f"error: sgfp: argument command: invalid choice: 'GROW' {CHOICES}\n", 1),
+    (["-x", "grow"], EMPTY, "error: sgfp grow: the following arguments are required: steps\n", 1),
+    (["--output", "x", "grow", "2"], EMPTY,
+     f"error: sgfp: argument command: invalid choice: 'x' {CHOICES}\n", 1),
+    (["--", "grow", "2"], EMPTY,
+     f"error: sgfp: argument command: invalid choice: '--' {CHOICES}\n", 1),
+    (["grow", "2"], "e4adc8eec6d39c1ede165844ecb894f0ae12541fc975297fa1b8a5c21438666d", "", 0),
+    (["grow", "2", "--bogus"], EMPTY, "error: sgfp: unrecognized arguments: --bogus\n", 1),
+    (["grow", "--help"], HELP_SHA256["grow"], "", 0),
+    (["grow", "-h"], HELP_SHA256["grow"], "", 0),
+    (["grow", "--help", "census"], HELP_SHA256["grow"], "", 0),
+    (["grow", "--he"], HELP_SHA256["grow"], "", 0),
+    (["grow"], EMPTY, "error: sgfp grow: the following arguments are required: steps\n", 1),
+    (["grow", "x"], EMPTY, "error: sgfp grow: argument steps: invalid int value: 'x'\n", 1),
+    (["grow", "2", "--out"], EMPTY,
+     "error: sgfp grow: argument --output: expected one argument\n", 1),
+    (["grow", "2", "3"], EMPTY, "error: sgfp: unrecognized arguments: 3\n", 1),
+    (["census", "--nm", "3"], EMPTY,
+     "error: sgfp census: ambiguous option: --nm could match --nmin, --nmax\n", 1),
+    (["census", "--nmi", "3", "--nma", "3", "--sam", "2", "--se", "1"],
+     "a8e24522187c6ebe8109a327af720dabab4a77b5387b421fafc4e7805949f709", "", 0),
+    (["census", "--nmin", "3", "--nmax", "3", "--samples", "2", "--jobs", "x"], EMPTY,
+     "error: sgfp census: argument --jobs: invalid int value: 'x'\n", 1),
+    (["census", "-h"], HELP_SHA256["census"], "", 0),
+    (["gen", "nosuch"], EMPTY, "error: sgfp gen: argument kind: invalid choice: 'nosuch' "
+                               "(choose from 'gnp', 'star', 'knee', 'path', 'fig1', 'fig4')\n", 1),
+    (["gen", "star", "--n", "4"],
+     "b2a1a891691e049e560dcc50a86e3e35e455d7ae00054b90f2194d4a8214f29c", "", 0),
+    (["gen", "star", "--p", "0.5"], EMPTY, "error: sgfp gen: argument --p: star does not use it\n",
+     1),
+    (["gen", "fig4", "--sample", "3"], EMPTY,
+     "error: sgfp gen: argument --sample: invalid choice: 3 (choose from 0, 1, 2)\n", 1),
+    (["gen", "fig1", "--attrs"], EMPTY,
+     "error: sgfp gen: argument --attrs-output: expected one argument\n", 1),
+    (["gen", "fig1"], "380fdf52667480e3c13bd25b059bba40104b6ccbd8e6a256b6cdf5f179133056", "", 0),
+    (["threshold"], EMPTY,
+     "error: sgfp threshold: the following arguments are required: graph\n", 1),
+    (["threshold", "--grid"], EMPTY,
+     "error: sgfp threshold: argument --grid: expected one argument\n", 1),
+    (["analyze", "--help"], HELP_SHA256["analyze"], "", 0),
+    (["rewire-experiment"], EMPTY,
+     "error: sgfp rewire-experiment: the following arguments are required: graphs\n", 1),
+    (["propown", "a"], EMPTY,
+     "error: sgfp propown: the following arguments are required: labels\n", 1),
+    (["classify", "--witness", "g"], EMPTY, "error: sgfp: unrecognized arguments: --witness\n", 1),
+    (["optimize", "-h", "--witness"], HELP_SHA256["optimize"], "", 0),
+]
+
+
+@pytest.mark.parametrize("argv, out_sha256, err, code", ARGUMENT_TABLE)
+def test_argument_table_is_unchanged(argv, out_sha256, err, code, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        status = main(argv)
+    except SystemExit as exc:  # --help
+        status = exc.code
+    captured = capsys.readouterr()
+    assert (hashlib.sha256(captured.out.encode()).hexdigest(), captured.err, status) == (
+        out_sha256, err, code)

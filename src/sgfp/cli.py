@@ -34,7 +34,7 @@ def cmd_analyze(args):
     g = read_edge_list(args.graph)
     report = gap_report(g, read_attributes(args.attrs, g, rational=args.rational),
                         per_node=args.per_node)
-    text = report.to_json(include_per_node=args.per_node) + "\n"
+    text = report.to_json() + "\n"
     if report.r_da is None or report.r_ddelta is None:
         return text, DegenerateGraphError("correlation undefined")  # raised once text is written
     return text
@@ -101,6 +101,9 @@ def cmd_gen(args):
             setattr(args, name, default)
         elif name not in _GEN_OPTIONS[args.kind].split():
             raise UsageError(f"sgfp gen: argument --{name}: {args.kind} does not use it")
+    if None not in (args.output, args.attrs_output) and \
+            os.path.realpath(args.output) == os.path.realpath(args.attrs_output):
+        raise UsageError("sgfp gen: argument --attrs-output: the same file as --output")
     if args.kind == "fig1":
         g, attrs = construct.example_graph_fig1()
     elif args.kind == "fig4":

@@ -11,15 +11,13 @@ A graph is read-only int64 arrays in compressed sparse rows: node i's degree
 ``deg[i]`` and sorted neighbours ``nbr[ptr[i]:ptr[i + 1]]``. :func:`_from_keys` cuts
 every graph from the sorted, distinct keys i*n + j of its arcs (:func:`_arcs`):
 the label core of :func:`build_graph` and the edge-list reader, the random
-generators, rewiring, isolate stripping, growth, copies and pickles, and
-``Graph(adj, labels)`` once it has checked every promise in O(n + m).
-``adj`` is built on first read.
+generators, rewiring, isolate stripping, growth, copies and pickles; there is
+no other constructor. ``adj`` is built on first read.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,7 +27,7 @@ from typing import Hashable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import LengthMismatchError, PreconditionViolatedError, SelfLoopError, UnknownNodeError
+from .errors import PreconditionViolatedError, SelfLoopError, UnknownNodeError
 
 NodeId = Hashable
 
@@ -41,31 +39,6 @@ class Graph:
     node's neighbours are sorted. ``duplicates_collapsed`` counts input edges
     that were dropped as duplicates during construction. Labels are unique.
     """
-
-    def __new__(cls, adj: Sequence[Iterable[int]], labels: Sequence[NodeId] | None = None,
-                duplicates_collapsed: int = 0) -> Graph:
-        try:
-            sets = [set(map(operator.index, a)) for a in adj]
-        except TypeError:
-            raise PreconditionViolatedError("neighbours must be integers") from None
-        n = len(sets)
-        labels = tuple(range(n)) if labels is None else tuple(labels)
-        if len(labels) != n:
-            raise LengthMismatchError(n, len(labels))
-        index = {lab: i for i, lab in enumerate(labels)}
-        if len(index) != n:
-            raise PreconditionViolatedError("node labels must be unique")
-        nodes = set(range(n))
-        for i, s in enumerate(sets):
-            if i in s:
-                raise SelfLoopError(labels[i])
-            if not s <= nodes:
-                raise PreconditionViolatedError(f"node {i} has a neighbour outside 0..{n - 1}")
-            if any(i not in sets[j] for j in s):
-                raise PreconditionViolatedError(f"node {i} has a neighbour not adjacent to it")
-        heads = np.repeat(np.arange(n), list(map(len, sets)))
-        keys = _arcs(n, heads, list(chain.from_iterable(sets)))
-        return _from_keys(n, keys, labels, duplicates_collapsed, index)
 
     def __reduce__(self):  # read-only arrays again, and no cache
         return _from_keys, (self.n, _sources(self) * self.n + self.nbr, self.labels,
@@ -107,9 +80,10 @@ def build_graph(edges: Iterable[tuple[NodeId, NodeId]],
     """Build a simple graph from an edge list.
 
     Self-loops raise :class:`SelfLoopError`; duplicate edges are collapsed
-    and counted. ``nodes`` optionally pins the canonical node order (and may
-    include isolated nodes, while an edge to a label outside it raises
-    :class:`UnknownNodeError`); otherwise order of first appearance is used.
+    and counted. ``nodes`` optionally pins the canonical node order (its
+    labels must be unique; it may include isolated nodes, while an edge to a
+    label outside it raises :class:`UnknownNodeError`); otherwise order of
+    first appearance is used.
     The first bad edge decides the error: a self-loop, else its first
     unknown endpoint.
     """
@@ -125,9 +99,11 @@ def build_graph(edges: Iterable[tuple[NodeId, NodeId]],
 
 def _label_graph(flat: list, nodes: Sequence[NodeId] | None = None) -> Graph:
     """:func:`build_graph` of the edges flat[2k]--flat[2k + 1], for the edge-list reader too."""
-    labels = () if nodes is None else tuple(dict.fromkeys(nodes))
+    labels = () if nodes is None else tuple(nodes)
     # One hash pass: a label first seen gets the next free index.
     index = defaultdict(count(len(labels)).__next__, zip(labels, count()))
+    if len(index) < len(labels):
+        raise PreconditionViolatedError("node labels must be unique")
     ends = list(map(index.__getitem__, flat))
     index.default_factory = None  # from here on an unknown label raises KeyError
     n = len(index) if nodes is None else len(labels)

@@ -288,7 +288,6 @@ class HighCorrelationResult:
     witness: list[float]
     gap: float
     epsilon: float
-    objective: float = 0.0
 
     def to_json(self, include_witness: bool = False) -> str:
         payload = {"r_high": self.r_high, "gap": self.gap, "epsilon": self.epsilon}
@@ -302,9 +301,9 @@ _FLOAT_MIN_N = 100
 
 
 def _r_high(src: Graph | Kernel, epsilon: float):
-    """(r_high, the result of :func:`_solve_exact`, m * (d . a)) over the
-    nodes with edges of a graph or kernel, or None when the LP is infeasible
-    at `epsilon`, as when their degrees are all equal (delta = 1 on each).
+    """(r_high, the result of :func:`_solve_exact`) over the nodes with edges
+    of a graph or kernel, or None when the LP is infeasible at `epsilon`, as
+    when their degrees are all equal (delta = 1 on each).
     From _FLOAT_MIN_N such nodes on, floats filter the descent with a graph's
     :func:`graph._float_delta` or a kernel's :attr:`Kernel.delta`."""
     k = kernel(src) if isinstance(src, Graph) else src
@@ -327,7 +326,7 @@ def _r_high(src: Graph | Kernel, epsilon: float):
     da = m * da + sum(deg[i] * v for i, v in fill.items())
     aa = m * m * (n - len(fill)) + sum(v * v for v in fill.values())
     r_high = _pearson(n, n * da, n * sum_dd - sum_d * sum_d, n * aa, 1, m)
-    return r_high, found, da
+    return r_high, found
 
 
 def _failing_witness(src: Graph | Kernel, epsilon: float) -> Optional[HighCorrelationResult]:
@@ -337,15 +336,14 @@ def _failing_witness(src: Graph | Kernel, epsilon: float) -> Optional[HighCorrel
     res = _r_high(src, epsilon)
     if res is None:
         return None
-    r_high, (a, m, fill, ya), da = res
+    r_high, (a, m, fill, ya) = res
     witness = a.astype(float).tolist() if isinstance(a, np.ndarray) else list(map(float, a))
     for i, v in fill.items():
         witness[i] = v / m  # int / int division is correctly rounded
     # ya < 0: a gap that rounds to -0.0 is reported as -5e-324 instead.
     big_l = (kernel(src) if isinstance(src, Graph) else src).lcm
     gap = ya / (big_l * m * len(witness)) or math.nextafter(0.0, -math.inf)
-    return HighCorrelationResult(r_high=r_high, witness=witness, gap=gap,
-                                 epsilon=epsilon, objective=da / m)
+    return HighCorrelationResult(r_high=r_high, witness=witness, gap=gap, epsilon=epsilon)
 
 
 def max_failing_correlation(g: Graph, epsilon: float = 0.001) -> HighCorrelationResult:

@@ -192,11 +192,11 @@ class GapReport:
     s: list = field(default_factory=list)
     delta: list = field(default_factory=list)
 
-    def to_json(self, include_per_node: bool = False) -> str:
+    def to_json(self) -> str:
+        """The scalars, then ``s`` and ``delta`` when the report holds them."""
         payload = {key: value for key, value in vars(self).items() if not isinstance(value, list)}
-        if include_per_node:
-            payload.update((key, [None if v is None else float(v) for v in value])
-                           for key, value in vars(self).items() if isinstance(value, list))
+        payload.update((key, [None if v is None else float(v) for v in value])
+                       for key, value in vars(self).items() if isinstance(value, list) and value)
         return _json(payload)
 
 

@@ -16,7 +16,7 @@ from sgfp.classify import (
 )
 from sgfp.construct import knee, path, star
 from sgfp.errors import DegenerateGraphError, UnknownNodeError
-from sgfp.graph import Graph, build_graph, degrees, kernel
+from sgfp.graph import build_graph, degrees, kernel
 from sgfp.metrics import correlation, r_d_delta, singular_gap
 from sgfp.randgen import mix, sample_connected_nonregular
 
@@ -61,7 +61,7 @@ def test_degenerate_cases():
     assert classify(triangle).kind == DEGENERATE
     two_edges = build_graph([(0, 1), (2, 3)])
     assert classify(two_edges).kind == DEGENERATE
-    empty = classify(Graph([]))
+    empty = classify(build_graph([]))
     assert (empty.kind, empty.witness, empty.reason) == (DEGENERATE, None, "empty graph")
 
 

@@ -337,6 +337,7 @@ def test_analyze_skips_blank_attribute_rows(tmp_path, capsys):
     ["gen", "fig4", "--output", ""],
     ["gen", "fig1", "--attrs-output", ""],
     ["gen", "fig1", "--output", "", "--attrs-output", "{attrs_out}"],
+    ["gen", "fig1", "--output", "{graph_out}", "--attrs-output", "{graph_out}"],
 ])
 def test_bad_arguments_exit_1(tmp_path, capsys, argv):
     graph = tmp_path / "g.edges"
@@ -383,6 +384,8 @@ HELP = {
     (["census", "--foo"], "sgfp: unrecognized arguments: --foo"),
     (["gen", "star", "--n", "4", "--attrs-output", ""],
      "sgfp gen: argument --attrs-output: star has no attributes"),
+    (["gen", "fig1", "--output", "/no-such-dir/g", "--attrs-output", "/no-such-dir/./g"],
+     "sgfp gen: argument --attrs-output: the same file as --output"),
 ])
 def test_usage_error_text(capsys, argv, message):
     assert main(argv) == 1

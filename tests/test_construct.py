@@ -18,7 +18,7 @@ from sgfp.construct import (
 )
 from sgfp.errors import InvariantBrokenError, PreconditionViolatedError, TooSmallError
 from sgfp.experiments import grow_table
-from sgfp.graph import Graph, build_graph, degrees, kernel
+from sgfp.graph import build_graph, degrees, kernel
 from sgfp.metrics import correlation, gap_report, singular_gap
 
 
@@ -231,10 +231,16 @@ def test_grow_step_refuses_a_replaced_edge_that_is_not_an_arc(monkeypatch):
         grow_step(state)
 
 
+def _rebuilt(g, labels):
+    """g's edges built again from its edge list, sorted, de-duplicated and
+    checked, on the given labels (one per node, in node order)."""
+    return build_graph([(labels[i], labels[j]) for i, j in g.edges()], nodes=labels)
+
+
 def test_grow_step_rejects_labels_of_the_new_nodes_in_use():
     state = initial_growth_state()
     g = state.graph
-    relabelled = Graph(g.adj, g.labels[:-1] + (g.n + 2,))
+    relabelled = _rebuilt(g, g.labels[:-1] + (g.n + 2,))
     with pytest.raises(InvariantBrokenError, match="in use"):
         grow_step(dataclasses.replace(state, graph=relabelled))
 
@@ -244,7 +250,7 @@ def test_grown_graph_is_in_normal_form():
     for _ in range(150):
         state = grow_step(state)
         g = state.graph
-        rebuilt = Graph(g.adj, g.labels)  # sorts, de-duplicates and checks everything
+        rebuilt = _rebuilt(g, g.labels)  # equal only if its arcs are sorted, symmetric, distinct
         assert g == rebuilt, state.k
         assert 2 * g.m == sum(degrees(g)) and g.m == rebuilt.m
         assert g._kernel is None  # computed on demand, like any other graph's
@@ -257,7 +263,7 @@ def _fresh_rows(steps):
     """grow_table's rows from graphs rebuilt from edge lists, each with its own kernel."""
     state, rows = initial_growth_state(), []
     while True:
-        g = Graph(state.graph.adj, state.graph.labels)
+        g = _rebuilt(state.graph, state.graph.labels)
         attrs = list(state.attrs)
         rows.append((state.k, g.n, float(singular_gap(g, attrs)), correlation(kernel(g).deg, attrs)))
         if state.k == steps:

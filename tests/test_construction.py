@@ -3,9 +3,10 @@
 The reference functions below are the per-edge implementations the sorted
 key path replaced (`build_graph`'s closure loop, the rewiring `seen`-set
 loop, `randgen`'s argsort-and-split builder and the dict remap of
-`strip_isolates`). They are kept here only, as the oracle: every graph
-must be equal in adjacency, labels, edge count and collapsed duplicates,
-and every error must have the same class and label.
+`strip_isolates`). They are kept here only, as the oracle, and build no
+`Graph`: each returns the plain tuple (adj, labels, m, duplicates). Every
+graph must be equal to it field by field, and every error must have the
+same class and label (or message).
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgfp.errors import SelfLoopError, UnknownNodeError
+from sgfp.errors import PreconditionViolatedError, SelfLoopError, UnknownNodeError
 from sgfp.experiments import strip_isolates
 from sgfp.graph import Graph, build_graph
 from sgfp.randgen import SplitMix64, _graph_of, _sample_blocks, configuration_rewire, gnp, mix
@@ -22,8 +23,10 @@ from conftest import edge_list_from_string, preferential_attachment, random_grap
 
 
 def ref_build_graph(edges, nodes=None):
-    labels = [] if nodes is None else list(dict.fromkeys(nodes))
+    labels = [] if nodes is None else list(nodes)
     index = {lab: i for i, lab in enumerate(labels)}
+    if len(index) < len(labels):
+        raise PreconditionViolatedError("node labels must be unique")
     adj = [set() for _ in labels]
 
     def idx(lab):
@@ -45,7 +48,11 @@ def ref_build_graph(edges, nodes=None):
         else:
             adj[i].add(j)
             adj[j].add(i)
-    return Graph(adj, labels, duplicates_collapsed=duplicates)
+    return _adj_tuple(adj), tuple(labels), sum(map(len, adj)) // 2, duplicates
+
+
+def _adj_tuple(adj):
+    return tuple(tuple(sorted(a)) for a in adj)
 
 
 def ref_rewire(g, seed):
@@ -69,7 +76,8 @@ def ref_graph(n, u, v):
     src, dst = np.concatenate((u, v)), np.concatenate((v, u))
     order = np.argsort(src, kind="stable")
     bounds = np.cumsum(np.bincount(src, minlength=n))[:-1]
-    return Graph([a.tolist() for a in np.split(dst[order], bounds)])
+    adj = [a.tolist() for a in np.split(dst[order], bounds)]
+    return _adj_tuple(adj), tuple(range(n)), len(u), 0
 
 
 def ref_gnp(n, p, seed):
@@ -83,13 +91,15 @@ def ref_gnp(n, p, seed):
 def ref_strip_isolates(g):
     keep = [i for i in range(g.n) if g.adj[i]]
     remap = {old: new for new, old in enumerate(keep)}
-    return Graph([[remap[v] for v in g.adj[i]] for i in keep], [g.labels[i] for i in keep])
+    adj = [[remap[v] for v in g.adj[i]] for i in keep]
+    return _adj_tuple(adj), tuple(g.labels[i] for i in keep), sum(map(len, adj)) // 2, 0
 
 
 def assert_same(got, want):
+    adj, labels, m, duplicates = want
     assert (got.adj, got.labels, got.n, got.m, got.duplicates_collapsed) == \
-        (want.adj, want.labels, want.n, want.m, want.duplicates_collapsed)
-    assert [type(x) for x in got.labels] == [type(x) for x in want.labels]
+        (adj, labels, len(labels), m, duplicates)
+    assert [type(x) for x in got.labels] == [type(x) for x in labels]
     assert all(type(j) is int for a in got.adj for j in a)
     assert all(got.index_of(lab) == i for i, lab in enumerate(got.labels))
 
@@ -99,6 +109,8 @@ def outcome(build, *args):
         return build(*args)
     except (SelfLoopError, UnknownNodeError) as exc:
         return type(exc), exc.node
+    except PreconditionViolatedError as exc:
+        return type(exc), exc.condition
 
 
 labels = st.one_of(st.integers(-3, 6), st.sampled_from(["a", "b", "c", "1", "2"]))
@@ -108,10 +120,11 @@ edge_lists = st.lists(st.tuples(labels, labels), max_size=25).flatmap(
 
 
 @settings(max_examples=300, deadline=None)
-@given(edge_lists, st.none() | st.lists(labels, max_size=12))
+@given(edge_lists, st.none() | st.lists(labels, max_size=12, unique=True)
+       | st.lists(labels, max_size=12))
 def test_build_graph_matches_reference(edges, nodes):
     got, want = outcome(build_graph, edges, nodes), outcome(ref_build_graph, edges, nodes)
-    if isinstance(want, Graph):
+    if isinstance(got, Graph):
         assert_same(got, want)
     else:
         assert got == want
@@ -122,6 +135,15 @@ def test_build_graph_errors_follow_input_order():
     assert outcome(build_graph, [(1, 2), (1, "x"), (4, 4)], [1, 2]) == (UnknownNodeError, "x")
     assert outcome(build_graph, [("y", "x")], [1]) == (UnknownNodeError, "y")
     assert outcome(build_graph, [("x", "x")], [1]) == (SelfLoopError, "x")
+
+
+@pytest.mark.parametrize("nodes", [["a", "b", "a"], [1, 1], (0, 1, 2, 1.0)])
+def test_repeated_node_labels_are_refused_before_any_edge(nodes):
+    # The first edge is a self-loop or names a repeated label; the labels decide.
+    edges = [(nodes[1], nodes[-1]), (nodes[0], nodes[1])]
+    for build in (build_graph, ref_build_graph):
+        assert outcome(build, edges, nodes) == (PreconditionViolatedError,
+                                                "node labels must be unique")
 
 
 def test_empty_edge_list():

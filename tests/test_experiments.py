@@ -13,7 +13,7 @@ from sgfp.errors import InfeasibleAtEpsilonError
 from sgfp.construct import path
 from sgfp.experiments import (CensusRecord, RewireRecord, _census_row, census, r_high_loose,
                               rewire_experiment, strip_isolates)
-from sgfp.graph import Graph, Kernel, build_graph, kernel
+from sgfp.graph import Kernel, build_graph, kernel
 from sgfp.lp import _r_high, max_failing_correlation
 from sgfp.metrics import r_d_delta
 from sgfp.randgen import configuration_rewire, gnp, mix
@@ -168,10 +168,10 @@ def test_census_matches_reference_around_the_int64_limit(n):
 
 
 def test_strip_isolates():
-    g = Graph([[1], [0, 2], [1]], ["a", "b", "c"])
+    g = build_graph([("a", "b"), ("b", "c")])
     assert strip_isolates(g) is g
-    h = Graph([[], [2], [1], []], ["w", "x", "y", "z"])
-    assert strip_isolates(h) == Graph([[1], [0]], ["x", "y"])
+    h = build_graph([("x", "y")], nodes=["w", "x", "y", "z"])
+    assert strip_isolates(h) == build_graph([("x", "y")])
 
 
 def test_r_high_loose_is_none_when_the_lp_is_infeasible():

@@ -19,7 +19,7 @@ from sgfp import graph
 from sgfp.classify import ANTI, DEGENERATE, PRO, classify, threshold_estimate
 from sgfp.errors import IsolatedNodeError, PreconditionViolatedError
 from sgfp.experiments import grow_table
-from sgfp.graph import (Graph, Kernel, _moments, build_graph, exact_correlation,
+from sgfp.graph import (Kernel, _moments, build_graph, exact_correlation,
                         is_connected, is_regular, kernel)
 from sgfp.lp import max_failing_correlation
 from sgfp.metrics import (_as_ints, correlation, gap_report, list_gap, r_d_delta, singular_gap,
@@ -181,7 +181,7 @@ def test_lazy_kernel_quantities_equal_their_definitions():
     assert not all(rewired.adj)  # isolates, as before strip_isolates
     kernels = [Kernel(tuple(d), big_l, tuple(y)) for n in range(3, 8)
                for d, big_l, y in every_signature(n)]
-    kernels += map(kernel, (rewired, Graph([[1], [0], []]),
+    kernels += map(kernel, (rewired, build_graph([(0, 1)], nodes=range(3)),
                             preferential_attachment(10_000, seed=7)))
     for k in kernels:
         active = [i for i, d in enumerate(k.deg) if d]

@@ -45,9 +45,11 @@ def test_every_labelled_graph_on_up_to_five_nodes_matches_the_references(n):
 
 
 SMALL = {
-    "empty": Graph([]), "one node": Graph([[]]), "two isolates": Graph([[], []]),
-    "last isolated": Graph([[1], [0], []]), "middle isolated": Graph([[2], [], [0]]),
-    "ends isolated": Graph([[], [2], [1], []]), "two edges": build_graph([(0, 1), (2, 3)]),
+    "empty": build_graph([]), "one node": build_graph([], nodes=[0]),
+    "two isolates": build_graph([], nodes=range(2)),
+    "last isolated": build_graph([(0, 1)], nodes=range(3)),
+    "middle isolated": build_graph([(0, 2)], nodes=range(3)),
+    "ends isolated": build_graph([(1, 2)], nodes=range(4)), "two edges": build_graph([(0, 1), (2, 3)]),
     "path and edge": build_graph([(0, 1), (1, 2), (3, 4)]), "path(2)": path(2), "path(6)": path(6),
 }
 
@@ -59,9 +61,9 @@ def test_small_and_isolated_cases_match_the_references(name):
 
 def test_isolates_sum_to_zero_wherever_they_sit():
     # reduceat gives an empty segment the value at its start; an isolate's y is 0.
-    assert kernel(Graph([[2], [], [0]])).y == (1, 0, 1)
-    assert kernel(Graph([[1], [0], []])).y == (1, 1, 0)
-    assert kernel(Graph([[], [2], [1]])).y == (0, 1, 1)
+    assert kernel(build_graph([(0, 2)], nodes=range(3))).y == (1, 0, 1)
+    assert kernel(build_graph([(0, 1)], nodes=range(3))).y == (1, 1, 0)
+    assert kernel(build_graph([(1, 2)], nodes=range(3))).y == (0, 1, 1)
 
 
 def test_rewired_graphs_match_the_references():
@@ -154,11 +156,12 @@ def test_gnp_edges_come_in_draw_order():
 
 def test_equality_and_hashing_follow_edges_and_labels():
     g = gnp(10, 0.5, 99)
-    same = Graph(g.adj, g.labels)
+    same = build_graph(g.edges(), nodes=g.labels)
     assert g == gnp(10, 0.5, 99) == same and hash(g) == hash(same)
     assert len({g, same, gnp(10, 0.5, 99)}) == 1
     assert g != gnp(10, 0.5, 100)
-    assert g != Graph(g.adj, [f"v{i}" for i in range(g.n)])
+    assert g != build_graph([(f"v{i}", f"v{j}") for i, j in g.edges()],
+                            nodes=[f"v{i}" for i in range(g.n)])
     assert build_graph([(0, 1)], nodes=[0, 1, 2]) != build_graph([(0, 1)], nodes=[0, 1])
     assert g != g.adj
     copied = pickle.loads(pickle.dumps(g))
@@ -179,15 +182,14 @@ def test_arrays_are_read_only():
 CONSTRUCTIONS = {
     "build_graph": lambda: build_graph([(0, 1), (1, 2), (3, 4)], nodes=range(6)),
     "read_edge_list": lambda: edge_list_from_string("a b\nb c\n# c d\nc a\nc d\n"),
-    "Graph(adj)": lambda: Graph([[1, 2], [0], [0], []], "wxyz"),
     "gnp": lambda: gnp(30, 0.1, 5),
     "sample_connected_nonregular": lambda: sample_connected_nonregular(9, 0.5, 3),
     "configuration_rewire": lambda: configuration_rewire(preferential_attachment(60, 1), 11)[0],
     "strip_isolates": lambda: strip_isolates(gnp(30, 0.1, 5)),
     "grow_step": lambda: grow_step(grow_step(initial_growth_state())).graph,
-    "n = 0": lambda: Graph([]),
+    "n = 0": lambda: build_graph([], nodes=[]),
     "n = 0, from edges": lambda: build_graph([]),
-    "n = 1": lambda: Graph([[]]),
+    "n = 1": lambda: build_graph([], nodes=[0]),
     "n = 1, gnp": lambda: gnp(1, 0.5, 0),
 }
 
@@ -236,5 +238,5 @@ def test_copies_and_pickles_are_rebuilt_read_only_and_uncached(name, how):
 
 
 def test_the_construction_paths_cover_isolates():
-    for name in ("build_graph", "Graph(adj)", "gnp", "configuration_rewire", "n = 1"):
+    for name in ("build_graph", "gnp", "configuration_rewire", "n = 1"):
         assert not CONSTRUCTIONS[name]().deg.all(), name

@@ -139,3 +139,21 @@ def test_every_public_name_has_a_caller():
         reached |= new
         todo += new
     assert sorted(f"{m}.{name}" for m, name in public - reached) == []
+
+
+def test_every_explicit_constructor_has_a_caller():
+    # The rule above cannot see a reached class's own constructor. A public
+    # class outside errors.py that defines __new__ or __init__ must be called
+    # with arguments by a package module or by test_acceptance.py.
+    acceptance = Path(__file__).parent / "test_acceptance.py"
+    trees = [(p.stem, ast.parse(p.read_text(encoding="utf-8"), str(p)))
+             for p in (*SOURCES, acceptance)]
+    explicit = {(stem, node.name) for stem, tree in trees
+                if stem not in ("errors", acceptance.stem) for node in tree.body
+                if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+                and any(isinstance(f, ast.FunctionDef) and f.name in ("__new__", "__init__")
+                        for f in node.body)}
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for _, tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and (node.args or node.keywords)}
+    assert sorted(f"{m}.{name}" for m, name in explicit if name not in called) == []

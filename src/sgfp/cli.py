@@ -1,14 +1,13 @@
 """Command-line interface: one row of :data:`COMMANDS` per subcommand.
 
-Every call builds its argparse tree from the table afresh: a parser for every
-subcommand, but arguments (``-h`` too) only for the one that its first
-argument names, or for all when that names none (help, no or an unknown
-command, an option first). One terminal-size probe serves all its help
-formatters; nothing is kept between calls. A handler returns its text, alone
-or with an exit code or an error that is raised once ``--output`` (or stdout)
-holds the text. An empty path is a path, not an absent option. Exit codes:
-0 success, 1 error (bad arguments included), 2 degenerate input (regular graph
-or constant attributes).
+Every call builds its argparse tree from the table afresh: one subparser when
+its first argument names a command, all nine when that names none (help, no or
+an unknown command, an option first). One terminal-size probe serves all its
+help formatters; nothing is kept between calls. A handler returns its text,
+alone or with an exit code or an error that is raised once ``--output`` (or
+stdout) holds the text. An empty path is a path, not an absent option. Exit
+codes: 0 success, 1 error (bad arguments included), 2 degenerate input
+(regular graph or constant attributes).
 """
 
 import argparse
@@ -169,8 +168,8 @@ def main(argv=None) -> int:
     from functools import partial
     if argv is None:
         argv = sys.argv[1:]
-    # Only the command argv names gets arguments, -h included: no other parser reads
-    # them. Help, no or an unknown command and an option first give all nine theirs.
+    # One subparser when argv[0] names a command: no other would read an argument. Help,
+    # no or an unknown command and an option first build all nine, as usage names them.
     named = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
     try:
         # The width HelpFormatter takes itself when given none, probed once, not per formatter.
@@ -178,12 +177,11 @@ def main(argv=None) -> int:
         parser = _Parser(prog="sgfp", formatter_class=formatter,
                          description="Singular generalized friendship paradox toolkit")
         sub = parser.add_subparsers(dest="command", required=True)
-        for name, (handler, help_text, specs) in COMMANDS.items():
-            p = sub.add_parser(name, help=help_text, formatter_class=formatter,
-                               add_help=name in named)
-            if name in named:
-                for flag, spec in (*specs, _OUTPUT):
-                    p.add_argument(flag, **spec)
+        for name in named:
+            handler, help_text, specs = COMMANDS[name]
+            p = sub.add_parser(name, help=help_text, formatter_class=formatter)
+            for flag, spec in (*specs, _OUTPUT):
+                p.add_argument(flag, **spec)
             p.set_defaults(handler=handler)
         args = parser.parse_args(argv)
         result = args.handler(args)

@@ -11,8 +11,8 @@ A graph is read-only int64 arrays in compressed sparse rows: node i's degree
 ``deg[i]`` and sorted neighbours ``nbr[ptr[i]:ptr[i + 1]]``. :func:`_from_keys` cuts
 every graph from the sorted, distinct keys i*n + j of its arcs (:func:`_arcs`):
 the label core of :func:`build_graph` and the edge-list reader, the random
-generators, rewiring, isolate stripping, growth, copies and pickles; there is
-no other constructor. ``adj`` is built on first read.
+generators, rewiring, isolate stripping, growth, copies and pickles; calling
+``Graph`` raises TypeError. ``adj`` is built on first read.
 """
 
 from __future__ import annotations
@@ -32,7 +32,12 @@ from .errors import PreconditionViolatedError, SelfLoopError, UnknownNodeError
 NodeId = Hashable
 
 
-class Graph:
+class _Uncallable(type):
+    def __call__(cls, *args, **kwargs):  # only _from_keys fills a Graph
+        raise TypeError("Graph is not called: build one with build_graph or read_edge_list")
+
+
+class Graph(metaclass=_Uncallable):
     """Immutable simple undirected graph.
 
     No self-loops, no parallel edges; adjacency is symmetric and each

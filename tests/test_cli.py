@@ -515,8 +515,20 @@ def _parsers_given_arguments(monkeypatch):
     return progs
 
 
+def _parsers_added(monkeypatch):
+    """Record the name of every subparser that is registered."""
+    names, add_parser = [], argparse._SubParsersAction.add_parser
+
+    def recording(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
+    return names
+
+
 # The argument lists of the benchmark's operations (perfbench/workloads.py).
-@pytest.mark.parametrize("argv", [
+BENCHMARK_ARGV = pytest.mark.parametrize("argv", [
     ["census", "--nmin", "3", "--nmax", "7", "--samples", "8", "--seed", "0", "--jobs", "1"],
     ["threshold", "--grid", "64", "{graph}"],
     ["rewire-experiment", "{graph}", "{graph}", "--seed", "204"],
@@ -525,11 +537,32 @@ def _parsers_given_arguments(monkeypatch):
     ["optimize", "{graph}", "--witness"],
     ["grow", "20"],
 ])
+
+
+@BENCHMARK_ARGV
 def test_only_the_named_command_gets_arguments(fig1_files, monkeypatch, capsys, argv):
     graph, attrs = fig1_files
     progs = _parsers_given_arguments(monkeypatch)
     assert main([a.format(graph=graph, attrs=attrs) for a in argv]) == 0
     assert progs == ["sgfp", f"sgfp {argv[0]}"]
+
+
+@BENCHMARK_ARGV
+def test_only_the_named_command_gets_a_parser(fig1_files, monkeypatch, capsys, argv):
+    graph, attrs = fig1_files
+    names = _parsers_added(monkeypatch)
+    assert main([a.format(graph=graph, attrs=attrs) for a in argv]) == 0
+    assert names == [argv[0]]
+
+
+@pytest.mark.parametrize("argv", [["--help"], [], ["nosuch"], ["-h", "census"]])
+def test_no_named_command_registers_every_parser(monkeypatch, capsys, argv):
+    names = _parsers_added(monkeypatch)
+    try:
+        main(argv)
+    except SystemExit:  # --help
+        pass
+    assert names == list(COMMANDS)
 
 
 @pytest.mark.parametrize("argv", [["--help"], [], ["nosuch"], ["-h", "census"]])

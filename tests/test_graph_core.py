@@ -31,6 +31,12 @@ def test_a_graph_is_built_from_edges_not_from_an_adjacency_list():
         Graph([[1], [0]])
 
 
+def test_calling_graph_is_refused_with_the_constructors_named():
+    # A Graph that _from_keys did not fill would have no n, ptr or labels.
+    with pytest.raises(TypeError, match="build_graph or read_edge_list"):
+        Graph()
+
+
 def test_duplicate_edges_collapse_with_count():
     g = build_graph([(1, 2), (2, 1)])
     assert g.m == 1

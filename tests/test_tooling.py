@@ -3,7 +3,10 @@
 import ast
 import importlib
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import sgfp
@@ -13,6 +16,16 @@ SOURCES = sorted(Path(sgfp.__file__).parent.glob("*.py"))
 
 def test_sources_are_found():
     assert {"graph.py", "construct.py", "cli.py"} <= {p.name for p in SOURCES}
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # experiments.census_pool imports the pool when a census runs on workers;
+    # at import time it would add to the start-up of every CLI call.
+    code = ("import sys, sgfp.cli; print(sorted({'multiprocessing', 'concurrent.futures'}"
+            " & sys.modules.keys()))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(sgfp.__file__).parents[1])})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_no_assert_in_package_code():

@@ -65,10 +65,10 @@ def _census_row(k: Kernel, epsilon: float) -> tuple[bool, float, float]:
     """(is_pro, r_high, r_ddelta) of one connected draw from its kernel;
     r_high is NaN when the LP is infeasible at `epsilon`. It is pro (y affine
     in d) when the moments of (d, y) have a * a = b * c, as a > 0 makes the
-    slope positive (see :func:`classify`). They are summed here, as one
-    use does not pay for the cache of :attr:`Kernel.moments`."""
+    slope positive (see :func:`classify`); the LP starts at a / c. Summed
+    here, they cost less than the cache of :attr:`Kernel.moments`."""
     a, b, c = _moments(k.deg, k.y)
-    res = _r_high(k, epsilon)
+    res = _r_high(k, epsilon, (a, b, c))
     return (a * a == b * c, float("nan") if res is None else res[0],
             _pearson(len(k.deg), a, b, c, 1, k.lcm))
 

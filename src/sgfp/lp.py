@@ -19,14 +19,15 @@ toward the other until delta . a = -epsilon (or as far as the walk goes
 when the optimum has lambda = 0), ending near a vertex of the feasible
 polytope as a simplex would. There is no size cap.
 
-The descent runs from lambda = 0 in the kernel's integers (:func:`_solve_exact`),
-so the witness and r_high depend only on the multiset of (d_i, L delta_i)
-pairs, not on the node labels. Floats only save exact work: on larger
-graphs they decide each pass, slope sign and slope step where a proven
-error bound allows (a static filter as in Shewchuk 1997). :func:`_r_high`
-takes one graph or one kernel and decides when, over the nodes with edges:
-a graph's delta is summed from it in floats, with no big-integer division,
-a kernel's is :attr:`Kernel.delta`, y / L correctly rounded.
+The descent runs in the kernel's integers (:func:`_solve_exact`), from the
+least-squares slope of d on delta or, where g may have more than one
+minimizer, from lambda = 0. So the witness and r_high depend only on the
+multiset of (d_i, L delta_i) pairs, not on the node labels. Floats only save
+exact work: on larger graphs they decide each pass, slope sign and slope
+step where a proven error bound allows (a static filter as in Shewchuk
+1997). :func:`_r_high` takes one graph or one kernel and decides when, over
+the nodes with edges: a graph's delta is summed from it in floats, with no
+big-integer division, a kernel's is :attr:`Kernel.delta`, y / L correctly rounded.
 """
 
 from __future__ import annotations
@@ -157,6 +158,7 @@ def _filtered_step(deg: Sequence[int], y: Sequence[int], d: np.ndarray, dl: np.n
 
 def _solve_exact(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: float,
                  arrays: Optional[tuple[np.ndarray, np.ndarray]] = None,
+                 start: Optional[tuple[int, int]] = None,
                  ) -> Optional[tuple[Sequence[int], int, dict[int, int], int]]:
     """The failing-correlation LP in exact arithmetic, on the kernel's integers.
 
@@ -165,6 +167,11 @@ def _solve_exact(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: floa
     kappa = lambda / L = p / q, so c = q * d - p * y is an integer vector
     whose median and tie set are exact, and the one-sided slopes of g are
     decided by the sign of the integer s * (y . a) + e.
+    It starts at kappa = max(num / w, 0) for `start` = (num, w) unless s
+    divides L (epsilon = e / s in lowest terms): each slope of g is -h / (s L),
+    h = s * (y . a) + e * L for an integer vector a, and h = 0 needs s | L, so
+    otherwise g has one minimizer kappa*, every start stops there, and the
+    last pass and the witness walk depend on kappa* alone.
 
     With `arrays` = (d, delta) in numpy, floats decide what they provably can.
     Each float delta_i need only be within 1.01 u d_i delta_i of y_i / L (u =
@@ -196,7 +203,8 @@ def _solve_exact(deg: Sequence[int], y: Sequence[int], big_l: int, epsilon: floa
         return None
     # Bounds are integer pairs (p, q), q >= 0, and hi = (1, 0) is infinity;
     # lo = -1 until a kappa >= 0 is known to lie below the optimum.
-    num, w, lo, hi = 0, 1, (-1, 1), (1, 0)
+    num, w = start if start and big_l % s else (0, 1)
+    lo, hi = (-1, 1), (1, 0)
     for _ in range(1000):
         g = math.gcd(num, w) if w > 0 else -math.gcd(num, w)  # kappa = max(num / w, 0)
         p, q = (num // g, w // g) if num * w > 0 else (0, 1)
@@ -300,12 +308,14 @@ class HighCorrelationResult:
 _FLOAT_MIN_N = 100
 
 
-def _r_high(src: Graph | Kernel, epsilon: float):
+def _r_high(src: Graph | Kernel, epsilon: float, moments: Optional[tuple] = None):
     """(r_high, the result of :func:`_solve_exact`) over the nodes with edges
     of a graph or kernel, or None when the LP is infeasible at `epsilon`, as
     when their degrees are all equal (delta = 1 on each).
     From _FLOAT_MIN_N such nodes on, floats filter the descent with a graph's
-    :func:`graph._float_delta` or a kernel's :attr:`Kernel.delta`."""
+    :func:`graph._float_delta` or a kernel's :attr:`Kernel.delta`, and the
+    descent starts at their least-squares slope; below, at a / c of
+    `moments`, or of :attr:`Kernel.moments` when not given."""
     k = kernel(src) if isinstance(src, Graph) else src
     deg, y = k.active() if 0 in k.deg else (k.deg, k.y)
     n, d = len(deg), None  # d: the degrees in numpy when floats filter
@@ -314,7 +324,12 @@ def _r_high(src: Graph | Kernel, epsilon: float):
                  else (np.array(k.deg), np.array(k.delta)))
         if n < len(d):
             d, dl = d[d > 0], dl[d > 0]
-    found = _solve_exact(deg, y, k.lcm, epsilon, None if d is None else (d, dl))
+        dc = dl - dl.mean()  # least squares: lambda = d.dc / dc.dc = p / q (0 if dc = 0)
+        p, q = (float(d @ dc) / (float(dc @ dc) or 1.0)).as_integer_ratio()
+        start = p, q * k.lcm  # kappa = lambda / L
+    else:
+        start = (moments or k.moments)[::2]  # (a, c): kappa = a / c
+    found = _solve_exact(deg, y, k.lcm, epsilon, None if d is None else (d, dl), start)
     if found is None:
         return None
     a, m, fill, _ = found

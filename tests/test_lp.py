@@ -20,6 +20,7 @@ from sgfp.errors import (
 from sgfp.graph import (Kernel, _float_delta, build_graph, degrees,
                         exact_correlation, kernel)
 from sgfp import lp
+from sgfp.experiments import census
 from sgfp.lp import _failing_witness, _int_fill, _r_high, _solve_exact, max_failing_correlation
 from sgfp.metrics import correlation, singular_gap
 from sgfp.randgen import sample_connected_nonregular
@@ -641,13 +642,72 @@ def test_a_graph_and_its_kernel_pose_the_same_lp(eps):
 
 
 def test_a_stalled_descent_raises_after_one_slope_step(monkeypatch):
-    # A slope step that leaves kappa where it was must end the descent at
-    # once, not after the loop's 1000 iterations.
-    steps = []
-    monkeypatch.setattr(lp, "_filtered_step", lambda *args: steps.append(1) or (0, 1))
-    with pytest.raises(InvariantBrokenError, match="stalled at kappa=0/1"):
+    # A slope step that leaves kappa where it was (the (p, q) of the pass it
+    # follows, the least-squares start here) must end the descent at once,
+    # not after the loop's 1000 iterations.
+    kappas, steps = [], []
+    real = lp._filtered_pass
+    monkeypatch.setattr(lp, "_filtered_pass", lambda *args: kappas.append(args[-2:]) or real(*args))
+    monkeypatch.setattr(lp, "_filtered_step", lambda *args: steps.append(1) or kappas[-1])
+    with pytest.raises(InvariantBrokenError, match="stalled at kappa=") as raised:
         max_failing_correlation(preferential_attachment(300, seed=3))
-    assert len(steps) == 1
+    assert len(steps) == 1 and len(kappas) == 1 and kappas[0][0] > 0
+    assert str(raised.value).endswith("stalled at kappa=%d/%d" % kappas[0])
+
+
+def _from_zero(monkeypatch):
+    """Make the LP's descent ignore its least-squares start and run from
+    kappa = 0: the reference of the start's differential tests."""
+    real = lp._solve_exact
+    monkeypatch.setattr(lp, "_solve_exact", lambda *args: real(*args[:5]))
+
+
+def _start_cases():
+    for n in range(3, 8):  # every census kernel
+        yield from (Kernel(*row) for row in every_signature(n))
+    yield from _criterion_5_stream()
+    for n in (60, 200, 1000, 10_000):
+        yield preferential_attachment(n, seed=n)
+    yield from rewired_with_isolates(preferential_attachment(150, 3), 3)
+
+
+def test_the_least_squares_start_leaves_every_result_unchanged(monkeypatch):
+    # Unless s divides L (epsilon = e / s in lowest terms) the dual has one
+    # minimizer, where every start must stop; where s divides L the descent
+    # ignores the start and runs from 0. Both paths run: 1e-3, 0.1 and
+    # 1e-200 never fall back, 1, 2 and 3 (s = 1) always do, and 0.25 and 0.5
+    # do on some L, as on a census kernel feasible at 1/2 with an even L.
+    epsilons = (1e-3, 0.1, 0.25, 0.5, 1.0, 2.0, 3.0, 1e-200)
+    cases = list(_start_cases())
+    assert any(isinstance(src, Kernel) and src.lcm % 2 == 0 and src.moments[0] > 0
+               and _failing_witness(src, 0.5) is not None for src in cases)
+    want = [_failing_witness(src, eps) for eps in epsilons for src in cases]
+    _from_zero(monkeypatch)
+    assert [_failing_witness(src, eps) for eps in epsilons for src in cases] == want
+
+
+def _benchmark_census():
+    """The census calls of the seed-0 benchmark: seeds 0..23, 8 samples at
+    each n = 3..7, one worker."""
+    for seed in range(24):
+        for n in range(3, 8):
+            census(n, 8, seed)
+
+
+@pytest.mark.parametrize("start", [True, False])
+def test_the_least_squares_start_saves_descent_passes(monkeypatch, start):
+    # Pins the passes of the exact descent (one _int_fill each) over the
+    # benchmark census's 630 LPs, and of the filtered descent on a 10**4-node
+    # graph, with the start and from kappa = 0. Not every graph gains.
+    if not start:
+        _from_zero(monkeypatch)
+    solves = _spy(monkeypatch, "_solve_exact")
+    fills, passes = _spy(monkeypatch, "_int_fill"), _spy(monkeypatch, "_filtered_pass")
+    _benchmark_census()
+    assert (len(solves), len(fills), len(passes)) == (630, 1141 if start else 1557, 0)
+    fills.clear()
+    assert _r_high(preferential_attachment(10_000, seed=10_000), 1e-3) is not None
+    assert (len(fills), len(passes)) == (1, 4 if start else 8)
 
 
 def _relabel(g, rng):
